@@ -7,12 +7,12 @@ negations established by failure), a bare NAF node when nothing even
 concludes the statement, and a failed-rule demonstration otherwise.
 """
 
-from ruleproofs.proofgraph import to_dot, verify_derivation
+from ruleproofs.proofgraph import proof_depth, to_dot
 from ruleproofs.reasoner import (
     answer_question,
+    check_proof,
     closure,
     critical_sentences,
-    proof_depth,
     prove,
 )
 from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule
@@ -49,7 +49,7 @@ for q in theory.questions:
     for p in proofs:
         d = p.to_dict()
         print(f"  proof nodes={d['nodes']} edges={d['edges']} depth={proof_depth(p)}")
-        assert verify_derivation(theory, q, p)
+        assert check_proof(theory, q, p)
 
 print("\nCritical sentences for Q2 (removal flips the answer):",
       sorted(critical_sentences(theory, theory.questions[1])))

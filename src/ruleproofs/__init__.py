@@ -1,9 +1,9 @@
 """Rule-base QA with gold proof graphs: generate, decode, evaluate.
 
 The package splits into small layers: ``theory`` (data model and
-grammar), ``reasoner`` (answers, proofs, critical sentences),
-``proofgraph`` (structure, checking, matching), ``potentials`` (label
-masks, oracle potentials, lexical scorer), ``decoder`` (exact
+grammar), ``reasoner`` (answers, proofs, proof checking, critical
+sentences), ``proofgraph`` (structure, depth, matching), ``potentials``
+(label masks, oracle potentials, lexical scorer), ``decoder`` (exact
 constrained edge decoding), ``datagen`` (synthetic corpora),
 ``evalharness`` (exact-match metrics), and ``cli`` (JSONL pipelines).
 """
@@ -19,14 +19,14 @@ from .theory import (
     render_sentence,
     validate_theory,
 )
-from .proofgraph import ProofGraph, match_proofs, validate_structure, verify_derivation
+from .proofgraph import ProofGraph, match_proofs, proof_depth, validate_structure
 from .reasoner import (
     Closure,
     NonStratifiedTheory,
     answer_question,
+    check_proof,
     closure,
     critical_sentences,
-    proof_depth,
     prove,
 )
 from .potentials import (
@@ -43,8 +43,6 @@ from .potentials import (
 from .decoder import (
     ConnectivityInfeasible,
     DecodeResult,
-    IlpInstance,
-    build_instance,
     decode_proof,
     decode_unconstrained,
     decode_with_fallback,
@@ -65,7 +63,6 @@ __all__ = [
     "Fact",
     "FeatureVector",
     "GenConfig",
-    "IlpInstance",
     "LinearScorer",
     "Literal",
     "MASKED",
@@ -81,7 +78,7 @@ __all__ = [
     "aggregate_report",
     "answer_question",
     "build_edge_mask",
-    "build_instance",
+    "check_proof",
     "closure",
     "critical_sentences",
     "decode_proof",
@@ -102,6 +99,5 @@ __all__ = [
     "select_nodes",
     "validate_structure",
     "validate_theory",
-    "verify_derivation",
     "verify_flow",
 ]

@@ -17,12 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Optional
-
-import numpy as np
+from typing import Iterable, Optional
 
 from . import datagen, decoder, evalharness, potentials, reasoner, proofgraph, theory as theory_mod
 
@@ -40,10 +37,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _open_input(path: Optional[str]) -> IO[str]:
+@contextmanager
+def _open_input(path: Optional[str]):
+    """Standard input is yielded but never closed."""
     if path in (None, "-"):
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
+        yield sys.stdin
+    else:
+        with open(path, "r", encoding="utf-8") as fp:
+            yield fp
 
 
 @contextmanager
@@ -52,37 +53,26 @@ def _open_output(path: Optional[str]):
     if path in (None, "-"):
         yield sys.stdout
     else:
-        fp = open(path, "w", encoding="utf-8")
-        try:
+        with open(path, "w", encoding="utf-8") as fp:
             yield fp
-        finally:
-            fp.close()
+
+
+def _write_rows(path: Optional[str], rows: Iterable[dict]) -> None:
+    """Write one JSON object per line. The output is opened before the
+    first row is drawn, so a list keeps a data error from leaving a file."""
+    with _open_output(path) as fp:
+        for row in rows:
+            fp.write(json.dumps(row) + "\n")
 
 
 def _load_theories(path: Optional[str]) -> list[theory_mod.Theory]:
-    fp = _open_input(path)
-    try:
+    with _open_input(path) as fp:
         return list(theory_mod.read_theories(fp))
-    finally:
-        if fp is not sys.stdin:
-            fp.close()
-
-
-def _map_ordered(fn, items: list, threads: int) -> list:
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _add_io(parser, input_help="input file (default: stdin)"):
     parser.add_argument("input", nargs="?", default=None, help=input_help)
     parser.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-
-
-def _add_threads(parser):
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; output order is always input order")
 
 
 def build_parser() -> _Parser:
@@ -97,11 +87,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("answer", help="answer every question with the reasoner")
     _add_io(p)
-    _add_threads(p)
 
     p = sub.add_parser("prove", help="emit gold proofs for every question")
     _add_io(p)
-    _add_threads(p)
     p.add_argument("--max-proofs", type=int, default=reasoner.DEFAULT_MAX_PROOFS)
 
     p = sub.add_parser("mask-export", help="export training labels (masked cells are -100)")
@@ -128,7 +116,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("decode", help="decode proofs from potentials")
     _add_io(p, input_help="potentials file (default: stdin)")
-    _add_threads(p)
     p.add_argument("--theories", required=True,
                    help="dataset the potentials refer to (for answers and sentence layout)")
     p.add_argument("--no-connectivity", action="store_true",
@@ -145,7 +132,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("critical", help="sentences whose removal flips each answer")
     _add_io(p)
-    _add_threads(p)
 
     p = sub.add_parser("render-dot", help="write one DOT file per gold proof")
     p.add_argument("input", nargs="?", default=None)
@@ -175,45 +161,31 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_answer(args) -> int:
-    theories = _load_theories(args.input)
-
-    def answer_one(t):
+    rows = []
+    for t in _load_theories(args.input):
         c = reasoner.closure(t)
-        return [
+        rows.extend(
             {"theory_id": t.id, "question_id": q.id,
              "answer": reasoner.holds_under_cwa(t, c, q.literal)}
             for q in t.questions
-        ]
-
-    rows = _map_ordered(answer_one, theories, args.threads)
-    with _open_output(args.output) as fp:
-        for group in rows:
-            for row in group:
-                fp.write(json.dumps(row) + "\n")
+        )
+    _write_rows(args.output, rows)
     return 0
 
 
 def _cmd_prove(args) -> int:
-    theories = _load_theories(args.input)
-
-    def prove_one(t):
+    rows = []
+    for t in _load_theories(args.input):
         c = reasoner.closure(t)
-        out = []
         for q in t.questions:
             proofs = reasoner.prove_literal(t, c, q.literal, args.max_proofs)
-            out.append({
+            rows.append({
                 "theory_id": t.id,
                 "question_id": q.id,
                 "proofs": [p.to_dict() for p in proofs],
                 "depth": max(proofgraph.proof_depth(p) for p in proofs),
             })
-        return out
-
-    rows = _map_ordered(prove_one, theories, args.threads)
-    with _open_output(args.output) as fp:
-        for group in rows:
-            for row in group:
-                fp.write(json.dumps(row) + "\n")
+    _write_rows(args.output, rows)
     return 0
 
 
@@ -225,25 +197,29 @@ def _require_gold(t, q):
 
 def _cmd_mask_export(args) -> int:
     theories = _load_theories(args.input)
-    with _open_output(args.output) as fp:
+
+    def rows():
         for t in theories:
             for q in t.questions:
                 _require_gold(t, q)
                 gold = q.gold_proofs[0]
                 mask = potentials.build_edge_mask(t, gold)
-                fp.write(json.dumps({
+                yield {
                     "theory_id": t.id,
                     "question_id": q.id,
                     "qa_label": int(bool(q.gold_answer)),
                     "node_labels": potentials.node_labels(t, gold).tolist(),
                     "edge_labels": mask.label.tolist(),
-                }) + "\n")
+                }
+
+    _write_rows(args.output, rows())
     return 0
 
 
 def _cmd_oracle_potentials(args) -> int:
     theories = _load_theories(args.input)
-    with _open_output(args.output) as fp:
+
+    def rows():
         question_counter = 0
         for t in theories:
             for q in t.questions:
@@ -255,12 +231,9 @@ def _cmd_oracle_potentials(args) -> int:
                     seed = [args.seed, question_counter]
                     pot = potentials.oracle_potentials(t, gold, args.noise, seed)
                 question_counter += 1
-                fp.write(json.dumps({
-                    "theory_id": t.id,
-                    "question_id": q.id,
-                    "node_prob": [float(x) for x in pot.node_prob],
-                    "edge_prob": [[float(x) for x in row] for row in pot.edge_prob],
-                }) + "\n")
+                yield pot.to_record(t.id, q.id)
+
+    _write_rows(args.output, rows())
     return 0
 
 
@@ -278,60 +251,48 @@ def _cmd_score_edges(args) -> int:
     with open(args.scorer, "r", encoding="utf-8") as fp:
         scorer = potentials.LinearScorer.from_dict(json.load(fp))
     theories = _load_theories(args.input)
-    correct = 0
-    total = 0
-    with _open_output(args.output) as fp:
+    hits: list[bool] = []
+
+    def potential_rows():
         for t in theories:
-            if args.emit_potentials:
-                pot = potentials.scorer_potentials(t, scorer)
-                for q in t.questions:
-                    fp.write(json.dumps({
-                        "theory_id": t.id,
-                        "question_id": q.id,
-                        "node_prob": [float(x) for x in pot.node_prob],
-                        "edge_prob": [[float(x) for x in row] for row in pot.edge_prob],
-                    }) + "\n")
-                continue
+            pot = potentials.scorer_potentials(t, scorer)
+            for q in t.questions:
+                yield pot.to_record(t.id, q.id)
+
+    def cell_rows():
+        for t in theories:
             for q in t.questions:
                 _require_gold(t, q)
                 cells = []
                 for src, dst, label in potentials.edge_training_pairs(t, q):
                     prob = scorer.score(potentials.lexical_edge_features(t, src, dst))
-                    predicted = int(prob >= 0.5)
-                    correct += int(predicted == label)
-                    total += 1
+                    hits.append(int(prob >= 0.5) == label)
                     cells.append({"src": src, "dst": dst, "prob": round(prob, 6),
                                   "label": label})
-                fp.write(json.dumps({
-                    "theory_id": t.id, "question_id": q.id, "cells": cells,
-                }) + "\n")
-    if not args.emit_potentials and total:
+                yield {"theory_id": t.id, "question_id": q.id, "cells": cells}
+
+    _write_rows(args.output, potential_rows() if args.emit_potentials else cell_rows())
+    if hits:
+        correct, total = sum(hits), len(hits)
         print(f"edge-label accuracy: {correct / total:.4f} ({correct}/{total})",
               file=sys.stderr)
     return 0
 
 
 def _read_potentials(path, theories_by_id):
-    fp = _open_input(path)
-    try:
+    """(theory, question id, potentials) per line, checked against the theory."""
+    with _open_input(path) as fp:
         for line_no, line in enumerate(fp, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
                 t = theories_by_id[record["theory_id"]]
-                pot = potentials.Potentials(
-                    np.asarray(record["node_prob"], dtype=float),
-                    np.asarray(record["edge_prob"], dtype=float),
-                    len(t.facts),
-                )
-                yield t, record["question_id"], pot
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                pot = potentials.Potentials.from_record(record, t)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise evalharness.EvaluationError(
                     f"bad potentials record on line {line_no}: {exc}") from exc
-    finally:
-        if fp is not sys.stdin:
-            fp.close()
+            yield t, record["question_id"], pot
 
 
 def _cmd_decode(args) -> int:
@@ -349,14 +310,14 @@ def _cmd_decode(args) -> int:
                 q.id: reasoner.holds_under_cwa(t, c, q.literal) for q in t.questions
             }
 
-    def decode_one(item):
-        t, question_id, pot = item
+    rows = []
+    for t, question_id, pot in records:
         if args.unconstrained:
             result = decoder.decode_unconstrained(pot)
         else:
             result = decoder.decode_with_fallback(pot, connectivity=not args.no_connectivity)
         d = result.proof.to_dict()
-        return {
+        rows.append({
             "theory_id": t.id,
             "question_id": question_id,
             "answer": answers[t.id][question_id],
@@ -364,23 +325,15 @@ def _cmd_decode(args) -> int:
             "edges": d["edges"],
             "objective": result.objective,
             "connectivity_relaxed": result.connectivity_relaxed,
-        }
-
-    rows = _map_ordered(decode_one, records, args.threads)
-    with _open_output(args.output) as fp:
-        for row in rows:
-            fp.write(json.dumps(row) + "\n")
+        })
+    _write_rows(args.output, rows)
     return 0
 
 
 def _cmd_eval(args) -> int:
     theories = _load_theories(args.theories)
-    fp = _open_input(args.input)
-    try:
+    with _open_input(args.input) as fp:
         predictions = evalharness.read_predictions(fp)
-    finally:
-        if fp is not sys.stdin:
-            fp.close()
     report = evalharness.aggregate_report(theories, predictions, args.label)
     with _open_output(args.output) as fp:
         fp.write(report.to_text())
@@ -392,21 +345,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    theories = _load_theories(args.input)
-
-    def critical_one(t):
-        return [
-            {"theory_id": t.id, "question_id": q.id,
-             "critical": sorted(reasoner.critical_sentences(t, q),
-                                key=proofgraph.node_sort_key)}
-            for q in t.questions
-        ]
-
-    rows = _map_ordered(critical_one, theories, args.threads)
-    with _open_output(args.output) as fp:
-        for group in rows:
-            for row in group:
-                fp.write(json.dumps(row) + "\n")
+    rows = [
+        {"theory_id": t.id, "question_id": q.id,
+         "critical": sorted(reasoner.critical_sentences(t, q), key=proofgraph.node_sort_key)}
+        for t in _load_theories(args.input)
+        for q in t.questions
+    ]
+    _write_rows(args.output, rows)
     return 0
 
 

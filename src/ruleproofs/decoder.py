@@ -11,16 +11,18 @@ crossing pair whose flip costs least (1 - 2*phi). Extra edges can only
 help connectivity and never improve the separable objective, so the
 repaired assignment is provably optimal.
 
-Connectivity is witnessed by an explicit feasible flow on an augmented
-graph with a source feeding |N| units into an anchor node and every node
-draining one unit to a sink; such a flow exists exactly when the graph
-is connected, and each result can carry one as a certificate.
+The global constraints that an integer program would enforce are thus
+met exactly without a solver. Connectivity is witnessed by an explicit
+feasible flow on an augmented graph with a source feeding |N| units into
+an anchor node and every node draining one unit to a sink; such a flow
+exists exactly when the graph is connected. ``flow_certificate`` builds
+one for a decoded proof and ``verify_flow`` checks it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,41 +39,6 @@ class ConnectivityInfeasible(ValueError):
 
 
 @dataclass(frozen=True)
-class IlpInstance:
-    """Variable layout for one decode: the fixed node set, the anchor
-    that receives all source flow, and the ordered pairs that carry
-    binary edge variables. Capacities follow the augmented graph: |N|
-    from the source into the anchor, one unit from every node to the
-    sink, |N| between any two distinct present nodes, zero elsewhere."""
-
-    present_nodes: tuple[str, ...]
-    anchor: str
-    pairs: tuple[tuple[str, str], ...]
-
-    def capacity(self, m: str, n: str) -> float:
-        present = set(self.present_nodes)
-        n_count = float(len(self.present_nodes))
-        if m == SOURCE and n == self.anchor:
-            return n_count
-        if m in present and n == SINK:
-            return 1.0
-        if m in present and n in present and m != n:
-            return n_count
-        return 0.0
-
-
-def build_instance(p: Potentials) -> IlpInstance:
-    """Fix the nodes from the node probabilities and lay out edge variables."""
-    selected = select_nodes(p.node_prob)
-    ids = tuple(_id_for_index(i, p.num_facts, p.size) for i in selected)
-    pairs = tuple(
-        (_id_for_index(m, p.num_facts, p.size), _id_for_index(n, p.num_facts, p.size))
-        for m, n in allowed_pairs(selected, p.num_facts, p.size)
-    )
-    return IlpInstance(ids, ids[0], pairs)
-
-
-@dataclass(frozen=True)
 class SolverStats:
     pairs_considered: int
     components_before_repair: int
@@ -83,17 +50,8 @@ class SolverStats:
 class DecodeResult:
     proof: ProofGraph
     objective: float
-    optimal: bool
     connectivity_relaxed: bool
     stats: SolverStats
-
-    def same_assignment(self, other: "DecodeResult") -> bool:
-        return (
-            self.proof == other.proof
-            and self.objective == other.objective
-            and self.optimal == other.optimal
-            and self.connectivity_relaxed == other.connectivity_relaxed
-        )
 
 
 def select_nodes(node_prob: np.ndarray) -> list[int]:
@@ -184,7 +142,7 @@ def decode_proof(p: Potentials, connectivity: bool = True) -> DecodeResult:
         ],
     )
     stats = SolverStats(len(pairs), component_count, repairs, time.perf_counter() - start)
-    return DecodeResult(proof, objective, True, not connectivity, stats)
+    return DecodeResult(proof, objective, not connectivity, stats)
 
 
 def _repair_edges(components: list[list[int]], pairs: list[tuple[int, int]],
@@ -230,8 +188,7 @@ def decode_with_fallback(p: Potentials, connectivity: bool = True) -> DecodeResu
         return decode_proof(p, connectivity)
     except ConnectivityInfeasible:
         result = decode_proof(p, connectivity=False)
-        return DecodeResult(result.proof, result.objective, result.optimal,
-                            True, result.stats)
+        return replace(result, connectivity_relaxed=True)
 
 
 def decode_unconstrained(p: Potentials) -> DecodeResult:
@@ -255,7 +212,7 @@ def decode_unconstrained(p: Potentials) -> DecodeResult:
         ],
     )
     stats = SolverStats(len(pairs), 0, 0, time.perf_counter() - start)
-    return DecodeResult(proof, objective, True, True, stats)
+    return DecodeResult(proof, objective, True, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +262,31 @@ def flow_certificate(proof: ProofGraph) -> Optional[dict[tuple[str, str], float]
     return flow
 
 
-def verify_flow(proof: ProofGraph, flow: dict[tuple[str, str], float]) -> bool:
-    """Check capacities, conservation, source saturation, and edge coupling."""
+def verify_flow(proof: ProofGraph, flow: Optional[dict[tuple[str, str], float]]) -> bool:
+    """Check capacities, conservation, source saturation, and edge coupling.
+
+    Capacities follow the augmented graph: |N| from the source into the
+    anchor, one unit from every node to the sink, |N| between any two
+    distinct nodes of the proof, and zero elsewhere. A missing flow
+    (``flow_certificate`` returned None) is rejected.
+    """
     nodes = proof.canonical_nodes()
-    if not nodes:
+    if flow is None or not nodes:
         return False
     n_count = float(len(nodes))
     anchor = nodes[0]
-    instance = IlpInstance(tuple(nodes), anchor, ())
+
+    def capacity(m: str, n: str) -> float:
+        if m == SOURCE and n == anchor:
+            return n_count
+        if m in proof.nodes and n == SINK:
+            return 1.0
+        if m in proof.nodes and n in proof.nodes and m != n:
+            return n_count
+        return 0.0
 
     for (m, n), value in flow.items():
-        if value < -1e-9 or value > instance.capacity(m, n) + 1e-9:
+        if value < -1e-9 or value > capacity(m, n) + 1e-9:
             return False
 
     if abs(flow.get((SOURCE, anchor), 0.0) - n_count) > 1e-9:

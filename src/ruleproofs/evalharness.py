@@ -195,11 +195,6 @@ def aggregate_report(
     return Report(label, "max gold proof depth", skipped, tuple(rows))
 
 
-def write_predictions(fp, records: Iterable[PredictionRecord]) -> None:
-    for record in records:
-        fp.write(json.dumps(record.to_dict()) + "\n")
-
-
 def read_predictions(fp) -> list[PredictionRecord]:
     records = []
     for line_no, line in enumerate(fp, start=1):

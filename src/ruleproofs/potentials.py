@@ -49,10 +49,37 @@ class Potentials:
     def size(self) -> int:
         return len(self.node_prob)
 
-    def kind_of(self, index: int) -> str:
-        if index == self.size - 1:
-            return "naf"
-        return "fact" if index < self.num_facts else "rule"
+    def to_record(self, theory_id: str, question_id: str) -> dict:
+        """One line of the potentials JSONL format."""
+        return {
+            "theory_id": theory_id,
+            "question_id": question_id,
+            "node_prob": [float(x) for x in self.node_prob],
+            "edge_prob": [[float(x) for x in row] for row in self.edge_prob],
+        }
+
+    @classmethod
+    def from_record(cls, record: dict, t: Theory) -> "Potentials":
+        """Read a ``to_record`` line for theory ``t``.
+
+        Raises ValueError unless ``node_prob`` has k+1 entries and
+        ``edge_prob`` is (k+1) x (k+1), k being the theory's sentence
+        count, and every value lies in [0, 1] (NaN does not).
+        """
+        size = t.num_sentences + 1
+        node_prob = np.asarray(record["node_prob"], dtype=float)
+        edge_prob = np.asarray(record["edge_prob"], dtype=float)
+        if node_prob.shape != (size,):
+            raise ValueError(f"node_prob has shape {node_prob.shape}, "
+                             f"theory {t.id} needs ({size},)")
+        if edge_prob.shape != (size, size):
+            raise ValueError(f"edge_prob has shape {edge_prob.shape}, "
+                             f"theory {t.id} needs ({size}, {size})")
+        for name, values in (("node_prob", node_prob), ("edge_prob", edge_prob)):
+            # min and max propagate NaN, which then fails both comparisons
+            if not (0.0 <= values.min() and values.max() <= 1.0):
+                raise ValueError(f"{name} has a value outside [0, 1]")
+        return cls(node_prob, edge_prob, len(t.facts))
 
 
 def _gold_indices(t: Theory, gold: ProofGraph) -> tuple[set[int], set[tuple[int, int]]]:

@@ -1,19 +1,20 @@
-"""Proof graphs: structure checks, derivation checking, and exact matching.
+"""Proof graphs: structure checks, depth, exact matching, and DOT export.
 
 A proof graph is a directed graph over sentence identifiers ("F3", "R2")
 plus at most one special "NAF" node standing for everything established
 by failure to derive. Edges always point into rule nodes: a fact or the
 NAF node feeds a rule, or one rule's output feeds another rule. Rule-rule
 edges may exist in both directions between the same pair of rules.
+
+This module knows graphs only; whether a graph is the right derivation
+for a question depends on the theory and is checked by
+``reasoner.check_proof``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .theory import Question, Theory
+from typing import Iterable
 
 NAF = "NAF"
 
@@ -151,19 +152,6 @@ def match_proofs(pred: ProofGraph, golds: list[ProofGraph]) -> tuple[bool, bool,
     edge_match = any(pred.edges == g.edges for g in golds)
     proof_match = any(pred.nodes == g.nodes and pred.edges == g.edges for g in golds)
     return node_match, edge_match, proof_match
-
-
-def verify_derivation(t: "Theory", q: "Question", p: ProofGraph) -> bool:
-    """True iff p is the correct derivation (or failure demonstration) for q.
-
-    Rule nodes must have every antecedent supplied over an incoming edge,
-    every edge must carry some antecedent, and the graph must conclude the
-    question's literal (or match the declared failed-proof convention when
-    the statement is established by failure).
-    """
-    from . import reasoner
-
-    return reasoner.check_proof(t, q, p)
 
 
 def to_dot(p: ProofGraph, title: str = "proof") -> str:

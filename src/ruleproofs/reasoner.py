@@ -27,8 +27,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .proofgraph import NAF, ProofGraph
-from .proofgraph import proof_depth as _graph_depth
+from .proofgraph import NAF, ProofGraph, validate_structure
 from .theory import Atom, Literal, Question, Theory, atom_sort_key
 
 DEFAULT_MAX_PROOFS = 10
@@ -449,11 +448,6 @@ def prove(t: Theory, q: Question, max_proofs: int = DEFAULT_MAX_PROOFS) -> list[
     return prove_literal(t, closure(t), q.literal, max_proofs)
 
 
-def proof_depth(p: ProofGraph) -> int:
-    """Number of rule nodes on the longest directed path; 0 for lookups."""
-    return _graph_depth(p)
-
-
 def critical_sentences(t: Theory, q: Question) -> set[str]:
     """Ids of facts/rules whose individual removal flips the answer."""
     base = answer_question(t, q)
@@ -474,12 +468,17 @@ def _remove_sentence(t: Theory, sentence_id: str) -> Theory:
 
 
 # ---------------------------------------------------------------------------
-# Proof checking (the semantic half of proofgraph.verify_derivation)
+# Proof checking
 # ---------------------------------------------------------------------------
 
 def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
-    from .proofgraph import validate_structure
+    """True iff p is the correct derivation (or failure demonstration) for q.
 
+    Rule nodes must have every antecedent supplied over an incoming edge,
+    every edge must carry some antecedent, and the graph must conclude the
+    question's literal (or match the declared failed-proof convention when
+    the statement is established by failure).
+    """
     if validate_structure(p):
         return False
     fact_map = t.fact_map()

@@ -48,6 +48,7 @@ class TestExitCodes:
     def test_usage_error_is_one(self):
         assert run_command(["no-such-command"]) == 1
         assert run_command(["decode"]) == 1  # missing required --theories
+        assert run_command(["decode", "--theories", "t.jsonl", "--threads", "2"]) == 1
 
     def test_data_error_is_two(self, workspace, tmp_path):
         assert run_command(["answer", str(tmp_path / "missing.jsonl")]) == 2
@@ -62,6 +63,38 @@ class TestExitCodes:
             "theory_id": "missing", "question_id": "Q1", "answer": True,
             "nodes": ["F1"], "edges": []}) + "\n")
         assert run_command(["eval", "--theories", str(test_file), str(preds)]) == 2
+
+    @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape"])
+    def test_malformed_potentials_are_data_errors(self, workspace, tmp_path, capsys, case):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        pots = tmp_path / "pots.jsonl"
+        run_ok(["oracle-potentials", "--seed", 1, "--noise", 0, test_file, "-o", pots])
+        records = [json.loads(line) for line in pots.read_text().splitlines()[:2]]
+        bad = records[1]
+        size = len(bad["node_prob"])
+        if case == "short":
+            bad["node_prob"] = bad["node_prob"][:3]
+            bad["edge_prob"] = [row[:3] for row in bad["edge_prob"][:3]]
+        elif case == "long":  # extra slots would decode as rules the theory lacks
+            bad["node_prob"] += [0.9] * 3
+            bad["edge_prob"] = [row + [0.9] * 3 for row in bad["edge_prob"]] \
+                + [[0.9] * (size + 3)] * 3
+        elif case == "nan":
+            bad["node_prob"][0] = float("nan")
+        elif case == "above_one":
+            bad["edge_prob"][0][0] = 1.5
+        else:
+            bad["edge_prob"] = [row[:2] for row in bad["edge_prob"]]
+        pots.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+
+        out = tmp_path / "decoded.jsonl"
+        code = run_command(["decode", "--theories", str(test_file), str(pots), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad potentials record on line 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
@@ -105,16 +138,6 @@ class TestPipelines:
         for row in report["rows"]:
             assert row["qa"] == row["na"] == row["ea"] == row["pa"] == row["fa"] == 1.0
         assert test_file.read_bytes() == before  # inputs are never mutated
-
-    def test_decode_threads_do_not_change_output(self, workspace, tmp_path):
-        test_file = workspace / "data" / "test.theories.jsonl"
-        pots = tmp_path / "p.jsonl"
-        run_ok(["oracle-potentials", "--seed", 3, "--noise", 0.3, test_file, "-o", pots])
-        one = tmp_path / "one.jsonl"
-        four = tmp_path / "four.jsonl"
-        run_ok(["decode", "--theories", test_file, pots, "-o", one, "--threads", 1])
-        run_ok(["decode", "--theories", test_file, pots, "-o", four, "--threads", 4])
-        assert one.read_bytes() == four.read_bytes()
 
     def test_connectivity_ablation_direction(self, workspace, tmp_path):
         test_file = workspace / "data" / "test.theories.jsonl"

@@ -9,8 +9,8 @@ from ruleproofs.proofgraph import (
     node_sort_key,
     to_dot,
     validate_structure,
-    verify_derivation,
 )
+from ruleproofs.reasoner import check_proof
 from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule
 
 
@@ -168,37 +168,37 @@ class TestVerifyDerivation:
     def test_valid_derivation(self):
         t = self._theory()
         p = ProofGraph.of(["F1", "R1"], [("F1", "R1")])
-        assert verify_derivation(t, t.questions[0], p) is True
+        assert check_proof(t, t.questions[0], p) is True
 
     def test_naf_edge_for_derivable_atom_rejected(self):
         t = self._theory()
         p = ProofGraph.of(["F1", "R2", "NAF"], [("F1", "R2"), ("NAF", "R2")])
-        assert verify_derivation(t, t.questions[0], p) is False
+        assert check_proof(t, t.questions[0], p) is False
 
     def test_unsupported_antecedent_rejected(self):
         t = self._theory()
         p = ProofGraph.of(["F2", "R1"], [("F2", "R1")])
-        assert verify_derivation(t, t.questions[0], p) is False
+        assert check_proof(t, t.questions[0], p) is False
 
     def test_junk_edge_rejected(self):
         t = self._theory()
         p = ProofGraph.of(["F1", "F2", "R1"], [("F1", "R1"), ("F2", "R1")])
-        assert verify_derivation(t, t.questions[0], p) is False
+        assert check_proof(t, t.questions[0], p) is False
 
     def test_wrong_conclusion_rejected(self):
         t = self._theory()
         p = ProofGraph.of(["F1"])
-        assert verify_derivation(t, t.questions[0], p) is False
+        assert check_proof(t, t.questions[0], p) is False
 
     def test_unknown_node_raises(self):
         t = self._theory()
         with pytest.raises(KeyError):
-            verify_derivation(t, t.questions[0], ProofGraph.of(["F9"]))
+            check_proof(t, t.questions[0], ProofGraph.of(["F9"]))
 
     def test_structurally_invalid_is_false(self):
         t = self._theory()
         p = ProofGraph.of(["F1", "F2"], [("F1", "F2")])
-        assert verify_derivation(t, t.questions[0], p) is False
+        assert check_proof(t, t.questions[0], p) is False
 
 
 class TestCorruptedProofsAreRejected:
@@ -218,7 +218,7 @@ class TestCorruptedProofsAreRejected:
                 if validate_structure(mutated):
                     checked += 1
                     continue
-                assert verify_derivation(t, q, mutated) is False, (t.id, q.id, edge)
+                assert check_proof(t, q, mutated) is False, (t.id, q.id, edge)
                 checked += 1
         assert checked > 50
 
@@ -234,7 +234,7 @@ class TestCorruptedProofsAreRejected:
                 if validate_structure(mutated):
                     checked += 1
                     continue
-                assert verify_derivation(t, q, mutated) is False, (t.id, q.id, node)
+                assert check_proof(t, q, mutated) is False, (t.id, q.id, node)
                 checked += 1
         assert checked > 50
 
@@ -248,7 +248,7 @@ class TestCorruptedProofsAreRejected:
                     continue
                 total += 1
                 if not validate_structure(mutated):
-                    flipped_accepted += int(verify_derivation(t, q, mutated))
+                    flipped_accepted += int(check_proof(t, q, mutated))
         assert total > 50
         assert flipped_accepted == 0
 
@@ -263,7 +263,7 @@ class TestCorruptedProofsAreRejected:
             edges = {(new if s == old else s, d) for s, d in gold.edges}
             mutated = ProofGraph(frozenset(nodes), frozenset(edges))
             if not validate_structure(mutated):
-                assert verify_derivation(t, q, mutated) is False
+                assert check_proof(t, q, mutated) is False
 
 
 class TestDotExport:

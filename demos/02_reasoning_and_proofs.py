@@ -1,10 +1,13 @@
 """Answer questions and extract every kind of proof graph.
 
-The reasoner computes the closure of the rule-base under the closed-world
-assumption, then builds one graph per question: a single fact for a
-lookup, a derivation DAG when rules fire (with a collapsed NAF node for
-negations established by failure), a bare NAF node when nothing even
-concludes the statement, and a failed-rule demonstration otherwise.
+The reasoner compiles the rule-base once into a ground program and
+computes its closure under the closed-world assumption, then builds one
+graph per question: a single fact for a lookup, a derivation DAG when
+rules fire (with a collapsed NAF node for negations established by
+failure), a bare NAF node when nothing even concludes the statement, and
+a failed-rule demonstration otherwise. Critical sentences are found for
+all of a theory's questions at once, from single-sentence ablations of
+the same program.
 """
 
 from ruleproofs.proofgraph import proof_depth, to_dot
@@ -51,8 +54,9 @@ for q in theory.questions:
         print(f"  proof nodes={d['nodes']} edges={d['edges']} depth={proof_depth(p)}")
         assert check_proof(theory, q, p)
 
-print("\nCritical sentences for Q2 (removal flips the answer):",
-      sorted(critical_sentences(theory, theory.questions[1])))
+print("\nCritical sentences per question (removal flips the answer):")
+for q, critical in zip(theory.questions, critical_sentences(theory)):
+    print(f"  {q.id}: {sorted(critical)}")
 
 print("\nDOT rendering of Q2's proof:\n")
 print(to_dot(prove(theory, theory.questions[1])[0], title="wire is warm"))

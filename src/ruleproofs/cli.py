@@ -280,7 +280,9 @@ def _cmd_score_edges(args) -> int:
 
 
 def _read_potentials(path, theories_by_id):
-    """(theory, question id, potentials) per line, checked against the theory."""
+    """(theory, question id, potentials) per line, checked against the theory;
+    a second record for the same question is a data error."""
+    seen = set()
     with _open_input(path) as fp:
         for line_no, line in enumerate(fp, start=1):
             if not line.strip():
@@ -289,6 +291,10 @@ def _read_potentials(path, theories_by_id):
                 record = json.loads(line)
                 t = theories_by_id[record["theory_id"]]
                 pot = potentials.Potentials.from_record(record, t)
+                key = (t.id, record["question_id"])
+                if key in seen:
+                    raise ValueError(f"second record for question {t.id}/{key[1]}")
+                seen.add(key)
             except (KeyError, TypeError, ValueError) as exc:
                 raise evalharness.EvaluationError(
                     f"bad potentials record on line {line_no}: {exc}") from exc
@@ -347,9 +353,9 @@ def _cmd_eval(args) -> int:
 def _cmd_critical(args) -> int:
     rows = [
         {"theory_id": t.id, "question_id": q.id,
-         "critical": sorted(reasoner.critical_sentences(t, q), key=proofgraph.node_sort_key)}
+         "critical": sorted(critical, key=proofgraph.node_sort_key)}
         for t in _load_theories(args.input)
-        for q in t.questions
+        for q, critical in zip(t.questions, reasoner.critical_sentences(t))
     ]
     _write_rows(args.output, rows)
     return 0
@@ -409,7 +415,7 @@ def run_command(argv: list[str]) -> int:
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (AssertionError, reasoner.IterationBoundExceeded) as exc:
+    except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

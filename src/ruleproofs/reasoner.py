@@ -3,11 +3,22 @@
 Answers questions under the closed-world assumption, extracts minimal
 proof graphs for derivable statements, builds failure demonstrations for
 underivable ones, and identifies the sentences whose removal flips an
-answer. Negative antecedents are evaluated stratum by stratum: the
-program is grounded, atoms are partitioned so that no atom depends
-negatively on its own stratum, and a negative antecedent holds when its
-atom is absent from the closure of the strata below it. Theories with a
-dependency cycle through negation are rejected.
+answer.
+
+Each theory is compiled once into a ``GroundProgram``: rules are grounded
+over the theory's entities, atoms are interned as integer ids, and atoms
+are partitioned into strata so that no atom depends negatively on its own
+stratum (a theory with a dependency cycle through negation is rejected).
+The program also indexes instances by head and facts by literal, and every
+entry point reads them from it instead of grounding again. A derivation
+runs stratum by stratum; inside a stratum each instance counts its
+missing positive antecedents and fires when the count reaches zero
+(Dowling & Gallier 1984), so every atom is derived and propagated at most
+once. A negative antecedent holds when its atom is absent from the strata
+below. Critical sentences reuse the same program: removing a sentence
+drops its fact, or its rule's instances, plus the instances bound to an
+entity that no other sentence or question mentions. A stratification of
+the full program is valid for every such subprogram.
 
 Proof conventions, applied in this order for a question literal q:
 
@@ -24,11 +35,12 @@ Proof conventions, applied in this order for a question literal q:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .proofgraph import NAF, ProofGraph, validate_structure
-from .theory import Atom, Literal, Question, Theory, atom_sort_key
+from .theory import Atom, Literal, Question, Theory
 
 DEFAULT_MAX_PROOFS = 10
 
@@ -41,10 +53,6 @@ _UNREACHABLE = float("inf")
 
 class NonStratifiedTheory(ValueError):
     """A dependency cycle runs through a negative antecedent."""
-
-
-class IterationBoundExceeded(RuntimeError):
-    """Fixpoint failed to settle within the theoretical bound (a bug)."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class Closure:
 
     derived: frozenset[Atom]
     derivation_index: dict[Atom, tuple[GroundInstance, ...]]
-    iteration_count: int
+    program: GroundProgram
 
 
 def ground_instances(t: Theory) -> list[GroundInstance]:
@@ -89,162 +97,201 @@ def ground_instances(t: Theory) -> list[GroundInstance]:
     return instances
 
 
-def _stratify(instances: list[GroundInstance]) -> dict[Atom, int]:
-    """Assign strata so negative dependencies always point strictly down.
+def _stratify(atoms: list[Atom], heads: list[int], positives: list[tuple[int, ...]],
+              negatives: list[tuple[int, ...]]) -> list[int]:
+    """Stratum per atom id, so negative dependencies always point strictly down.
 
-    Uses Tarjan's strongly connected components on the ground dependency
-    graph; a negative edge inside a component means the theory is not
-    stratified.
+    Runs Tarjan's strongly connected components on the ground dependency
+    graph (antecedent to head); a negative edge inside a component means
+    the theory is not stratified. Tarjan emits a component after every
+    component it reaches, so walking the emission order backwards visits
+    each component after all of its predecessors, and its stratum (the
+    largest count of negative edges on any path into it) is final.
     """
-    edges: dict[Atom, set[tuple[Atom, bool]]] = {}
-    atoms: set[Atom] = set()
-    for inst in instances:
-        head = inst.consequent.atom()
-        atoms.add(head)
-        for ant in inst.antecedents:
-            atoms.add(ant.atom())
-            edges.setdefault(ant.atom(), set()).add((head, not ant.positive))
+    edges: list[list[tuple[int, int]]] = [[] for _ in atoms]
+    for head, pos, neg in zip(heads, positives, negatives):
+        for a in pos:
+            edges[a].append((head, 0))
+        for a in neg:
+            edges[a].append((head, 1))
 
-    order = {}
-    low = {}
-    component: dict[Atom, int] = {}
-    counter = itertools.count()
-    comp_counter = itertools.count()
-    stack: list[Atom] = []
-    on_stack: set[Atom] = set()
-
-    def successors(node):
-        return iter(sorted(edges.get(node, ()),
-                           key=lambda pair: (atom_sort_key(pair[0]), pair[1])))
-
-    for root in sorted(atoms, key=atom_sort_key):
-        if root in order:
+    order = [-1] * len(atoms)
+    low = [0] * len(atoms)
+    component = [-1] * len(atoms)
+    components: list[list[int]] = []
+    stack: list[int] = []
+    counter = 0
+    for root in range(len(atoms)):
+        if order[root] >= 0:
             continue
-        work = [(root, successors(root))]
-        order[root] = low[root] = next(counter)
+        order[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, 0)]
         while work:
-            node, it = work[-1]
-            advanced = False
-            for successor, _neg in it:
-                if successor not in order:
-                    order[successor] = low[successor] = next(counter)
+            node, position = work[-1]
+            if position < len(edges[node]):
+                work[-1] = (node, position + 1)
+                successor = edges[node][position][0]
+                if order[successor] < 0:
+                    order[successor] = low[successor] = counter
+                    counter += 1
                     stack.append(successor)
-                    on_stack.add(successor)
-                    work.append((successor, successors(successor)))
-                    advanced = True
-                    break
-                if successor in on_stack:
+                    work.append((successor, 0))
+                elif component[successor] < 0:  # still on the stack
                     low[node] = min(low[node], order[successor])
-            if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
             if low[node] == order[node]:
-                comp_id = next(comp_counter)
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = comp_id
-                    if member == node:
-                        break
+                members = []
+                while not members or members[-1] != node:
+                    members.append(stack.pop())
+                    component[members[-1]] = len(components)
+                components.append(members)
 
-    for src, targets in edges.items():
-        for dst, negative in targets:
-            if negative and component[src] == component[dst]:
-                raise NonStratifiedTheory(
-                    f"negation cycle through atom {src} -> {dst}")
+    level = [0] * len(components)
+    for comp in range(len(components) - 1, -1, -1):
+        for src in components[comp]:
+            for dst, negative in edges[src]:
+                if component[dst] != comp:
+                    level[component[dst]] = max(level[component[dst]], level[comp] + negative)
+                elif negative:
+                    raise NonStratifiedTheory(
+                        f"negation cycle through atom {atoms[src]} -> {atoms[dst]}")
+    return [level[comp] for comp in component]
 
-    # Stratum of a component = longest count of negative edges on any
-    # path into it, resolved over the (acyclic) condensation.
-    comp_stratum: dict[int, int] = {}
-    comp_edges: dict[int, set[tuple[int, bool]]] = {}
-    for src, targets in edges.items():
-        for dst, negative in targets:
-            if component[src] != component[dst]:
-                comp_edges.setdefault(component[dst], set()).add((component[src], negative))
 
-    def stratum_of(comp: int) -> int:
-        if comp in comp_stratum:
-            return comp_stratum[comp]
-        pending = [comp]
-        while pending:
-            current = pending[-1]
-            if current in comp_stratum:
-                pending.pop()
-                continue
-            missing = [pred for pred, _ in comp_edges.get(current, ()) if pred not in comp_stratum]
-            if missing:
-                pending.extend(missing)
-                continue
-            value = 0
-            for pred, negative in comp_edges.get(current, ()):
-                value = max(value, comp_stratum[pred] + (1 if negative else 0))
-            comp_stratum[current] = value
-            pending.pop()
-        return comp_stratum[comp]
+class GroundProgram:
+    """A theory grounded and stratified once, shared by every derivation.
 
-    return {atom: stratum_of(comp) for atom, comp in component.items()}
+    Atoms are interned as ids. ``levels`` holds instance indices by the
+    stratum of their head; ``watchers[a]`` lists the instances of atom
+    ``a``'s stratum with ``a`` among their positive antecedents; and
+    ``removals[s]`` holds the instances that vanish with sentence ``s``.
+    """
+
+    def __init__(self, t: Theory):
+        self.theory = t
+        self.instances = ground_instances(t)
+        self.atom_ids: dict[Atom, int] = {}
+        self.fact_by_literal: dict[Literal, str] = {}
+        for f in t.facts:
+            self.fact_by_literal.setdefault(f.literal, f.id)
+            self._intern(f.literal.atom())
+        self.by_head: dict[Atom, list[GroundInstance]] = {}
+        self.by_rule: dict[str, list[GroundInstance]] = {}
+        self.heads, self.positives, self.negatives = [], [], []
+        for inst in self.instances:
+            self.by_head.setdefault(inst.consequent.atom(), []).append(inst)
+            self.by_rule.setdefault(inst.rule_id, []).append(inst)
+            self.heads.append(self._intern(inst.consequent.atom()))
+            self.positives.append(tuple(
+                self._intern(a.atom()) for a in inst.antecedents if a.positive))
+            self.negatives.append(tuple(
+                self._intern(a.atom()) for a in inst.antecedents if not a.positive))
+        strata = _stratify(list(self.atom_ids), self.heads, self.positives, self.negatives)
+        self.levels: list[list[int]] = [[] for _ in range(max(strata, default=-1) + 1)]
+        self.watchers: list[list[int]] = [[] for _ in strata]
+        for i, head in enumerate(self.heads):
+            self.levels[strata[head]].append(i)
+            for a in self.positives[i]:
+                if strata[a] == strata[head]:
+                    self.watchers[a].append(i)
+
+    @cached_property
+    def removals(self) -> dict[str, set[int]]:
+        """Per sentence id, the instances gone from the theory without it:
+        the rule's own, and those bound to an entity only it mentions."""
+        t = self.theory
+        owners: dict[str, set[Optional[str]]] = {}
+        mentions = [(f.id, [f.literal]) for f in t.facts] \
+            + [(r.id, [*r.antecedents, r.consequent]) for r in t.rules] \
+            + [(None, [q.literal for q in t.questions])]
+        for owner, literals in mentions:
+            for lit in literals:
+                for entity in lit.entities():
+                    owners.setdefault(entity, set()).add(owner)
+        removals: dict[str, set[int]] = {}
+        for i, inst in enumerate(self.instances):
+            removals.setdefault(inst.rule_id, set()).add(i)
+            sole = owners[inst.binding] if inst.binding is not None else ()
+            if len(sole) == 1 and None not in sole:
+                removals.setdefault(next(iter(sole)), set()).add(i)
+        return removals
+
+    def _intern(self, atom: Atom) -> int:
+        return self.atom_ids.setdefault(atom, len(self.atom_ids))
+
+    def derive(self, removed: Optional[str] = None) -> tuple[bytearray, list[int]]:
+        """Derived flags by atom id and the indices of the instances that
+        fire, for the theory without sentence ``removed`` (if given)."""
+        derived = bytearray(len(self.atom_ids))
+        for f in self.theory.facts:
+            if f.literal.positive and f.id != removed:
+                derived[self.atom_ids[f.literal.atom()]] = 1
+        skip = self.removals.get(removed, ()) if removed is not None else ()
+        heads, positives, negatives, watchers = \
+            self.heads, self.positives, self.negatives, self.watchers
+        missing = [0] * len(heads)
+        fired = []
+        for level in self.levels:
+            ready = []
+            for i in level:
+                if i in skip or any(derived[a] for a in negatives[i]):
+                    continue  # its count stays at zero and only falls, so it never fires
+                count = 0
+                for a in positives[i]:
+                    if not derived[a]:
+                        count += 1
+                missing[i] = count
+                if not count:
+                    ready.append(i)
+            while ready:
+                i = ready.pop()
+                fired.append(i)
+                head = heads[i]
+                if derived[head]:
+                    continue
+                derived[head] = 1
+                for j in watchers[head]:
+                    missing[j] -= 1
+                    if not missing[j]:
+                        ready.append(j)
+        return derived, fired
+
+    def holds(self, lit: Literal, derived: bytearray, removed: Optional[str] = None) -> bool:
+        """Closed-world truth of ``lit`` against flags from ``derive(removed)``."""
+        atom = self.atom_ids.get(lit.atom())
+        present = atom is not None and derived[atom]
+        if lit.positive:
+            return bool(present)
+        return not present or any(
+            f.literal == lit and f.id != removed for f in self.theory.facts)
 
 
 def closure(t: Theory) -> Closure:
-    """Least fixpoint of the ground program, evaluated stratum by stratum."""
-    instances = ground_instances(t)
-    strata = _stratify(instances)
-    derived: set[Atom] = {f.literal.atom() for f in t.facts if f.literal.positive}
-    atom_space = len(strata) + len(derived) + 1
-    bound = max(1, len(instances)) * atom_space + 1
-
-    iterations = 0
-    max_stratum = max(strata.values(), default=0)
-    for level in range(max_stratum + 1):
-        level_instances = [
-            inst for inst in instances if strata[inst.consequent.atom()] == level
-        ]
-        changed = True
-        while changed:
-            iterations += 1
-            if iterations > bound:
-                raise IterationBoundExceeded(
-                    f"fixpoint did not settle within {bound} passes")
-            changed = False
-            for inst in level_instances:
-                head = inst.consequent.atom()
-                if head in derived:
-                    continue
-                if _instance_fires(inst, derived):
-                    derived.add(head)
-                    changed = True
-
+    """Least fixpoint of the theory's ground program."""
+    program = GroundProgram(t)
+    derived, fired = program.derive()
     index: dict[Atom, list[GroundInstance]] = {}
-    for inst in instances:
-        if inst.consequent.atom() in derived and _instance_fires(inst, derived):
-            index.setdefault(inst.consequent.atom(), []).append(inst)
-    frozen = {
-        atom: tuple(sorted(entries, key=lambda i: (i.rule_index, i.binding or "")))
-        for atom, entries in index.items()
-    }
-    return Closure(frozenset(derived), frozen, iterations)
-
-
-def _instance_fires(inst: GroundInstance, derived: set[Atom]) -> bool:
-    for ant in inst.antecedents:
-        if ant.positive:
-            if ant.atom() not in derived:
-                return False
-        elif ant.atom() in derived:
-            return False
-    return True
+    for i in sorted(fired):
+        inst = program.instances[i]
+        index.setdefault(inst.consequent.atom(), []).append(inst)
+    return Closure(
+        frozenset(atom for atom, a in program.atom_ids.items() if derived[a]),
+        {atom: tuple(entries) for atom, entries in index.items()},
+        program,
+    )
 
 
 def holds_under_cwa(t: Theory, c: Closure, lit: Literal) -> bool:
     atom = lit.atom()
     if lit.positive:
         return atom in c.derived
-    return atom not in c.derived or any(f.literal == lit for f in t.facts)
+    return atom not in c.derived or lit in c.program.fact_by_literal
 
 
 def answer_question(t: Theory, q: Question) -> bool:
@@ -267,10 +314,9 @@ class _Fragment:
 
 
 class _ProofSearch:
-    def __init__(self, t: Theory, c: Closure):
-        self.theory = t
+    def __init__(self, c: Closure):
         self.closure = c
-        self.fact_by_literal = {f.literal: f.id for f in t.facts}
+        self.fact_by_literal = c.program.fact_by_literal
 
     def negative_support(self, ant: Literal) -> _Fragment:
         """Support for a satisfied negative antecedent: a stated negative
@@ -324,77 +370,44 @@ class _ProofSearch:
 
 def _minimal(fragments: list[_Fragment]) -> list[_Fragment]:
     """Drop any fragment that properly contains another (nodes and edges)."""
-    kept = []
-    for f in fragments:
-        dominated = False
-        for g in fragments:
-            if (g.nodes, g.edges) != (f.nodes, f.edges) and g.nodes <= f.nodes and g.edges <= f.edges:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(f)
-    return kept
+    return [f for f in fragments if not any(
+        (g.nodes, g.edges) != (f.nodes, f.edges) and g.nodes <= f.nodes and g.edges <= f.edges
+        for g in fragments)]
 
 
-def _failure_depths(t: Theory, c: Closure, instances: list[GroundInstance]):
-    """Failure depth for every underivable atom and non-firing instance.
+def _fails(c: Closure, ant: Literal) -> bool:
+    """Whether the antecedent is false in the closure."""
+    return (ant.atom() in c.derived) != ant.positive
 
-    An underivable atom that no rule concludes fails at depth 0; a rule
-    instance fails one level above its shallowest failing antecedent; an
-    atom fails at the depth of its shallowest concluding instance.
-    """
-    by_head: dict[Atom, list[GroundInstance]] = {}
-    for inst in instances:
-        if inst.consequent.atom() not in c.derived:
-            by_head.setdefault(inst.consequent.atom(), []).append(inst)
 
-    def depth_of_atom(atom: Atom, visiting: frozenset[Atom]) -> float:
-        if atom in visiting:
-            return _UNREACHABLE
-        concluders = by_head.get(atom, [])
-        if not concluders:
-            return 0.0
-        return min(depth_of_instance(inst, visiting | {atom}) for inst in concluders)
+def _atom_failure_depth(c: Closure, atom: Atom, visiting: frozenset[Atom]) -> float:
+    """Failure depth of an underivable atom: 0 when no rule concludes it,
+    else the depth of its shallowest concluding instance."""
+    if atom in visiting:
+        return _UNREACHABLE
+    concluders = c.program.by_head.get(atom)
+    if not concluders:
+        return 0.0
+    return min(_instance_failure_depth(c, inst, visiting | {atom}) for inst in concluders)
 
-    def depth_of_instance(inst: GroundInstance, visiting: frozenset[Atom]) -> float:
-        branch_depths = []
-        for ant in inst.antecedents:
-            if ant.positive and ant.atom() not in c.derived:
-                branch_depths.append(depth_of_atom(ant.atom(), visiting))
-            elif not ant.positive and ant.atom() in c.derived:
-                branch_depths.append(0.0)
-        if not branch_depths:
-            return _UNREACHABLE
-        return 1.0 + min(branch_depths)
 
-    return by_head, depth_of_atom, depth_of_instance
+def _instance_failure_depth(c: Closure, inst: GroundInstance, visiting: frozenset[Atom]) -> float:
+    """One level above the shallowest failing antecedent of the instance."""
+    branch_depths = [_atom_failure_depth(c, ant.atom(), visiting) if ant.positive else 0.0
+                     for ant in inst.antecedents if _fails(c, ant)]
+    return 1.0 + min(branch_depths) if branch_depths else _UNREACHABLE
 
 
 def select_failed_instance(t: Theory, c: Closure, atom: Atom):
     """Pick the concluding instance with the shallowest failure for an
     underivable atom; ties break on rule index, then binding. Returns
     (instance, failing antecedent set) or None when nothing concludes it."""
-    instances = ground_instances(t)
-    by_head, _depth_of_atom, depth_of_instance = _failure_depths(t, c, instances)
-    concluders = by_head.get(atom)
+    concluders = None if atom in c.derived else c.program.by_head.get(atom)
     if not concluders:
         return None
-    ranked = sorted(
-        concluders,
-        key=lambda inst: (
-            depth_of_instance(inst, frozenset([atom])),
-            inst.rule_index,
-            inst.binding or "",
-        ),
-    )
-    chosen = ranked[0]
-    failing = tuple(
-        ant
-        for ant in chosen.antecedents
-        if (ant.positive and ant.atom() not in c.derived)
-        or (not ant.positive and ant.atom() in c.derived)
-    )
-    return chosen, failing
+    chosen = min(concluders, key=lambda inst: (
+        _instance_failure_depth(c, inst, frozenset([atom])), inst.rule_index, inst.binding or ""))
+    return chosen, tuple(ant for ant in chosen.antecedents if _fails(c, ant))
 
 
 def _failed_proof(t: Theory, c: Closure, atom: Atom) -> ProofGraph:
@@ -403,7 +416,7 @@ def _failed_proof(t: Theory, c: Closure, atom: Atom) -> ProofGraph:
         return ProofGraph.of([NAF])
     inst, failing = selection
     failing_set = set(failing)
-    search = _ProofSearch(t, c)
+    search = _ProofSearch(c)
     nodes = {inst.rule_id}
     edges = set()
     for ant in inst.antecedents:
@@ -428,13 +441,12 @@ def prove_literal(t: Theory, c: Closure, lit: Literal,
         raise ValueError("max_proofs must be at least 1")
     atom = lit.atom()
 
-    if not lit.positive:
-        for f in t.facts:
-            if f.literal == lit:
-                return [ProofGraph.of([f.id])]
+    fact_id = None if lit.positive else c.program.fact_by_literal.get(lit)
+    if fact_id is not None:
+        return [ProofGraph.of([fact_id])]
 
     if atom in c.derived:
-        search = _ProofSearch(t, c)
+        search = _ProofSearch(c)
         fragments = _minimal(search.fragments(atom, frozenset([atom])))
         proofs = [ProofGraph.of(f.nodes, f.edges) for f in fragments]
         proofs.sort(key=ProofGraph.canonical_key)
@@ -448,23 +460,24 @@ def prove(t: Theory, q: Question, max_proofs: int = DEFAULT_MAX_PROOFS) -> list[
     return prove_literal(t, closure(t), q.literal, max_proofs)
 
 
-def critical_sentences(t: Theory, q: Question) -> set[str]:
-    """Ids of facts/rules whose individual removal flips the answer."""
-    base = answer_question(t, q)
-    critical = set()
+def critical_sentences(t: Theory) -> list[set[str]]:
+    """For each question of t, in order, the ids of the facts/rules whose
+    individual removal flips its answer.
+
+    The theory is compiled once; each single-sentence ablation is derived
+    by filtering that program, and every question is answered against it.
+    """
+    if not t.questions:
+        return []
+    c = closure(t)
+    base = [holds_under_cwa(t, c, q.literal) for q in t.questions]
+    critical: list[set[str]] = [set() for _ in t.questions]
     for sentence_id in t.sentence_ids():
-        ablated = _remove_sentence(t, sentence_id)
-        if answer_question(ablated, q) != base:
-            critical.add(sentence_id)
+        derived, _fired = c.program.derive(sentence_id)
+        for q, answer, found in zip(t.questions, base, critical):
+            if c.program.holds(q.literal, derived, sentence_id) != answer:
+                found.add(sentence_id)
     return critical
-
-
-def _remove_sentence(t: Theory, sentence_id: str) -> Theory:
-    return replace(
-        t,
-        facts=tuple(f for f in t.facts if f.id != sentence_id),
-        rules=tuple(r for r in t.rules if r.id != sentence_id),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +503,8 @@ def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
     c = closure(t)
     atom = q.literal.atom()
 
-    if not q.literal.positive and any(f.literal == q.literal for f in t.facts):
-        lookup = next(f.id for f in t.facts if f.literal == q.literal)
+    lookup = None if q.literal.positive else c.program.fact_by_literal.get(q.literal)
+    if lookup is not None:
         return p.nodes == frozenset([lookup]) and not p.edges
 
     if atom in c.derived:
@@ -502,15 +515,13 @@ def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
 def _simulate(t: Theory, c: Closure, p: ProofGraph, blocked_rules: frozenset[str] = frozenset()):
     """Fire the proof's rules against its own fact nodes, respecting edges.
 
-    Returns (literals supplied per node, fired bindings per rule node) at
+    Returns (literals supplied per node, fired instances per rule node) at
     fixpoint. A rule may fire under several bindings; an antecedent is
     satisfied when any incoming edge supplies it, with the NAF node
     standing in for negative antecedents whose atom the full theory
     cannot derive.
     """
     fact_map = t.fact_map()
-    rule_map = t.rule_map()
-    entities = t.entities()
     supplied: dict[str, set[Literal]] = {
         node: ({fact_map[node].literal} if node in fact_map else set()) for node in p.nodes
     }
@@ -518,23 +529,19 @@ def _simulate(t: Theory, c: Closure, p: ProofGraph, blocked_rules: frozenset[str
     for s, d in p.edges:
         incoming[d].append(s)
 
-    fired: dict[str, list[Optional[str]]] = {}
+    fired: dict[str, list[GroundInstance]] = {}
     changed = True
     while changed:
         changed = False
         for node in p.nodes:
-            if node not in rule_map or node in blocked_rules:
+            if node in blocked_rules:
                 continue
-            rule = rule_map[node]
-            bindings = entities if rule.is_variable_rule() else [None]
-            for binding in bindings:
-                head = rule.consequent.bind(binding) if binding else rule.consequent
-                if head in supplied[node]:
+            for inst in c.program.by_rule.get(node, ()):
+                if inst.consequent in supplied[node]:
                     continue
-                ants = [a.bind(binding) if binding else a for a in rule.antecedents]
-                if all(_ant_supported(a, incoming[node], supplied, c) for a in ants):
-                    supplied[node].add(head)
-                    fired.setdefault(node, []).append(binding)
+                if all(_ant_supported(a, incoming[node], supplied, c) for a in inst.antecedents):
+                    supplied[node].add(inst.consequent)
+                    fired.setdefault(node, []).append(inst)
                     changed = True
     return supplied, fired
 
@@ -546,7 +553,7 @@ def _ant_supported(ant: Literal, sources: list[str],
     return not ant.positive and NAF in sources and ant.atom() not in c.derived
 
 
-def _edge_carries(src: str, ants: list[Literal],
+def _edge_carries(src: str, ants: Iterable[Literal],
                   supplied: dict[str, set[Literal]], c: Closure) -> bool:
     """Whether the source node supplies at least one of these antecedents."""
     if src == NAF:
@@ -554,19 +561,9 @@ def _edge_carries(src: str, ants: list[Literal],
     return any(a in supplied[src] for a in ants)
 
 
-def _used_edges(t: Theory, p: ProofGraph, supplied, fired, c: Closure) -> set[tuple[str, str]]:
-    rule_map = t.rule_map()
-    used = set()
-    for src, dst in p.edges:
-        rule = rule_map.get(dst)
-        if rule is None:
-            continue
-        for binding in fired.get(dst, ()):
-            ants = [a.bind(binding) if binding else a for a in rule.antecedents]
-            if _edge_carries(src, ants, supplied, c):
-                used.add((src, dst))
-                break
-    return used
+def _used_edges(p: ProofGraph, supplied, fired, c: Closure) -> set[tuple[str, str]]:
+    return {(src, dst) for src, dst in p.edges if any(
+        _edge_carries(src, inst.antecedents, supplied, c) for inst in fired.get(dst, ()))}
 
 
 def _check_derivation(t: Theory, c: Closure, atom: Atom, p: ProofGraph) -> bool:
@@ -577,7 +574,7 @@ def _check_derivation(t: Theory, c: Closure, atom: Atom, p: ProofGraph) -> bool:
     rule_map = t.rule_map()
     if any(node in rule_map and node not in fired for node in p.nodes):
         return False
-    return _used_edges(t, p, supplied, fired, c) == set(p.edges)
+    return _used_edges(p, supplied, fired, c) == set(p.edges)
 
 
 def _check_failure(t: Theory, c: Closure, atom: Atom, p: ProofGraph) -> bool:
@@ -600,7 +597,7 @@ def _check_failure(t: Theory, c: Closure, atom: Atom, p: ProofGraph) -> bool:
     if (NAF, inst.rule_id) not in p.edges:
         return False
 
-    used = _used_edges(t, p, supplied, fired, c)
+    used = _used_edges(p, supplied, fired, c)
     used.add((NAF, inst.rule_id))
     for src in incoming:
         if src != NAF and _edge_carries(src, satisfiable, supplied, c):

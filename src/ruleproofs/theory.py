@@ -84,11 +84,18 @@ class Literal:
     def atom(self) -> Atom:
         return (self.subject, self.predicate, self.obj)
 
+    def entities(self) -> tuple[str, ...]:
+        """Ground entity tokens this literal mentions."""
+        subject = () if self.is_variable() else (self.subject,)
+        return subject + (() if self.obj is None else (self.obj,))
+
     def negated(self) -> "Literal":
         return replace(self, positive=not self.positive)
 
     def bind(self, entity: str) -> "Literal":
-        return replace(self, subject=entity) if self.is_variable() else self
+        if not self.is_variable():
+            return self
+        return Literal(entity, self.predicate, self.obj, self.positive)
 
     def to_dict(self) -> dict:
         return {"subject": self.subject, "predicate": self.predicate,
@@ -183,13 +190,7 @@ class Theory:
 
     def entities(self) -> list[str]:
         """Ground entity tokens appearing anywhere, in sorted order."""
-        found = set()
-        for lit in self._all_literals():
-            if lit.is_ground():
-                found.add(lit.subject)
-            if lit.obj is not None:
-                found.add(lit.obj)
-        return sorted(found)
+        return sorted({e for lit in self._all_literals() for e in lit.entities()})
 
     def _all_literals(self) -> Iterator[Literal]:
         for f in self.facts:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ruleproofs.cli import run_command
+from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule, write_theories
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,8 @@ class TestExitCodes:
             "nodes": ["F1"], "edges": []}) + "\n")
         assert run_command(["eval", "--theories", str(test_file), str(preds)]) == 2
 
-    @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape"])
+    @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
+                                      "duplicate"])
     def test_malformed_potentials_are_data_errors(self, workspace, tmp_path, capsys, case):
         test_file = workspace / "data" / "test.theories.jsonl"
         pots = tmp_path / "pots.jsonl"
@@ -83,6 +85,8 @@ class TestExitCodes:
             bad["node_prob"][0] = float("nan")
         elif case == "above_one":
             bad["edge_prob"][0][0] = 1.5
+        elif case == "duplicate":  # a second record for the first question
+            records[1] = records[0]
         else:
             bad["edge_prob"] = [row[:2] for row in bad["edge_prob"]]
         pots.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -94,6 +98,27 @@ class TestExitCodes:
         assert code == 2
         assert "bad potentials record on line 2" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_critical_rejects_non_stratified_theory_with_questions(self, tmp_path):
+        cycle = (
+            make_fact("F1", Literal("alan", "blue")),
+        ), (
+            make_rule("R1", [Literal("alan", "happy", None, False)], Literal("alan", "quiet")),
+            make_rule("R2", [Literal("alan", "quiet")], Literal("alan", "happy")),
+        )
+        bare = tmp_path / "bare.jsonl"
+        asked = tmp_path / "asked.jsonl"
+        with open(bare, "w", encoding="utf-8") as fp:
+            write_theories(fp, [Theory("T1", *cycle, ())])
+        with open(asked, "w", encoding="utf-8") as fp:
+            write_theories(fp, [Theory("T1", *cycle,
+                                       (make_question("Q1", Literal("alan", "quiet")),))])
+        out = tmp_path / "critical.jsonl"
+        assert run_command(["critical", str(bare), "-o", str(out)]) == 0
+        assert out.read_text() == ""
+        out.unlink()
+        assert run_command(["critical", str(asked), "-o", str(out)]) == 2
         assert not out.exists()
 
     def test_help_exits_zero(self):
@@ -205,6 +230,10 @@ class TestPipelines:
         run_ok(["critical", test_file, "-o", out])
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert all(set(r) == {"theory_id", "question_id", "critical"} for r in rows)
+        expected = [(record["id"], q["id"])
+                    for record in map(json.loads, test_file.read_text().splitlines())
+                    for q in record["questions"]]
+        assert [(r["theory_id"], r["question_id"]) for r in rows] == expected
 
     def test_render_dot_writes_one_file_per_proof(self, workspace, tmp_path):
         test_file = workspace / "data" / "test.theories.jsonl"

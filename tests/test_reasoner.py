@@ -109,7 +109,6 @@ class TestClosure:
             for atom in c.derived:
                 if atom not in fact_atoms:
                     assert c.derivation_index.get(atom), (t.id, atom)
-            assert c.iteration_count >= 1
 
 
 class TestAnswer:
@@ -303,7 +302,7 @@ class TestProofDepth:
 class TestCriticalSentences:
     def test_lookup_fact_is_critical(self):
         t = theory_of([Literal("alan", "blue")], [], [Literal("alan", "blue")])
-        assert critical_sentences(t, t.questions[0]) == {"F1"}
+        assert critical_sentences(t)[0] == {"F1"}
 
     def test_only_shared_rule_is_critical(self):
         t = theory_of(
@@ -313,7 +312,7 @@ class TestCriticalSentences:
              ([Literal("someone", "cold")], Literal("someone", "young"))],
             [Literal("alan", "young")],
         )
-        assert critical_sentences(t, t.questions[0]) == {"R3"}
+        assert critical_sentences(t)[0] == {"R3"}
 
     def test_false_with_no_concluding_rule_has_no_critical(self):
         t = theory_of(
@@ -321,7 +320,7 @@ class TestCriticalSentences:
             [([Literal("someone", "blue")], Literal("someone", "young"))],
             [Literal("alan", "smart")],
         )
-        assert critical_sentences(t, t.questions[0]) == set()
+        assert critical_sentences(t)[0] == set()
 
 
 class TestOracleAgreement:

@@ -1,8 +1,8 @@
 """Answer questions and extract every kind of proof graph.
 
-The reasoner compiles the rule-base once into a ground program and
-computes its closure under the closed-world assumption, then builds one
-graph per question: a single fact for a lookup, a derivation DAG when
+`closure` compiles the rule-base once into a ground program, which holds
+its closure under the closed-world assumption; every question is
+answered and proved from that one object, with one graph per question: a single fact for a lookup, a derivation DAG when
 rules fire (with a collapsed NAF node for negations established by
 failure), a bare NAF node when nothing even concludes the statement, and
 a failed-rule demonstration otherwise. Critical sentences are found for
@@ -11,13 +11,7 @@ the same program.
 """
 
 from ruleproofs.proofgraph import proof_depth, to_dot
-from ruleproofs.reasoner import (
-    answer_question,
-    check_proof,
-    closure,
-    critical_sentences,
-    prove,
-)
+from ruleproofs.reasoner import check_proof, closure, critical_sentences, prove_literal
 from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule
 
 theory = Theory(
@@ -42,12 +36,12 @@ theory = Theory(
     ),
 )
 
-c = closure(theory)
-print("Derived atoms:", sorted(c.derived))
+program = closure(theory)
+print("Derived atoms:", sorted(program.derived))
 
 for q in theory.questions:
-    answer = answer_question(theory, q)
-    proofs = prove(theory, q)
+    answer = program.holds(q.literal)
+    proofs = prove_literal(program, q.literal)
     print(f"\n{q.id}: {q.text}  ->  {answer}")
     for p in proofs:
         d = p.to_dict()
@@ -59,4 +53,4 @@ for q, critical in zip(theory.questions, critical_sentences(theory)):
     print(f"  {q.id}: {sorted(critical)}")
 
 print("\nDOT rendering of Q2's proof:\n")
-print(to_dot(prove(theory, theory.questions[1])[0], title="wire is warm"))
+print(to_dot(prove_literal(program, theory.questions[1].literal)[0], title="wire is warm"))

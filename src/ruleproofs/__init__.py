@@ -21,7 +21,7 @@ from .theory import (
 )
 from .proofgraph import ProofGraph, match_proofs, proof_depth, validate_structure
 from .reasoner import (
-    Closure,
+    GroundProgram,
     NonStratifiedTheory,
     answer_question,
     check_proof,
@@ -56,13 +56,13 @@ from .evalharness import PredictionRecord, Report, aggregate_report, score_examp
 __version__ = "0.1.0"
 
 __all__ = [
-    "Closure",
     "ConnectivityInfeasible",
     "DecodeResult",
     "EdgeMask",
     "Fact",
     "FeatureVector",
     "GenConfig",
+    "GroundProgram",
     "LinearScorer",
     "Literal",
     "MASKED",

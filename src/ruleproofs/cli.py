@@ -70,6 +70,29 @@ def _load_theories(path: Optional[str]) -> list[theory_mod.Theory]:
         return list(theory_mod.read_theories(fp))
 
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:  # argparse names the type by __name__
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _noise_level(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 0.5:
+        raise argparse.ArgumentTypeError(f"must be in [0, 0.5), got {text}")
+    return value
+
+
 def _add_io(parser, input_help="input file (default: stdin)"):
     parser.add_argument("input", nargs="?", default=None, help=input_help)
     parser.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
@@ -82,7 +105,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="generate a dataset with gold proofs")
     p.add_argument("--config", required=True, help="generator config JSON")
-    p.add_argument("--seed", type=int, required=True, help="overrides the config seed")
+    p.add_argument("--seed", type=_int_at_least(0), required=True,
+                   help="overrides the config seed")
     p.add_argument("-o", "--out-dir", required=True)
 
     p = sub.add_parser("answer", help="answer every question with the reasoner")
@@ -90,22 +114,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("prove", help="emit gold proofs for every question")
     _add_io(p)
-    p.add_argument("--max-proofs", type=int, default=reasoner.DEFAULT_MAX_PROOFS)
+    p.add_argument("--max-proofs", type=_int_at_least(1), default=reasoner.DEFAULT_MAX_PROOFS)
 
     p = sub.add_parser("mask-export", help="export training labels (masked cells are -100)")
     _add_io(p)
 
     p = sub.add_parser("oracle-potentials", help="noisy indicator potentials from gold proofs")
     _add_io(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--noise", type=float, default=0.0, help="mean perturbation, in [0, 0.5)")
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
+    p.add_argument("--noise", type=_noise_level, default=0.0,
+                   help="mean perturbation, in [0, 0.5)")
     p.add_argument("--adversarial", action="store_true",
                    help="exact potentials with one bridging gold edge pushed under threshold")
 
     p = sub.add_parser("train-baseline", help="fit the lexical edge scorer")
     _add_io(p, input_help="training theories (default: stdin)")
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--learning-rate", type=_positive, default=0.5)
+    p.add_argument("--epochs", type=_int_at_least(1), default=300)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("score-edges", help="score unmasked edge cells with a scorer")
@@ -145,9 +170,7 @@ def build_parser() -> _Parser:
 
 def _cmd_generate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fp:
-        raw = json.load(fp)
-    raw["seed"] = args.seed
-    cfg = datagen.GenConfig.from_dict(raw)
+        cfg = datagen.GenConfig.from_dict(json.load(fp), seed=args.seed)
     bundle = datagen.generate_dataset(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -163,10 +186,9 @@ def _cmd_generate(args) -> int:
 def _cmd_answer(args) -> int:
     rows = []
     for t in _load_theories(args.input):
-        c = reasoner.closure(t)
+        program = reasoner.closure(t)
         rows.extend(
-            {"theory_id": t.id, "question_id": q.id,
-             "answer": reasoner.holds_under_cwa(t, c, q.literal)}
+            {"theory_id": t.id, "question_id": q.id, "answer": program.holds(q.literal)}
             for q in t.questions
         )
     _write_rows(args.output, rows)
@@ -176,9 +198,9 @@ def _cmd_answer(args) -> int:
 def _cmd_prove(args) -> int:
     rows = []
     for t in _load_theories(args.input):
-        c = reasoner.closure(t)
+        program = reasoner.closure(t)
         for q in t.questions:
-            proofs = reasoner.prove_literal(t, c, q.literal, args.max_proofs)
+            proofs = reasoner.prove_literal(program, q.literal, args.max_proofs)
             rows.append({
                 "theory_id": t.id,
                 "question_id": q.id,
@@ -311,10 +333,8 @@ def _cmd_decode(args) -> int:
             raise evalharness.EvaluationError(
                 f"potentials reference unknown question {t.id}/{question_id}")
         if t.id not in answers:
-            c = reasoner.closure(t)
-            answers[t.id] = {
-                q.id: reasoner.holds_under_cwa(t, c, q.literal) for q in t.questions
-            }
+            program = reasoner.closure(t)
+            answers[t.id] = {q.id: program.holds(q.literal) for q in t.questions}
 
     rows = []
     for t, question_id, pot in records:

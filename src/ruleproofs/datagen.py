@@ -13,7 +13,7 @@ through the reasoner before a theory is emitted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -71,6 +71,21 @@ PROFILES = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a JSON value of a GenConfig field must be, and its check, keyed by
+# the field's annotation text.
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[int, int]": ("a pair of integers", lambda v: isinstance(v, (list, tuple))
+                        and len(v) == 2 and all(map(_is_int, v))),
+}
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int
@@ -85,6 +100,8 @@ class GenConfig:
 
     def validate(self) -> None:
         problems = []
+        if self.seed < 0:
+            problems.append("seed must be non-negative")
         if self.num_theories < 1:
             problems.append("num_theories must be positive")
         if not 0 <= self.max_depth <= 5:
@@ -127,18 +144,23 @@ class GenConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GenConfig":
-        cfg = cls(
-            seed=d["seed"],
-            num_theories=d["num_theories"],
-            facts_per_theory=tuple(d.get("facts_per_theory", (3, 7))),
-            rules_per_theory=tuple(d.get("rules_per_theory", (3, 7))),
-            max_depth=d.get("max_depth", 3),
-            negation_rate=d.get("negation_rate", 0.3),
-            questions_per_theory=d.get("questions_per_theory", 6),
-            profile=d.get("profile", "people"),
-            answer_balance=d.get("answer_balance", 0.5),
-        )
+    def from_dict(cls, d, seed: Optional[int] = None) -> "GenConfig":
+        """A validated config from a JSON object, with ``seed`` (if given)
+        replacing its seed. Unknown or missing keys and mistyped values are
+        errors."""
+        if not isinstance(d, dict):
+            raise ValueError(f"generator config must be a JSON object, not {type(d).__name__}")
+        if seed is not None:
+            d = {**d, "seed": seed}
+        kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
+        problems = [f"unknown key {key!r}" for key in d if key not in kinds]
+        problems += [f"missing key {f.name!r}" for f in fields(cls)
+                     if f.default is MISSING and f.name not in d]
+        problems += [f"{key} must be {kinds[key][0]}, got {value!r}" for key, value in d.items()
+                     if key in kinds and not kinds[key][1](value)]
+        if problems:
+            raise ValueError("invalid generator config: " + "; ".join(problems))
+        cfg = cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
         cfg.validate()
         return cfg
 
@@ -417,17 +439,17 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
         if validate_theory(theory):
             continue
         try:
-            c = reasoner.closure(theory)
+            program = reasoner.closure(theory)
         except reasoner.NonStratifiedTheory:
             continue
-        if any(f.literal.atom() in c.derived for f in theory.facts
+        if any(f.literal.atom() in program.derived for f in theory.facts
                if not f.literal.positive):
             continue
 
         pool: dict[tuple[int, bool], list] = {}
         for lit in _candidate_literals(theory, context, cfg.negation_rate > 0):
-            answer = reasoner.holds_under_cwa(theory, c, lit)
-            proofs = reasoner.prove_literal(theory, c, lit)
+            answer = program.holds(lit)
+            proofs = reasoner.prove_literal(program, lit)
             depth = max(proof_depth(p) for p in proofs)
             if depth > cfg.max_depth:
                 continue

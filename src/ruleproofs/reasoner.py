@@ -5,20 +5,22 @@ proof graphs for derivable statements, builds failure demonstrations for
 underivable ones, and identifies the sentences whose removal flips an
 answer.
 
-Each theory is compiled once into a ``GroundProgram``: rules are grounded
-over the theory's entities, atoms are interned as integer ids, and atoms
-are partitioned into strata so that no atom depends negatively on its own
+Each theory is compiled once, by ``closure``, into a ``GroundProgram``,
+the reasoner's only per-theory object: rules are grounded over the
+theory's entities, atoms are interned as integer ids, and atoms are
+partitioned into strata so that no atom depends negatively on its own
 stratum (a theory with a dependency cycle through negation is rejected).
-The program also indexes instances by head and facts by literal, and every
-entry point reads them from it instead of grounding again. A derivation
+The program derives its least fixpoint once and keeps the derived atoms,
+the instances that derived each one, a head index and a fact lookup;
+every entry point reads them instead of grounding again. A derivation
 runs stratum by stratum; inside a stratum each instance counts its
 missing positive antecedents and fires when the count reaches zero
-(Dowling & Gallier 1984), so every atom is derived and propagated at most
-once. A negative antecedent holds when its atom is absent from the strata
-below. Critical sentences reuse the same program: removing a sentence
-drops its fact, or its rule's instances, plus the instances bound to an
-entity that no other sentence or question mentions. A stratification of
-the full program is valid for every such subprogram.
+(Dowling & Gallier 1984), so every atom is derived and propagated at
+most once. A negative antecedent holds when its atom is absent from the
+strata below. Critical sentences reuse the same program: removing a
+sentence drops its fact, or its rule's instances, plus the instances
+bound to an entity that no other sentence or question mentions. A
+stratification of the full program is valid for every such subprogram.
 
 Proof conventions, applied in this order for a question literal q:
 
@@ -66,15 +68,6 @@ class GroundInstance:
     consequent: Literal
 
 
-@dataclass(frozen=True)
-class Closure:
-    """Least fixpoint of rule application over the theory's facts."""
-
-    derived: frozenset[Atom]
-    derivation_index: dict[Atom, tuple[GroundInstance, ...]]
-    program: GroundProgram
-
-
 def ground_instances(t: Theory) -> list[GroundInstance]:
     entities = t.entities()
     instances = []
@@ -99,78 +92,38 @@ def ground_instances(t: Theory) -> list[GroundInstance]:
 
 def _stratify(atoms: list[Atom], heads: list[int], positives: list[tuple[int, ...]],
               negatives: list[tuple[int, ...]]) -> list[int]:
-    """Stratum per atom id, so negative dependencies always point strictly down.
+    """Least stratum per atom id, so negative dependencies always point strictly down.
 
-    Runs Tarjan's strongly connected components on the ground dependency
-    graph (antecedent to head); a negative edge inside a component means
-    the theory is not stratified. Tarjan emits a component after every
-    component it reaches, so walking the emission order backwards visits
-    each component after all of its predecessors, and its stratum (the
-    largest count of negative edges on any path into it) is final.
+    Relaxes every instance until a pass changes nothing: its head rises to
+    the largest stratum of its positive antecedents and to one above each
+    negative antecedent's (Bellman-Ford on longest paths). Without a cycle
+    through negation a longest path is simple, so it has at most
+    |atoms| - 1 edges and settles within that many passes; strata still
+    rising after |atoms| + 1 passes mean the theory is not stratified.
     """
-    edges: list[list[tuple[int, int]]] = [[] for _ in atoms]
-    for head, pos, neg in zip(heads, positives, negatives):
-        for a in pos:
-            edges[a].append((head, 0))
-        for a in neg:
-            edges[a].append((head, 1))
-
-    order = [-1] * len(atoms)
-    low = [0] * len(atoms)
-    component = [-1] * len(atoms)
-    components: list[list[int]] = []
-    stack: list[int] = []
-    counter = 0
-    for root in range(len(atoms)):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, 0)]
-        while work:
-            node, position = work[-1]
-            if position < len(edges[node]):
-                work[-1] = (node, position + 1)
-                successor = edges[node][position][0]
-                if order[successor] < 0:
-                    order[successor] = low[successor] = counter
-                    counter += 1
-                    stack.append(successor)
-                    work.append((successor, 0))
-                elif component[successor] < 0:  # still on the stack
-                    low[node] = min(low[node], order[successor])
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == order[node]:
-                members = []
-                while not members or members[-1] != node:
-                    members.append(stack.pop())
-                    component[members[-1]] = len(components)
-                components.append(members)
-
-    level = [0] * len(components)
-    for comp in range(len(components) - 1, -1, -1):
-        for src in components[comp]:
-            for dst, negative in edges[src]:
-                if component[dst] != comp:
-                    level[component[dst]] = max(level[component[dst]], level[comp] + negative)
-                elif negative:
-                    raise NonStratifiedTheory(
-                        f"negation cycle through atom {atoms[src]} -> {atoms[dst]}")
-    return [level[comp] for comp in component]
+    strata = [0] * len(atoms)
+    for _ in range(len(atoms) + 1):
+        rising = None
+        for head, pos, neg in zip(heads, positives, negatives):
+            level = max([strata[a] for a in pos] + [strata[a] + 1 for a in neg], default=0)
+            if level > strata[head]:
+                strata[head] = level
+                rising = head
+        if rising is None:
+            return strata
+    raise NonStratifiedTheory(f"a dependency cycle through negation reaches atom {atoms[rising]}")
 
 
 class GroundProgram:
-    """A theory grounded and stratified once, shared by every derivation.
+    """A theory grounded, stratified and derived once, shared by every entry point.
 
     Atoms are interned as ids. ``levels`` holds instance indices by the
     stratum of their head; ``watchers[a]`` lists the instances of atom
     ``a``'s stratum with ``a`` among their positive antecedents; and
     ``removals[s]`` holds the instances that vanish with sentence ``s``.
+    ``derived`` is the least fixpoint (``flags`` by atom id) and
+    ``derivation_index`` maps each derived atom to the instances that fire
+    for it, in grounding order.
     """
 
     def __init__(self, t: Theory):
@@ -200,6 +153,13 @@ class GroundProgram:
             for a in self.positives[i]:
                 if strata[a] == strata[head]:
                     self.watchers[a].append(i)
+
+        self.flags, fired = self.derive()
+        self.derived = frozenset(atom for atom, a in self.atom_ids.items() if self.flags[a])
+        index: dict[Atom, list[GroundInstance]] = {}
+        for i in sorted(fired):
+            index.setdefault(self.instances[i].consequent.atom(), []).append(self.instances[i])
+        self.derivation_index = {atom: tuple(entries) for atom, entries in index.items()}
 
     @cached_property
     def removals(self) -> dict[str, set[int]]:
@@ -262,41 +222,26 @@ class GroundProgram:
                         ready.append(j)
         return derived, fired
 
-    def holds(self, lit: Literal, derived: bytearray, removed: Optional[str] = None) -> bool:
-        """Closed-world truth of ``lit`` against flags from ``derive(removed)``."""
+    def holds(self, lit: Literal, flags: Optional[bytearray] = None,
+              removed: Optional[str] = None) -> bool:
+        """Closed-world truth of ``lit`` in the program, or against the
+        flags from ``derive(removed)``."""
         atom = self.atom_ids.get(lit.atom())
-        present = atom is not None and derived[atom]
+        present = atom is not None and (self.flags if flags is None else flags)[atom]
         if lit.positive:
             return bool(present)
         return not present or any(
             f.literal == lit and f.id != removed for f in self.theory.facts)
 
 
-def closure(t: Theory) -> Closure:
-    """Least fixpoint of the theory's ground program."""
-    program = GroundProgram(t)
-    derived, fired = program.derive()
-    index: dict[Atom, list[GroundInstance]] = {}
-    for i in sorted(fired):
-        inst = program.instances[i]
-        index.setdefault(inst.consequent.atom(), []).append(inst)
-    return Closure(
-        frozenset(atom for atom, a in program.atom_ids.items() if derived[a]),
-        {atom: tuple(entries) for atom, entries in index.items()},
-        program,
-    )
-
-
-def holds_under_cwa(t: Theory, c: Closure, lit: Literal) -> bool:
-    atom = lit.atom()
-    if lit.positive:
-        return atom in c.derived
-    return atom not in c.derived or lit in c.program.fact_by_literal
+def closure(t: Theory) -> GroundProgram:
+    """The theory's ground program, with its least fixpoint derived."""
+    return GroundProgram(t)
 
 
 def answer_question(t: Theory, q: Question) -> bool:
     """Truth of the question literal under the closed-world assumption."""
-    return holds_under_cwa(t, closure(t), q.literal)
+    return closure(t).holds(q.literal)
 
 
 # ---------------------------------------------------------------------------
@@ -313,119 +258,114 @@ class _Fragment:
         return (sorted(self.nodes), sorted(self.edges))
 
 
-class _ProofSearch:
-    def __init__(self, c: Closure):
-        self.closure = c
-        self.fact_by_literal = c.program.fact_by_literal
+def _negative_support(program: GroundProgram, ant: Literal) -> _Fragment:
+    """Support for a satisfied negative antecedent: a stated negative fact
+    when one exists, the collapsed NAF node otherwise."""
+    fact_id = program.fact_by_literal.get(ant)
+    if fact_id is not None:
+        return _Fragment(frozenset([fact_id]), frozenset(), fact_id)
+    return _Fragment(frozenset([NAF]), frozenset(), NAF)
 
-    def negative_support(self, ant: Literal) -> _Fragment:
-        """Support for a satisfied negative antecedent: a stated negative
-        fact when one exists, the collapsed NAF node otherwise."""
-        fact_id = self.fact_by_literal.get(ant)
-        if fact_id is not None:
-            return _Fragment(frozenset([fact_id]), frozenset(), fact_id)
-        return _Fragment(frozenset([NAF]), frozenset(), NAF)
 
-    def fragments(self, atom: Atom, path: frozenset[Atom]) -> list[_Fragment]:
-        """All derivation fragments for a derivable atom, avoiding any atom
-        already under derivation on the current path."""
-        options: list[_Fragment] = []
-        fact_id = self.fact_by_literal.get(Literal(*atom))
-        if fact_id is not None:
-            options.append(_Fragment(frozenset([fact_id]), frozenset(), fact_id))
-        for inst in self.closure.derivation_index.get(atom, ()):
-            choice_lists: list[list[_Fragment]] = []
-            feasible = True
-            for ant in inst.antecedents:
-                if ant.positive:
-                    if ant.atom() in path:
-                        feasible = False
-                        break
-                    subs = self.fragments(ant.atom(), path | {ant.atom()})
-                    if not subs:
-                        feasible = False
-                        break
-                    choice_lists.append(subs)
-                else:
-                    choice_lists.append([self.negative_support(ant)])
-            if not feasible:
-                continue
-            for combo in itertools.product(*choice_lists):
-                nodes = frozenset([inst.rule_id]).union(*(f.nodes for f in combo)) \
-                    if combo else frozenset([inst.rule_id])
-                edges = frozenset((f.root, inst.rule_id) for f in combo).union(
-                    *(f.edges for f in combo)) if combo else frozenset()
-                options.append(_Fragment(nodes, edges, inst.rule_id))
-                if len(options) >= _FRAGMENT_CAP:
+def _fragments(program: GroundProgram, atom: Atom, path: frozenset[Atom]) -> list[_Fragment]:
+    """All derivation fragments for a derivable atom, avoiding any atom
+    already under derivation on the current path."""
+    options: list[_Fragment] = []
+    fact_id = program.fact_by_literal.get(Literal(*atom))
+    if fact_id is not None:
+        options.append(_Fragment(frozenset([fact_id]), frozenset(), fact_id))
+    for inst in program.derivation_index.get(atom, ()):
+        choice_lists: list[list[_Fragment]] = []
+        feasible = True
+        for ant in inst.antecedents:
+            if ant.positive:
+                if ant.atom() in path:
+                    feasible = False
                     break
+                subs = _fragments(program, ant.atom(), path | {ant.atom()})
+                if not subs:
+                    feasible = False
+                    break
+                choice_lists.append(subs)
+            else:
+                choice_lists.append([_negative_support(program, ant)])
+        if not feasible:
+            continue
+        for combo in itertools.product(*choice_lists):
+            nodes = frozenset([inst.rule_id]).union(*(f.nodes for f in combo)) \
+                if combo else frozenset([inst.rule_id])
+            edges = frozenset((f.root, inst.rule_id) for f in combo).union(
+                *(f.edges for f in combo)) if combo else frozenset()
+            options.append(_Fragment(nodes, edges, inst.rule_id))
             if len(options) >= _FRAGMENT_CAP:
                 break
-        unique = {(f.nodes, f.edges, f.root): f for f in options}
-        return sorted(unique.values(), key=_Fragment.key)
-
-    def best_fragment(self, atom: Atom) -> _Fragment:
-        candidates = _minimal(self.fragments(atom, frozenset([atom])))
-        return candidates[0]
+        if len(options) >= _FRAGMENT_CAP:
+            break
+    unique = {(f.nodes, f.edges, f.root): f for f in options}
+    return sorted(unique.values(), key=_Fragment.key)
 
 
-def _minimal(fragments: list[_Fragment]) -> list[_Fragment]:
-    """Drop any fragment that properly contains another (nodes and edges)."""
+def _minimal_fragments(program: GroundProgram, atom: Atom) -> list[_Fragment]:
+    """The derivation fragments of an atom that properly contain no other
+    (nodes and edges)."""
+    fragments = _fragments(program, atom, frozenset([atom]))
     return [f for f in fragments if not any(
         (g.nodes, g.edges) != (f.nodes, f.edges) and g.nodes <= f.nodes and g.edges <= f.edges
         for g in fragments)]
 
 
-def _fails(c: Closure, ant: Literal) -> bool:
-    """Whether the antecedent is false in the closure."""
-    return (ant.atom() in c.derived) != ant.positive
+def _fails(program: GroundProgram, ant: Literal) -> bool:
+    """Whether the antecedent is false in the program's fixpoint."""
+    return (ant.atom() in program.derived) != ant.positive
 
 
-def _atom_failure_depth(c: Closure, atom: Atom, visiting: frozenset[Atom]) -> float:
+def _atom_failure_depth(program: GroundProgram, atom: Atom, visiting: frozenset[Atom]) -> float:
     """Failure depth of an underivable atom: 0 when no rule concludes it,
     else the depth of its shallowest concluding instance."""
     if atom in visiting:
         return _UNREACHABLE
-    concluders = c.program.by_head.get(atom)
+    concluders = program.by_head.get(atom)
     if not concluders:
         return 0.0
-    return min(_instance_failure_depth(c, inst, visiting | {atom}) for inst in concluders)
+    return min(_instance_failure_depth(program, inst, visiting | {atom}) for inst in concluders)
 
 
-def _instance_failure_depth(c: Closure, inst: GroundInstance, visiting: frozenset[Atom]) -> float:
+def _instance_failure_depth(program: GroundProgram, inst: GroundInstance,
+                            visiting: frozenset[Atom]) -> float:
     """One level above the shallowest failing antecedent of the instance."""
-    branch_depths = [_atom_failure_depth(c, ant.atom(), visiting) if ant.positive else 0.0
-                     for ant in inst.antecedents if _fails(c, ant)]
+    branch_depths = [_atom_failure_depth(program, ant.atom(), visiting) if ant.positive else 0.0
+                     for ant in inst.antecedents if _fails(program, ant)]
     return 1.0 + min(branch_depths) if branch_depths else _UNREACHABLE
 
 
-def select_failed_instance(t: Theory, c: Closure, atom: Atom):
+def select_failed_instance(program: GroundProgram, atom: Atom):
     """Pick the concluding instance with the shallowest failure for an
     underivable atom; ties break on rule index, then binding. Returns
     (instance, failing antecedent set) or None when nothing concludes it."""
-    concluders = None if atom in c.derived else c.program.by_head.get(atom)
+    concluders = None if atom in program.derived else program.by_head.get(atom)
     if not concluders:
         return None
     chosen = min(concluders, key=lambda inst: (
-        _instance_failure_depth(c, inst, frozenset([atom])), inst.rule_index, inst.binding or ""))
-    return chosen, tuple(ant for ant in chosen.antecedents if _fails(c, ant))
+        _instance_failure_depth(program, inst, frozenset([atom])),
+        inst.rule_index, inst.binding or ""))
+    return chosen, tuple(ant for ant in chosen.antecedents if _fails(program, ant))
 
 
-def _failed_proof(t: Theory, c: Closure, atom: Atom) -> ProofGraph:
-    selection = select_failed_instance(t, c, atom)
+def _failed_proof(program: GroundProgram, atom: Atom) -> ProofGraph:
+    selection = select_failed_instance(program, atom)
     if selection is None:
         return ProofGraph.of([NAF])
     inst, failing = selection
     failing_set = set(failing)
-    search = _ProofSearch(c)
     nodes = {inst.rule_id}
     edges = set()
     for ant in inst.antecedents:
         if ant in failing_set:
             continue
         if ant.positive:
-            fragment = search.best_fragment(ant.atom())
+            fragment = _minimal_fragments(program, ant.atom())[0]
         else:
-            fragment = search.negative_support(ant)
+            fragment = _negative_support(program, ant)
         nodes |= fragment.nodes
         edges |= fragment.edges
         edges.add((fragment.root, inst.rule_id))
@@ -435,29 +375,27 @@ def _failed_proof(t: Theory, c: Closure, atom: Atom) -> ProofGraph:
     return ProofGraph.of(nodes, edges)
 
 
-def prove_literal(t: Theory, c: Closure, lit: Literal,
+def prove_literal(program: GroundProgram, lit: Literal,
                   max_proofs: int = DEFAULT_MAX_PROOFS) -> list[ProofGraph]:
     if max_proofs < 1:
         raise ValueError("max_proofs must be at least 1")
     atom = lit.atom()
 
-    fact_id = None if lit.positive else c.program.fact_by_literal.get(lit)
+    fact_id = None if lit.positive else program.fact_by_literal.get(lit)
     if fact_id is not None:
         return [ProofGraph.of([fact_id])]
 
-    if atom in c.derived:
-        search = _ProofSearch(c)
-        fragments = _minimal(search.fragments(atom, frozenset([atom])))
-        proofs = [ProofGraph.of(f.nodes, f.edges) for f in fragments]
+    if atom in program.derived:
+        proofs = [ProofGraph.of(f.nodes, f.edges) for f in _minimal_fragments(program, atom)]
         proofs.sort(key=ProofGraph.canonical_key)
         return proofs[:max_proofs]
 
-    return [_failed_proof(t, c, atom)]
+    return [_failed_proof(program, atom)]
 
 
 def prove(t: Theory, q: Question, max_proofs: int = DEFAULT_MAX_PROOFS) -> list[ProofGraph]:
     """Up to ``max_proofs`` distinct minimal proofs, deterministically ordered."""
-    return prove_literal(t, closure(t), q.literal, max_proofs)
+    return prove_literal(closure(t), q.literal, max_proofs)
 
 
 def critical_sentences(t: Theory) -> list[set[str]]:
@@ -469,13 +407,13 @@ def critical_sentences(t: Theory) -> list[set[str]]:
     """
     if not t.questions:
         return []
-    c = closure(t)
-    base = [holds_under_cwa(t, c, q.literal) for q in t.questions]
+    program = closure(t)
+    base = [program.holds(q.literal) for q in t.questions]
     critical: list[set[str]] = [set() for _ in t.questions]
     for sentence_id in t.sentence_ids():
-        derived, _fired = c.program.derive(sentence_id)
+        flags, _fired = program.derive(sentence_id)
         for q, answer, found in zip(t.questions, base, critical):
-            if c.program.holds(q.literal, derived, sentence_id) != answer:
+            if program.holds(q.literal, flags, sentence_id) != answer:
                 found.add(sentence_id)
     return critical
 
@@ -500,19 +438,20 @@ def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
         if node != NAF and node not in fact_map and node not in rule_map:
             raise KeyError(f"unknown node id {node!r}")
 
-    c = closure(t)
+    program = closure(t)
     atom = q.literal.atom()
 
-    lookup = None if q.literal.positive else c.program.fact_by_literal.get(q.literal)
+    lookup = None if q.literal.positive else program.fact_by_literal.get(q.literal)
     if lookup is not None:
         return p.nodes == frozenset([lookup]) and not p.edges
 
-    if atom in c.derived:
-        return _check_derivation(t, c, atom, p)
-    return _check_failure(t, c, atom, p)
+    if atom in program.derived:
+        return _check_derivation(program, atom, p)
+    return _check_failure(program, atom, p)
 
 
-def _simulate(t: Theory, c: Closure, p: ProofGraph, blocked_rules: frozenset[str] = frozenset()):
+def _simulate(program: GroundProgram, p: ProofGraph,
+              blocked_rules: frozenset[str] = frozenset()):
     """Fire the proof's rules against its own fact nodes, respecting edges.
 
     Returns (literals supplied per node, fired instances per rule node) at
@@ -521,7 +460,7 @@ def _simulate(t: Theory, c: Closure, p: ProofGraph, blocked_rules: frozenset[str
     standing in for negative antecedents whose atom the full theory
     cannot derive.
     """
-    fact_map = t.fact_map()
+    fact_map = program.theory.fact_map()
     supplied: dict[str, set[Literal]] = {
         node: ({fact_map[node].literal} if node in fact_map else set()) for node in p.nodes
     }
@@ -536,10 +475,11 @@ def _simulate(t: Theory, c: Closure, p: ProofGraph, blocked_rules: frozenset[str
         for node in p.nodes:
             if node in blocked_rules:
                 continue
-            for inst in c.program.by_rule.get(node, ()):
+            for inst in program.by_rule.get(node, ()):
                 if inst.consequent in supplied[node]:
                     continue
-                if all(_ant_supported(a, incoming[node], supplied, c) for a in inst.antecedents):
+                if all(_ant_supported(a, incoming[node], supplied, program)
+                       for a in inst.antecedents):
                     supplied[node].add(inst.consequent)
                     fired.setdefault(node, []).append(inst)
                     changed = True
@@ -547,38 +487,38 @@ def _simulate(t: Theory, c: Closure, p: ProofGraph, blocked_rules: frozenset[str
 
 
 def _ant_supported(ant: Literal, sources: list[str],
-                   supplied: dict[str, set[Literal]], c: Closure) -> bool:
+                   supplied: dict[str, set[Literal]], program: GroundProgram) -> bool:
     if any(src != NAF and ant in supplied[src] for src in sources):
         return True
-    return not ant.positive and NAF in sources and ant.atom() not in c.derived
+    return not ant.positive and NAF in sources and ant.atom() not in program.derived
 
 
 def _edge_carries(src: str, ants: Iterable[Literal],
-                  supplied: dict[str, set[Literal]], c: Closure) -> bool:
+                  supplied: dict[str, set[Literal]], program: GroundProgram) -> bool:
     """Whether the source node supplies at least one of these antecedents."""
     if src == NAF:
-        return any(not a.positive and a.atom() not in c.derived for a in ants)
+        return any(not a.positive and a.atom() not in program.derived for a in ants)
     return any(a in supplied[src] for a in ants)
 
 
-def _used_edges(p: ProofGraph, supplied, fired, c: Closure) -> set[tuple[str, str]]:
+def _used_edges(p: ProofGraph, supplied, fired, program: GroundProgram) -> set[tuple[str, str]]:
     return {(src, dst) for src, dst in p.edges if any(
-        _edge_carries(src, inst.antecedents, supplied, c) for inst in fired.get(dst, ()))}
+        _edge_carries(src, inst.antecedents, supplied, program) for inst in fired.get(dst, ()))}
 
 
-def _check_derivation(t: Theory, c: Closure, atom: Atom, p: ProofGraph) -> bool:
-    supplied, fired = _simulate(t, c, p)
+def _check_derivation(program: GroundProgram, atom: Atom, p: ProofGraph) -> bool:
+    supplied, fired = _simulate(program, p)
     goal = Literal(*atom)
     if not any(goal in lits for lits in supplied.values()):
         return False
-    rule_map = t.rule_map()
+    rule_map = program.theory.rule_map()
     if any(node in rule_map and node not in fired for node in p.nodes):
         return False
-    return _used_edges(p, supplied, fired, c) == set(p.edges)
+    return _used_edges(p, supplied, fired, program) == set(p.edges)
 
 
-def _check_failure(t: Theory, c: Closure, atom: Atom, p: ProofGraph) -> bool:
-    selection = select_failed_instance(t, c, atom)
+def _check_failure(program: GroundProgram, atom: Atom, p: ProofGraph) -> bool:
+    selection = select_failed_instance(program, atom)
     if selection is None:
         return p.nodes == frozenset([NAF]) and not p.edges
     inst, failing = selection
@@ -589,21 +529,21 @@ def _check_failure(t: Theory, c: Closure, atom: Atom, p: ProofGraph) -> bool:
 
     failing_set = set(failing)
     satisfiable = [ant for ant in inst.antecedents if ant not in failing_set]
-    supplied, fired = _simulate(t, c, p, blocked_rules=frozenset([inst.rule_id]))
+    supplied, fired = _simulate(program, p, blocked_rules=frozenset([inst.rule_id]))
     incoming = [src for src, dst in p.edges if dst == inst.rule_id]
 
-    if not all(_ant_supported(a, incoming, supplied, c) for a in satisfiable):
+    if not all(_ant_supported(a, incoming, supplied, program) for a in satisfiable):
         return False
     if (NAF, inst.rule_id) not in p.edges:
         return False
 
-    used = _used_edges(p, supplied, fired, c)
+    used = _used_edges(p, supplied, fired, program)
     used.add((NAF, inst.rule_id))
     for src in incoming:
-        if src != NAF and _edge_carries(src, satisfiable, supplied, c):
+        if src != NAF and _edge_carries(src, satisfiable, supplied, program):
             used.add((src, inst.rule_id))
 
-    rule_map = t.rule_map()
+    rule_map = program.theory.rule_map()
     if any(node in rule_map and node != inst.rule_id and node not in fired
            for node in p.nodes):
         return False

@@ -39,10 +39,6 @@ RESERVED_TOKENS = frozenset(
 Atom = tuple[str, str, Optional[str]]
 
 
-def atom_sort_key(atom: Atom) -> tuple[str, str, str]:
-    return (atom[0], atom[1], atom[2] or "")
-
-
 def literal_sort_key(lit: "Literal") -> tuple[str, str, str, bool]:
     return (lit.subject, lit.predicate, lit.obj or "", lit.positive)
 

@@ -2,8 +2,9 @@
 
 Nothing here shares code with the library's own algorithms: the closure
 oracle runs an alternating fixpoint with naive whole-program passes, the
-decode oracle enumerates every edge assignment, and the depth oracle
-enumerates every simple path.
+stratification oracle searches the ground dependency graph for a negative
+edge inside a cycle, the decode oracle enumerates every edge assignment,
+and the depth oracle enumerates every simple path.
 """
 
 from __future__ import annotations
@@ -76,6 +77,30 @@ def naive_closure(t: Theory) -> set:
             assert under == over, "oracle did not converge (non-stratified input?)"
             return over
         over = new_over
+
+
+def negation_cycle(t: Theory):
+    """A negative dependency (atom, head) such that the head reaches the
+    atom again through the ground dependency graph, or None when the
+    theory is stratified."""
+    successors: dict = {}
+    negative = []
+    for antecedents, consequent in _instances(t):
+        for ant in antecedents:
+            successors.setdefault(ant.atom(), set()).add(consequent.atom())
+            if not ant.positive:
+                negative.append((ant.atom(), consequent.atom()))
+    for atom, head in negative:
+        reached = {head}
+        frontier = [head]
+        while frontier:
+            for nxt in successors.get(frontier.pop(), ()):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    frontier.append(nxt)
+        if atom in reached:
+            return atom, head
+    return None
 
 
 def naive_answer(t: Theory, lit: Literal) -> bool:

@@ -46,10 +46,41 @@ class TestGenerate:
 
 
 class TestExitCodes:
-    def test_usage_error_is_one(self):
+    def test_usage_error_is_one(self, tmp_path):
         assert run_command(["no-such-command"]) == 1
         assert run_command(["decode"]) == 1  # missing required --theories
         assert run_command(["decode", "--theories", "t.jsonl", "--threads", "2"]) == 1
+        # out-of-range values are rejected before the (missing) input is read
+        missing = str(tmp_path / "missing.jsonl")
+        assert run_command(["generate", "--config", missing, "--seed", "-1", "-o", missing]) == 1
+        assert run_command(["oracle-potentials", "--seed", "-3", missing]) == 1
+        assert run_command(["prove", "--max-proofs", "0", missing]) == 1
+        assert run_command(["oracle-potentials", "--seed", "1", "--noise", "0.7", missing]) == 1
+        assert run_command(["oracle-potentials", "--seed", "1", "--noise", "-0.1", missing]) == 1
+        assert run_command(["train-baseline", "--epochs", "-5", missing]) == 1
+        assert run_command(["train-baseline", "--learning-rate", "0", missing]) == 1
+        assert run_command(["train-baseline", "--learning-rate", "nan", missing]) == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ({"seed": 0, "num_theories": 2, "max_dept": 5}, "unknown key 'max_dept'"),
+        ({"seed": 0, "num_theories": 2, "max_depth": "5"}, "max_depth must be an integer"),
+        ({"seed": 0, "num_theories": 2.5}, "num_theories must be an integer"),
+        ({"seed": 0, "num_theories": 2, "facts_per_theory": [3]}, "a pair of integers"),
+        ({"seed": 0, "num_theories": 2, "negation_rate": "0.3"}, "negation_rate must be a number"),
+        ({"seed": 0, "max_depth": 2}, "missing key 'num_theories'"),
+        ([{"seed": 0, "num_theories": 2}], "must be a JSON object"),
+    ], ids=["unknown_key", "string_int", "float_int", "short_pair", "string_number",
+            "missing_key", "list"])
+    def test_bad_generator_config_is_a_data_error(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "data"
+        code = run_command(["generate", "--config", str(path), "--seed", "1", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_data_error_is_two(self, workspace, tmp_path):
         assert run_command(["answer", str(tmp_path / "missing.jsonl")]) == 2

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from ruleproofs.proofgraph import proof_depth, validate_structure
 from ruleproofs.theory import theory_to_record, validate_theory
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def serialize(theories):
     return "\n".join(json.dumps(theory_to_record(t)) for t in theories)
 
@@ -21,6 +25,13 @@ class TestConfig:
     def test_round_trip(self):
         cfg = GenConfig(seed=3, num_theories=5, max_depth=2)
         assert GenConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("path", sorted(
+        str(p.relative_to(ROOT)) for p in [*ROOT.glob("configs/*.json"),
+                                           *ROOT.glob("bench/configs/*.json")]))
+    def test_checked_in_configs_load(self, path):
+        raw = json.loads((ROOT / path).read_text())
+        assert GenConfig.from_dict(raw, seed=9).to_dict() == {**raw, "seed": 9}
 
     def test_rejects_rules_below_depth(self):
         with pytest.raises(ValueError, match="below max_depth"):
@@ -36,6 +47,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="questions_per_theory"):
             GenConfig(seed=1, num_theories=1, max_depth=3,
                       questions_per_theory=2).validate()
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            GenConfig.from_dict({"seed": -1, "num_theories": 1})
 
     def test_rejects_depth_beyond_five(self):
         with pytest.raises(ValueError, match="0..5"):

@@ -1,16 +1,19 @@
 """Property tests for the compiled ground program on theories the
 generator never builds: ground rules with negation, multi-antecedent
 variable rules over three or more entities, relations, contradictory
-negative facts, and an unvalidated variable rule with only negative
-antecedents whose entity is mentioned by a single fact."""
+negative facts, an unvalidated variable rule with only negative
+antecedents whose entity is mentioned by a single fact, and rules that
+may form cycles through negation."""
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from ruleproofs.reasoner import (
     GroundProgram,
+    NonStratifiedTheory,
     check_proof,
     closure,
     critical_sentences,
@@ -22,7 +25,8 @@ ENTITIES = ("alan", "bob", "carol", "dave")
 LONELY = "zed"  # mentioned by one fact only, unless a question names it
 # A predicate's level orders the strata: a rule's positive antecedents sit at
 # or below its consequent's level and its negative ones strictly below, so
-# every theory drawn here is stratified (positive cycles stay possible).
+# every theory drawn with ``stratified`` set is stratified (positive cycles
+# stay possible). Without it, rule bodies ignore the levels.
 LEVELS = {"blue": 0, "big": 0, "likes": 0, "cold": 1, "kind": 1, "sees": 1, "round": 2, "quiet": 2}
 RELATIONS = {"likes", "sees"}
 
@@ -39,9 +43,10 @@ def antecedent(draw, subject, head_level, positive):
 
 
 @st.composite
-def rule_body(draw):
-    predicate = draw(st.sampled_from(sorted(p for p, lv in LEVELS.items() if lv >= 1)))
-    level = LEVELS[predicate]
+def rule_body(draw, stratified):
+    predicate = draw(st.sampled_from(sorted(
+        p for p, lv in LEVELS.items() if lv >= 1 or not stratified)))
+    level = LEVELS[predicate] if stratified else max(LEVELS.values()) + 1
     subject = draw(st.sampled_from(("someone",) + ENTITIES))
     positives = draw(st.lists(antecedent(subject, level, True), min_size=1, max_size=3))
     negatives = draw(st.lists(antecedent(subject, level, False), max_size=2))
@@ -50,11 +55,11 @@ def rule_body(draw):
 
 
 @st.composite
-def theories(draw):
+def theories(draw, stratified=True):
     ground = st.builds(literal, st.sampled_from(ENTITIES), st.sampled_from(sorted(LEVELS)),
                        st.sampled_from(ENTITIES), st.booleans())
     facts = draw(st.lists(ground, max_size=6, unique=True))
-    bodies = draw(st.lists(rule_body(), min_size=1, max_size=5))
+    bodies = draw(st.lists(rule_body(stratified), min_size=1, max_size=5))
     if draw(st.booleans()):
         facts.append(Literal(LONELY, "big"))
         bodies.append(([Literal("someone", "cold", None, False)], Literal("someone", "round")))
@@ -84,8 +89,8 @@ def derived_atoms(program: GroundProgram, removed=None) -> set:
 @settings(max_examples=150, deadline=None)
 @given(theories())
 def test_program_matches_oracle_on_every_ablation(t):
-    program = GroundProgram(t)
-    assert derived_atoms(program) == oracles.naive_closure(t) == set(closure(t).derived)
+    program = closure(t)
+    assert derived_atoms(program) == oracles.naive_closure(t) == set(program.derived)
     for sentence_id in t.sentence_ids():
         assert derived_atoms(program, sentence_id) == oracles.naive_closure(
             without(t, sentence_id)), sentence_id
@@ -105,10 +110,20 @@ def test_critical_sentences_match_per_question_oracle(t):
 @settings(max_examples=150, deadline=None)
 @given(theories())
 def test_check_proof_accepts_every_emitted_proof(t):
-    c = closure(t)
+    program = closure(t)
     for q in t.questions:
-        for p in prove_literal(t, c, q.literal):
+        for p in prove_literal(program, q.literal):
             assert check_proof(t, q, p), (q.text, p.to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories(stratified=False))
+def test_closure_rejects_exactly_the_negation_cycles(t):
+    if oracles.negation_cycle(t) is not None:
+        with pytest.raises(NonStratifiedTheory):
+            closure(t)
+    else:
+        assert set(closure(t).derived) == oracles.naive_closure(t)
 
 
 def test_lonely_entity_leaves_with_its_fact():
@@ -121,7 +136,7 @@ def test_lonely_entity_leaves_with_its_fact():
                    Literal("someone", "round")),),
         (make_question("Q1", Literal("alan", "round")),),
     )
-    program = GroundProgram(t)
+    program = closure(t)
     assert (LONELY, "round", None) in derived_atoms(program)
     assert (LONELY, "round", None) not in derived_atoms(program, "F1")
     assert derived_atoms(program, "F1") == oracles.naive_closure(without(t, "F1"))

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .proofgraph import ProofGraph, match_proofs, proof_depth
+from .proofgraph import NAF, ProofGraph, match_proofs, proof_depth
 from .theory import Question, Theory
 
 
@@ -42,14 +42,19 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictionRecord":
-        if not isinstance(d["answer"], bool):
-            raise TypeError(f"answer must be a JSON boolean, got {d['answer']!r}")
+        for key in ("theory_id", "question_id"):
+            if not isinstance(d[key], str):
+                raise TypeError(f"{key} must be a string, got {d[key]!r}")
+        relaxed = d.get("connectivity_relaxed", False)
+        for key, value in (("answer", d["answer"]), ("connectivity_relaxed", relaxed)):
+            if not isinstance(value, bool):
+                raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
         return cls(
             d["theory_id"],
             d["question_id"],
             d["answer"],
-            ProofGraph.of(d["nodes"], [tuple(e) for e in d["edges"]]),
-            bool(d.get("connectivity_relaxed", False)),
+            ProofGraph.from_dict(d),
+            relaxed,
         )
 
 
@@ -173,7 +178,7 @@ def aggregate_report(
             raise EvaluationError(f"missing prediction for {key}")
         pred = by_key.pop(key)
         for node in pred.proof.nodes:
-            if node == "NAF":
+            if node == NAF:
                 continue
             try:
                 t.sentence_index(node)

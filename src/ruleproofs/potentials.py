@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .proofgraph import NAF, ProofGraph, node_kind
+from .proofgraph import NAF, ProofGraph, is_connected, node_kind
 from .theory import Question, Theory
 
 MASKED = -100
@@ -152,8 +152,6 @@ def adversarial_potentials(t: Theory, gold: ProofGraph, drop_to: float = 0.4) ->
     an edge are returned unperturbed.
     """
     p = oracle_potentials(t, gold, 0.0, seed=0)
-    from .proofgraph import is_connected
-
     for s, d in gold.canonical_edges():
         remaining = gold.edges - {(s, d)}
         if not is_connected(gold.nodes, remaining):

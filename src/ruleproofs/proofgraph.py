@@ -70,7 +70,16 @@ class ProofGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProofGraph":
-        return cls.of(d["nodes"], [tuple(e) for e in d["edges"]])
+        """Read a ``to_dict`` record; raises TypeError unless ``nodes`` is a
+        list of strings and ``edges`` a list of two-string lists."""
+        nodes, edges = d["nodes"], d["edges"]
+        if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+            raise TypeError(f"nodes must be a list of strings, got {nodes!r}")
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and isinstance(e[1], str) for e in edges):
+            raise TypeError(f"edges must be a list of two-string lists, got {edges!r}")
+        return cls.of(nodes, [tuple(e) for e in edges])
 
 
 def is_connected(nodes: frozenset[str], edges: Iterable[tuple[str, str]]) -> bool:

@@ -32,6 +32,13 @@ Proof conventions, applied in this order for a question literal q:
 * otherwise: failure demonstration showing the concluding rule instance
   with the shallowest failure, derivations of its satisfiable
   antecedents, and a NAF node covering the failing branches.
+
+A proof is checked by firing its rules against what its other nodes
+supply: a fact its literal, and NAF every negative antecedent whose atom
+the program leaves underived, so an antecedent arrives over an edge
+exactly when the edge's source supplies it. The shallowest failure is read
+from a per-program table of failure depths, one relaxation over the
+instances.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .proofgraph import NAF, ProofGraph, validate_structure
 from .theory import Atom, Literal, Question, Theory
@@ -50,7 +57,6 @@ DEFAULT_MAX_PROOFS = 10
 # theories from exploding the proof search. Generated data stays far
 # below it.
 _FRAGMENT_CAP = 256
-_UNREACHABLE = float("inf")
 
 
 class NonStratifiedTheory(ValueError):
@@ -181,6 +187,38 @@ class GroundProgram:
             if len(sole) == 1 and None not in sole:
                 removals.setdefault(next(iter(sole)), set()).add(i)
         return removals
+
+    @cached_property
+    def supplies(self) -> dict[str, frozenset[Literal]]:
+        """What each non-rule node of a proof supplies: a fact its literal,
+        and NAF every negative antecedent whose atom stays underived."""
+        supplies = {f.id: frozenset([f.literal]) for f in self.theory.facts}
+        supplies[NAF] = frozenset(ant for inst in self.instances for ant in inst.antecedents
+                                  if not ant.positive and ant.atom() not in self.derived)
+        return supplies
+
+    @cached_property
+    def failure_depths(self) -> list[float]:
+        """Failure depth per atom id, relaxed until a pass changes nothing:
+        0 for an underived atom that nothing concludes, else that of its
+        shallowest concluder, one deeper than its shallowest failing
+        antecedent (a failing negative one counts as 0). Derived atoms stay
+        infinite."""
+        flags = self.flags
+        concluded = set(self.heads)
+        depths = [float("inf") if flags[a] or a in concluded else 0.0 for a in range(len(flags))]
+        changed = True
+        while changed:
+            changed = False
+            for head, pos, neg in zip(self.heads, self.positives, self.negatives):
+                if flags[head]:
+                    continue
+                depth = 1.0 if any(flags[a] for a in neg) \
+                    else 1.0 + min(depths[a] for a in pos if not flags[a])
+                if depth < depths[head]:
+                    depths[head] = depth
+                    changed = True
+        return depths
 
     def _intern(self, atom: Atom) -> int:
         return self.atom_ids.setdefault(atom, len(self.atom_ids))
@@ -319,25 +357,6 @@ def _fails(program: GroundProgram, ant: Literal) -> bool:
     return (ant.atom() in program.derived) != ant.positive
 
 
-def _atom_failure_depth(program: GroundProgram, atom: Atom, visiting: frozenset[Atom]) -> float:
-    """Failure depth of an underivable atom: 0 when no rule concludes it,
-    else the depth of its shallowest concluding instance."""
-    if atom in visiting:
-        return _UNREACHABLE
-    concluders = program.by_head.get(atom)
-    if not concluders:
-        return 0.0
-    return min(_instance_failure_depth(program, inst, visiting | {atom}) for inst in concluders)
-
-
-def _instance_failure_depth(program: GroundProgram, inst: GroundInstance,
-                            visiting: frozenset[Atom]) -> float:
-    """One level above the shallowest failing antecedent of the instance."""
-    branch_depths = [_atom_failure_depth(program, ant.atom(), visiting) if ant.positive else 0.0
-                     for ant in inst.antecedents if _fails(program, ant)]
-    return 1.0 + min(branch_depths) if branch_depths else _UNREACHABLE
-
-
 def select_failed_instance(program: GroundProgram, atom: Atom):
     """Pick the concluding instance with the shallowest failure for an
     underivable atom; ties break on rule index, then binding. Returns
@@ -345,8 +364,11 @@ def select_failed_instance(program: GroundProgram, atom: Atom):
     concluders = None if atom in program.derived else program.by_head.get(atom)
     if not concluders:
         return None
-    chosen = min(concluders, key=lambda inst: (
-        _instance_failure_depth(program, inst, frozenset([atom])),
+    # most underivable atoms have one concluder; then the failure table
+    # is not needed, and most programs never build it
+    chosen = concluders[0] if len(concluders) == 1 else min(concluders, key=lambda inst: (
+        min(program.failure_depths[program.atom_ids[ant.atom()]] if ant.positive else 0
+            for ant in inst.antecedents if _fails(program, ant)),
         inst.rule_index, inst.binding or ""))
     return chosen, tuple(ant for ant in chosen.antecedents if _fails(program, ant))
 
@@ -356,11 +378,11 @@ def _failed_proof(program: GroundProgram, atom: Atom) -> ProofGraph:
     if selection is None:
         return ProofGraph.of([NAF])
     inst, failing = selection
-    failing_set = set(failing)
-    nodes = {inst.rule_id}
-    edges = set()
+    # an instance concluding an underived atom has a failing antecedent for NAF to cover
+    nodes = {inst.rule_id, NAF}
+    edges = {(NAF, inst.rule_id)}
     for ant in inst.antecedents:
-        if ant in failing_set:
+        if ant in failing:
             continue
         if ant.positive:
             fragment = _minimal_fragments(program, ant.atom())[0]
@@ -369,9 +391,6 @@ def _failed_proof(program: GroundProgram, atom: Atom) -> ProofGraph:
         nodes |= fragment.nodes
         edges |= fragment.edges
         edges.add((fragment.root, inst.rule_id))
-    if failing_set:
-        nodes.add(NAF)
-        edges.add((NAF, inst.rule_id))
     return ProofGraph.of(nodes, edges)
 
 
@@ -425,10 +444,14 @@ def critical_sentences(t: Theory) -> list[set[str]]:
 def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
     """True iff p is the correct derivation (or failure demonstration) for q.
 
-    Rule nodes must have every antecedent supplied over an incoming edge,
-    every edge must carry some antecedent, and the graph must conclude the
-    question's literal (or match the declared failed-proof convention when
-    the statement is established by failure).
+    A derivation must supply the question's atom. A failure demonstration
+    must show the instance ``select_failed_instance`` picks, with an edge
+    from NAF (covering the failing antecedents), each satisfiable
+    antecedent supplied over an edge, and no out-edge, so nothing it fires
+    reaches another node. Either way every edge must carry an antecedent
+    of a fired instance of the rule it enters (for the picked rule, of its
+    satisfiable ones), so a connected graph has no rule node that never
+    fires.
     """
     if validate_structure(p):
         return False
@@ -445,106 +468,50 @@ def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
     if lookup is not None:
         return p.nodes == frozenset([lookup]) and not p.edges
 
+    supplied, needs = _simulate(program, p)
     if atom in program.derived:
-        return _check_derivation(program, atom, p)
-    return _check_failure(program, atom, p)
+        exempt = None
+        if not any(Literal(*atom) in lits for lits in supplied.values()):
+            return False
+    else:
+        selection = select_failed_instance(program, atom)
+        if selection is None:
+            return p.nodes == frozenset([NAF]) and not p.edges
+        inst, failing = selection
+        exempt = (NAF, inst.rule_id)  # an edge needs both ends in p, so the rule node is there
+        if exempt not in p.edges or any(src == inst.rule_id for src, _ in p.edges):
+            return False
+        sources = [src for src, dst in p.edges if dst == inst.rule_id]
+        needs[inst.rule_id] = {ant for ant in inst.antecedents if ant not in failing}
+        if not all(any(ant in supplied[src] for src in sources) for ant in needs[inst.rule_id]):
+            return False
+
+    return all((src, dst) == exempt or any(ant in supplied[src] for ant in needs.get(dst, ()))
+               for src, dst in p.edges)
 
 
-def _simulate(program: GroundProgram, p: ProofGraph,
-              blocked_rules: frozenset[str] = frozenset()):
-    """Fire the proof's rules against its own fact nodes, respecting edges.
-
-    Returns (literals supplied per node, fired instances per rule node) at
-    fixpoint. A rule may fire under several bindings; an antecedent is
-    satisfied when any incoming edge supplies it, with the NAF node
-    standing in for negative antecedents whose atom the full theory
-    cannot derive.
+def _simulate(program: GroundProgram, p: ProofGraph):
+    """Fire the proof's rules against what its nodes supply (see
+    ``GroundProgram.supplies``) until nothing changes. Returns the literals
+    supplied per node and, per fired rule node, the antecedents of its
+    fired instances. A rule may fire under several bindings; an antecedent
+    is satisfied when some incoming edge comes from a node that supplies it.
     """
-    fact_map = program.theory.fact_map()
-    supplied: dict[str, set[Literal]] = {
-        node: ({fact_map[node].literal} if node in fact_map else set()) for node in p.nodes
-    }
+    supplied = {node: set(program.supplies.get(node, ())) for node in p.nodes}
     incoming: dict[str, list[str]] = {n: [] for n in p.nodes}
     for s, d in p.edges:
         incoming[d].append(s)
 
-    fired: dict[str, list[GroundInstance]] = {}
+    needs: dict[str, set[Literal]] = {}
     changed = True
     while changed:
         changed = False
         for node in p.nodes:
-            if node in blocked_rules:
-                continue
             for inst in program.by_rule.get(node, ()):
                 if inst.consequent in supplied[node]:
                     continue
-                if all(_ant_supported(a, incoming[node], supplied, program)
-                       for a in inst.antecedents):
+                if all(any(a in supplied[s] for s in incoming[node]) for a in inst.antecedents):
                     supplied[node].add(inst.consequent)
-                    fired.setdefault(node, []).append(inst)
+                    needs.setdefault(node, set()).update(inst.antecedents)
                     changed = True
-    return supplied, fired
-
-
-def _ant_supported(ant: Literal, sources: list[str],
-                   supplied: dict[str, set[Literal]], program: GroundProgram) -> bool:
-    if any(src != NAF and ant in supplied[src] for src in sources):
-        return True
-    return not ant.positive and NAF in sources and ant.atom() not in program.derived
-
-
-def _edge_carries(src: str, ants: Iterable[Literal],
-                  supplied: dict[str, set[Literal]], program: GroundProgram) -> bool:
-    """Whether the source node supplies at least one of these antecedents."""
-    if src == NAF:
-        return any(not a.positive and a.atom() not in program.derived for a in ants)
-    return any(a in supplied[src] for a in ants)
-
-
-def _used_edges(p: ProofGraph, supplied, fired, program: GroundProgram) -> set[tuple[str, str]]:
-    return {(src, dst) for src, dst in p.edges if any(
-        _edge_carries(src, inst.antecedents, supplied, program) for inst in fired.get(dst, ()))}
-
-
-def _check_derivation(program: GroundProgram, atom: Atom, p: ProofGraph) -> bool:
-    supplied, fired = _simulate(program, p)
-    goal = Literal(*atom)
-    if not any(goal in lits for lits in supplied.values()):
-        return False
-    rule_map = program.theory.rule_map()
-    if any(node in rule_map and node not in fired for node in p.nodes):
-        return False
-    return _used_edges(p, supplied, fired, program) == set(p.edges)
-
-
-def _check_failure(program: GroundProgram, atom: Atom, p: ProofGraph) -> bool:
-    selection = select_failed_instance(program, atom)
-    if selection is None:
-        return p.nodes == frozenset([NAF]) and not p.edges
-    inst, failing = selection
-    if inst.rule_id not in p.nodes:
-        return False
-    if any(src == inst.rule_id for src, _ in p.edges):
-        return False
-
-    failing_set = set(failing)
-    satisfiable = [ant for ant in inst.antecedents if ant not in failing_set]
-    supplied, fired = _simulate(program, p, blocked_rules=frozenset([inst.rule_id]))
-    incoming = [src for src, dst in p.edges if dst == inst.rule_id]
-
-    if not all(_ant_supported(a, incoming, supplied, program) for a in satisfiable):
-        return False
-    if (NAF, inst.rule_id) not in p.edges:
-        return False
-
-    used = _used_edges(p, supplied, fired, program)
-    used.add((NAF, inst.rule_id))
-    for src in incoming:
-        if src != NAF and _edge_carries(src, satisfiable, supplied, program):
-            used.add((src, inst.rule_id))
-
-    rule_map = program.theory.rule_map()
-    if any(node in rule_map and node != inst.rule_id and node not in fired
-           for node in p.nodes):
-        return False
-    return used == set(p.edges)
+    return supplied, needs

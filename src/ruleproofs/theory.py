@@ -278,100 +278,100 @@ def render_sentence(item: Union[Fact, Rule, Question]) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _check_token(token: str, role: str, line: Optional[int], column: Optional[int]) -> str:
+def _check_token(token: str, role: str, line: Optional[int]) -> str:
     lowered = token.lower()
     if not token.isalpha():
-        raise TheoryParseError(f"{role} token {token!r} is not alphabetic", line, column)
+        raise TheoryParseError(f"{role} token {token!r} is not alphabetic", line)
     if lowered in RESERVED_TOKENS:
-        raise TheoryParseError(f"{role} token {token!r} is a reserved word", line, column)
+        raise TheoryParseError(f"{role} token {token!r} is a reserved word", line)
     return lowered
 
 
-def _entity_token(token: str, line: Optional[int], column: Optional[int]) -> str:
+def _entity_token(token: str, line: Optional[int]) -> str:
     if not token[:1].isupper():
-        raise TheoryParseError(f"entity token {token!r} must be capitalized", line, column)
-    return _check_token(token, "entity", line, column)
+        raise TheoryParseError(f"entity token {token!r} must be capitalized", line)
+    return _check_token(token, "entity", line)
 
 
-def _predicate_token(token: str, line: Optional[int], column: Optional[int]) -> str:
+def _predicate_token(token: str, line: Optional[int]) -> str:
     if not token[:1].islower():
-        raise TheoryParseError(f"predicate token {token!r} must be lower-case", line, column)
-    return _check_token(token, "predicate", line, column)
+        raise TheoryParseError(f"predicate token {token!r} must be lower-case", line)
+    return _check_token(token, "predicate", line)
 
 
-def _verb_token(token: str, line: Optional[int], column: Optional[int]) -> str:
-    verb = _predicate_token(token, line, column)
+def _verb_token(token: str, line: Optional[int]) -> str:
+    verb = _predicate_token(token, line)
     if verb.endswith("s"):
-        raise TheoryParseError(f"relation verb {token!r} must be in base form", line, column)
+        raise TheoryParseError(f"relation verb {token!r} must be in base form", line)
     return verb
 
 
-def _base_verb(token: str, line: Optional[int], column: Optional[int]) -> str:
+def _base_verb(token: str, line: Optional[int]) -> str:
     if not token.endswith("s") or len(token) < 2:
-        raise TheoryParseError(f"expected a third-person verb, got {token!r}", line, column)
-    return _verb_token(token[:-1], line, column)
+        raise TheoryParseError(f"expected a third-person verb, got {token!r}", line)
+    return _verb_token(token[:-1], line)
 
 
-def _parse_ground_clause(tokens: list[str], line=None, column=None) -> Literal:
+def _parse_ground_clause(tokens: list[str], line=None) -> Literal:
     if len(tokens) == 3 and tokens[1] == "is":
-        return Literal(_entity_token(tokens[0], line, column),
-                       _predicate_token(tokens[2], line, column))
+        return Literal(_entity_token(tokens[0], line),
+                       _predicate_token(tokens[2], line))
     if len(tokens) == 4 and tokens[1] == "is" and tokens[2] == "not":
-        return Literal(_entity_token(tokens[0], line, column),
-                       _predicate_token(tokens[3], line, column), positive=False)
+        return Literal(_entity_token(tokens[0], line),
+                       _predicate_token(tokens[3], line), positive=False)
     if len(tokens) == 3:
-        return Literal(_entity_token(tokens[0], line, column),
-                       _base_verb(tokens[1], line, column),
-                       _entity_token(tokens[2], line, column))
+        return Literal(_entity_token(tokens[0], line),
+                       _base_verb(tokens[1], line),
+                       _entity_token(tokens[2], line))
     if len(tokens) == 5 and tokens[1] == "does" and tokens[2] == "not":
-        return Literal(_entity_token(tokens[0], line, column),
-                       _verb_token(tokens[3], line, column),
-                       _entity_token(tokens[4], line, column), positive=False)
-    raise TheoryParseError(f"cannot parse clause {' '.join(tokens)!r}", line, column)
+        return Literal(_entity_token(tokens[0], line),
+                       _verb_token(tokens[3], line),
+                       _entity_token(tokens[4], line), positive=False)
+    raise TheoryParseError(f"cannot parse clause {' '.join(tokens)!r}", line)
 
 
-def _parse_variable_antecedent(tokens: list[str], variable: str, line=None, column=None) -> Literal:
+def _parse_variable_antecedent(tokens: list[str], variable: str, line=None) -> Literal:
     if tokens[:1] == ["is"]:
         if len(tokens) == 2:
-            return Literal(variable, _predicate_token(tokens[1], line, column))
+            return Literal(variable, _predicate_token(tokens[1], line))
         if len(tokens) == 3 and tokens[1] == "not":
-            return Literal(variable, _predicate_token(tokens[2], line, column), positive=False)
+            return Literal(variable, _predicate_token(tokens[2], line), positive=False)
     if len(tokens) == 1:
-        return Literal(variable, _predicate_token(tokens[0], line, column))
+        return Literal(variable, _predicate_token(tokens[0], line))
     if len(tokens) == 2 and tokens[0] == "not":
-        return Literal(variable, _predicate_token(tokens[1], line, column), positive=False)
+        return Literal(variable, _predicate_token(tokens[1], line), positive=False)
     if len(tokens) == 2:
-        return Literal(variable, _base_verb(tokens[0], line, column),
-                       _entity_token(tokens[1], line, column))
+        return Literal(variable, _base_verb(tokens[0], line),
+                       _entity_token(tokens[1], line))
     if len(tokens) == 4 and tokens[0] == "does" and tokens[1] == "not":
-        return Literal(variable, _verb_token(tokens[2], line, column),
-                       _entity_token(tokens[3], line, column), positive=False)
-    raise TheoryParseError(f"cannot parse condition {' '.join(tokens)!r}", line, column)
+        return Literal(variable, _verb_token(tokens[2], line),
+                       _entity_token(tokens[3], line), positive=False)
+    raise TheoryParseError(f"cannot parse condition {' '.join(tokens)!r}", line)
 
 
-def _parse_variable_consequent(tokens: list[str], variable: str, line=None, column=None) -> Literal:
+def _parse_variable_consequent(tokens: list[str], variable: str, line=None) -> Literal:
     pronoun = VARIABLE_PRONOUNS[variable]
     if not tokens or tokens[0] != pronoun:
         raise TheoryParseError(
-            f"consequent must start with {pronoun!r} for variable {variable!r}", line, column)
+            f"consequent must start with {pronoun!r} for variable {variable!r}", line)
     rest = tokens[1:]
     copula = "are" if pronoun == "they" else "is"
     if rest[:1] == [copula]:
         if len(rest) == 2:
-            return Literal(variable, _predicate_token(rest[1], line, column))
+            return Literal(variable, _predicate_token(rest[1], line))
         if len(rest) == 3 and rest[1] == "not":
-            return Literal(variable, _predicate_token(rest[2], line, column), positive=False)
+            return Literal(variable, _predicate_token(rest[2], line), positive=False)
     negator = "do" if pronoun == "they" else "does"
     if len(rest) == 4 and rest[0] == negator and rest[1] == "not":
-        return Literal(variable, _verb_token(rest[2], line, column),
-                       _entity_token(rest[3], line, column), positive=False)
+        return Literal(variable, _verb_token(rest[2], line),
+                       _entity_token(rest[3], line), positive=False)
     if len(rest) == 2:
         if pronoun == "they":
-            return Literal(variable, _verb_token(rest[0], line, column),
-                           _entity_token(rest[1], line, column))
-        return Literal(variable, _base_verb(rest[0], line, column),
-                       _entity_token(rest[1], line, column))
-    raise TheoryParseError(f"cannot parse consequent {' '.join(tokens)!r}", line, column)
+            return Literal(variable, _verb_token(rest[0], line),
+                           _entity_token(rest[1], line))
+        return Literal(variable, _base_verb(rest[0], line),
+                       _entity_token(rest[1], line))
+    raise TheoryParseError(f"cannot parse consequent {' '.join(tokens)!r}", line)
 
 
 def _strip_period(text: str, line=None) -> str:

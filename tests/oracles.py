@@ -3,7 +3,8 @@
 Nothing here shares code with the library's own algorithms: the closure
 oracle runs an alternating fixpoint with naive whole-program passes, the
 stratification oracle searches the ground dependency graph for a negative
-edge inside a cycle, the decode oracle enumerates every edge assignment,
+edge inside a cycle, the failure-selection oracle recurses over paths that
+never revisit an atom, the decode oracle enumerates every edge assignment,
 and the depth oracle enumerates every simple path.
 """
 
@@ -30,13 +31,15 @@ def _entities(t: Theory) -> list[str]:
 
 
 def _instances(t: Theory):
+    """(rule index, binding, antecedents, consequent) for every ground instance."""
     out = []
-    for r in t.rules:
+    for index, r in enumerate(t.rules):
         if r.variable() is None:
-            out.append((tuple(r.antecedents), r.consequent))
+            out.append((index, None, tuple(r.antecedents), r.consequent))
         else:
             for e in _entities(t):
-                out.append((tuple(a.bind(e) for a in r.antecedents), r.consequent.bind(e)))
+                out.append((index, e, tuple(a.bind(e) for a in r.antecedents),
+                            r.consequent.bind(e)))
     return out
 
 
@@ -54,7 +57,7 @@ def naive_closure(t: Theory) -> set:
         derived = set(base)
         while True:
             added = False
-            for antecedents, consequent in instances:
+            for _index, _binding, antecedents, consequent in instances:
                 if consequent.atom() in derived:
                     continue
                 ok = True
@@ -85,7 +88,7 @@ def negation_cycle(t: Theory):
     theory is stratified."""
     successors: dict = {}
     negative = []
-    for antecedents, consequent in _instances(t):
+    for _index, _binding, antecedents, consequent in _instances(t):
         for ant in antecedents:
             successors.setdefault(ant.atom(), set()).add(consequent.atom())
             if not ant.positive:
@@ -101,6 +104,43 @@ def negation_cycle(t: Theory):
         if atom in reached:
             return atom, head
     return None
+
+
+def naive_failed_instance(t: Theory, atom):
+    """The concluding instance with the shallowest failure for an
+    underivable atom, as (rule index, binding, failing antecedents), or
+    None when the atom is derivable or nothing concludes it.
+
+    Failure depth is recursive over paths: 0 for an atom nothing
+    concludes, an instance one deeper than its shallowest failing
+    antecedent (0 for a failing negative one), an atom the depth of its
+    shallowest concluder, and no path may revisit an atom. Ties break on
+    rule index, then binding.
+    """
+    instances = _instances(t)
+    derived = naive_closure(t)
+
+    def failing(antecedents):
+        return tuple(a for a in antecedents if (a.atom() in derived) != a.positive)
+
+    def atom_depth(a, visiting):
+        if a in visiting:
+            return float("inf")
+        concluders = [inst for inst in instances if inst[3].atom() == a]
+        if not concluders:
+            return 0
+        return min(instance_depth(inst, visiting | {a}) for inst in concluders)
+
+    def instance_depth(inst, visiting):
+        branches = [atom_depth(a.atom(), visiting) if a.positive else 0 for a in failing(inst[2])]
+        return 1 + min(branches) if branches else float("inf")
+
+    concluders = [inst for inst in instances if inst[3].atom() == atom]
+    if atom in derived or not concluders:
+        return None
+    index, binding, antecedents, _ = min(concluders, key=lambda inst: (
+        instance_depth(inst, frozenset([atom])), inst[0], inst[1] or ""))
+    return index, binding, failing(antecedents)
 
 
 def naive_answer(t: Theory, lit: Literal) -> bool:

@@ -96,6 +96,29 @@ class TestExitCodes:
             "nodes": ["F1"], "edges": []}) + "\n")
         assert run_command(["eval", "--theories", str(test_file), str(preds)]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("nodes", [1]),
+        ("nodes", "F1"),
+        ("edges", [["F1", "R1", "R2"]]),
+        ("question_id", ["Q1"]),
+        ("connectivity_relaxed", "false"),
+    ], ids=["int_node", "string_nodes", "three_element_edge", "list_question_id",
+            "string_relaxed"])
+    def test_malformed_prediction_is_a_data_error(self, workspace, tmp_path, capsys,
+                                                  field, value):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        theory = json.loads(test_file.read_text().splitlines()[0])
+        good = {"theory_id": theory["id"], "question_id": theory["questions"][0]["id"],
+                "answer": True, "nodes": ["F1"], "edges": []}
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        capsys.readouterr()
+        code = run_command(["eval", "--theories", str(test_file), str(preds)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad prediction record on line 2" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
                                       "duplicate"])
     def test_malformed_potentials_are_data_errors(self, workspace, tmp_path, capsys, case):

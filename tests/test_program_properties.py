@@ -18,6 +18,7 @@ from ruleproofs.reasoner import (
     closure,
     critical_sentences,
     prove_literal,
+    select_failed_instance,
 )
 from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule
 
@@ -114,6 +115,15 @@ def test_check_proof_accepts_every_emitted_proof(t):
     for q in t.questions:
         for p in prove_literal(program, q.literal):
             assert check_proof(t, q, p), (q.text, p.to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(theories())
+def test_failed_instance_matches_path_oracle(t):
+    program = closure(t)
+    for atom in set(program.by_head) - program.derived:
+        inst, failing = select_failed_instance(program, atom)
+        assert (inst.rule_index, inst.binding, failing) == oracles.naive_failed_instance(t, atom)
 
 
 @settings(max_examples=300, deadline=None)

@@ -215,6 +215,35 @@ class TestProve:
         proofs = prove(t, t.questions[0])
         assert proofs == [ProofGraph.of(["R2", "NAF"], [("NAF", "R2")])]
 
+    def test_failing_negation_counts_as_depth_zero(self):
+        # green fails through "not blue" (depth 1), kind through round, which
+        # nothing concludes (depth 1): R1 and R2 tie, and R1 comes first
+        t = theory_of(
+            [Literal("alan", "blue")],
+            [([Literal("someone", "green")], Literal("someone", "young")),
+             ([Literal("someone", "kind")], Literal("someone", "young")),
+             ([Literal("someone", "blue", None, False)], Literal("someone", "green")),
+             ([Literal("someone", "round")], Literal("someone", "kind"))],
+            [Literal("alan", "young")],
+        )
+        assert prove(t, t.questions[0]) == [ProofGraph.of(["R1", "NAF"], [("NAF", "R1")])]
+
+    def test_failure_depth_settles_chains_listed_backwards(self):
+        # green fails at depth 2 through R3 <- R4, listed before the rule it
+        # reads; kind fails at depth 3 through R5 -> R6 -> R7
+        t = theory_of(
+            [Literal("alan", "blue")],
+            [([Literal("someone", "green")], Literal("someone", "young")),
+             ([Literal("someone", "kind")], Literal("someone", "young")),
+             ([Literal("someone", "cold")], Literal("someone", "green")),
+             ([Literal("someone", "round")], Literal("someone", "cold")),
+             ([Literal("someone", "quiet")], Literal("someone", "big")),
+             ([Literal("someone", "big")], Literal("someone", "rough")),
+             ([Literal("someone", "rough")], Literal("someone", "kind"))],
+            [Literal("alan", "young")],
+        )
+        assert prove(t, t.questions[0]) == [ProofGraph.of(["R1", "NAF"], [("NAF", "R1")])]
+
     def test_failed_proof_keeps_satisfiable_branch(self):
         t = theory_of(
             [Literal("alan", "blue")],
@@ -275,6 +304,76 @@ class TestProve:
             [Literal("alan", "young")],
         )
         assert len(prove(t, t.questions[0], max_proofs=1)) == 1
+
+
+class TestCheckFailureDemonstration:
+    """Each rejection of a failure demonstration, on a graph that passes
+    every other test of ``check_proof``."""
+
+    def _theory(self):
+        # "alan is young" fails: R2 needs green (derived by R1 from F1) and
+        # big (concluded by nothing); R3 cannot fire either.
+        return theory_of(
+            [Literal("alan", "blue"), Literal("alan", "cold")],
+            [([Literal("someone", "blue")], Literal("someone", "green")),
+             ([Literal("someone", "green"), Literal("someone", "big")],
+              Literal("someone", "young")),
+             ([Literal("someone", "cold"), Literal("someone", "round")],
+              Literal("someone", "kind"))],
+            [Literal("alan", "young"), Literal("alan", "quiet")],
+        )
+
+    def _check(self, t, nodes, edges, question=0):
+        return check_proof(t, t.questions[question], ProofGraph.of(nodes, edges))
+
+    def test_gold_demonstration_accepted(self):
+        t = self._theory()
+        gold = ProofGraph.of(["F1", "R1", "R2", "NAF"], [("F1", "R1"), ("R1", "R2"), ("NAF", "R2")])
+        assert prove(t, t.questions[0]) == [gold]
+        assert check_proof(t, t.questions[0], gold)
+
+    def test_selected_rule_node_missing(self):
+        # R1 has no satisfiable antecedent, so a bare NAF would pass every other test
+        t = theory_of([Literal("alan", "blue")],
+                      [([Literal("someone", "big")], Literal("someone", "young"))],
+                      [Literal("alan", "young")])
+        assert self._check(t, ["R1", "NAF"], [("NAF", "R1")])
+        assert not self._check(t, ["NAF"], [])
+
+    def test_edge_leaving_selected_rule(self):
+        # R1 mixes a ground antecedent into a variable rule: its instance for
+        # bob fires and feeds R2, while the one for alan, the selected
+        # instance, fails on "alan is big"
+        t = theory_of([Literal("bob", "big")],
+                      [([Literal("someone", "big"), Literal("bob", "big")],
+                        Literal("someone", "young")),
+                       ([Literal("bob", "young")], Literal("bob", "happy"))],
+                      [Literal("alan", "young")])
+        assert self._check(t, ["F1", "R1", "NAF"], [("F1", "R1"), ("NAF", "R1")])
+        assert not self._check(t, ["F1", "R1", "R2", "NAF"],
+                               [("F1", "R1"), ("NAF", "R1"), ("R1", "R2")])
+
+    def test_naf_edge_missing(self):
+        assert not self._check(self._theory(), ["F1", "R1", "R2"], [("F1", "R1"), ("R1", "R2")])
+
+    def test_satisfiable_antecedent_not_supplied(self):
+        assert not self._check(self._theory(), ["R2", "NAF"], [("NAF", "R2")])
+
+    def test_edge_into_selected_rule_carries_nothing(self):
+        assert not self._check(self._theory(), ["F1", "F2", "R1", "R2", "NAF"],
+                               [("F1", "R1"), ("R1", "R2"), ("NAF", "R2"), ("F2", "R2")])
+
+    def test_other_rule_node_never_fires(self):
+        # R3 gets "alan is cold" from F2 but never "alan is round"
+        assert not self._check(self._theory(), ["F1", "F2", "R1", "R2", "R3", "NAF"],
+                               [("F1", "R1"), ("R1", "R2"), ("NAF", "R2"), ("F2", "R3"),
+                                ("R3", "R2")])
+
+    def test_extra_nodes_next_to_bare_naf(self):
+        # nothing concludes "alan is quiet"
+        t = self._theory()
+        assert self._check(t, ["NAF"], [], question=1)
+        assert not self._check(t, ["F1", "R1", "NAF"], [("F1", "R1"), ("NAF", "R1")], question=1)
 
 
 class TestProofDepth:

@@ -186,6 +186,17 @@ class TestParseTheory:
         with pytest.raises(TheoryParseError, match="F1"):
             parse_theory(json.dumps(record))
 
+    @pytest.mark.parametrize("field, value", [
+        ("nodes", [1]), ("nodes", "F1"), ("edges", [["F1", "R1", "R2"]]),
+    ], ids=["int_node", "string_nodes", "three_element_edge"])
+    def test_malformed_gold_proof_is_a_parse_error(self, field, value):
+        record = theory_to_record(small_theory())
+        record["questions"][0]["proofs"] = [{"nodes": ["F1", "R1"], "edges": [["F1", "R1"]]}]
+        assert parse_theory(json.dumps(record)).questions[0].gold_proofs
+        record["questions"][0]["proofs"][0][field] = value
+        with pytest.raises(TheoryParseError, match=field):
+            parse_theory(json.dumps(record))
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_theory("x", format="yaml")

@@ -5,9 +5,16 @@ feeds a cascade of rules, one per depth level, optionally widened with
 supporting facts, relation steps, and negative antecedents. Distractor
 sentences that never touch the chain pad the theory out, and questions
 are drawn from a candidate pool so that every depth from 0 to the
-configured maximum is covered and answers stay balanced. Everything the
-generator claims (answers, proofs, depths) is recomputed from scratch
-through the reasoner before a theory is emitted.
+configured maximum is covered and answers stay balanced. Answers, proofs
+and depths come from the reasoner, run on the assembled theory.
+
+Drafts are valid by construction. Negative antecedents and negative facts
+use only attributes that no rule concludes, so every theory is stratified
+and no negative fact contradicts a derivation; fact and rule counts stay
+within the config's ranges, whose sum the config caps at the context
+limit. A draft is redrafted only when it has too few facts or rules or
+its questions cannot cover every depth at the answer balance. The
+finished theory is validated once, and a violation is an internal error.
 """
 
 from __future__ import annotations
@@ -166,7 +173,8 @@ class GenConfig:
 
 
 class GenerationError(RuntimeError):
-    """Retry budget exhausted; the configuration is likely infeasible."""
+    """Every draft was too small or admitted no question set covering each
+    depth at the answer balance; the configuration is likely infeasible."""
 
 
 _MAX_ATTEMPTS = 60
@@ -184,7 +192,7 @@ class _Draft:
         return True
 
 
-def _chain_atoms(rng, cfg: GenConfig, profile, entities, chain_attrs, relations):
+def _chain_atoms(rng, cfg: GenConfig, entities, chain_attrs, relations):
     """Ground chain literals for depths 0..D; level 0 is always an attribute."""
     e0 = entities[0]
     atoms = [Literal(e0, chain_attrs[0])]
@@ -230,7 +238,7 @@ def _build_draft(rng, cfg: GenConfig, profile: VocabularyProfile):
                                cfg.rules_per_theory[1] + 1))
 
     draft = _Draft()
-    chain = _chain_atoms(rng, cfg, profile, entities, chain_attrs, chain_relations)
+    chain = _chain_atoms(rng, cfg, entities, chain_attrs, chain_relations)
     draft.add_fact(chain[0])
 
     support_budget = n_facts - 1
@@ -264,7 +272,8 @@ def _build_draft(rng, cfg: GenConfig, profile: VocabularyProfile):
 
     # a second, shorter derivation of one chain atom makes questions at
     # that level and above carry multiple gold proofs
-    if depth >= 1 and spare_misc and support_budget > 0 and rng.random() < 0.4:
+    if depth >= 1 and len(draft.rules) < cfg.rules_per_theory[1] \
+            and spare_misc and support_budget > 0 and rng.random() < 0.4:
         twin_attr = spare_misc[-1]
         level = int(rng.integers(1, depth + 1))
         if draft.add_fact(Literal(e0, twin_attr)):
@@ -426,7 +435,11 @@ def _pick_questions(rng, cfg: GenConfig, index: int, pool: dict) -> Optional[lis
 
 
 def generate_theory(cfg: GenConfig, index: int) -> Theory:
-    """One deterministic theory with fully annotated questions."""
+    """One deterministic theory with fully annotated questions.
+
+    Attempt ``a`` drafts from its own rng, seeded ``[seed, index, a]``, so
+    a rejected draft changes no other attempt.
+    """
     cfg.validate()
     profile = PROFILES[cfg.profile]
     for attempt in range(_MAX_ATTEMPTS):
@@ -436,15 +449,7 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
                 or len(draft.rules) < cfg.rules_per_theory[0]:
             continue
         theory = _assemble(rng, draft, f"T{index:05d}")
-        if validate_theory(theory):
-            continue
-        try:
-            program = reasoner.closure(theory)
-        except reasoner.NonStratifiedTheory:
-            continue
-        if any(f.literal.atom() in program.derived for f in theory.facts
-               if not f.literal.positive):
-            continue
+        program = reasoner.closure(theory)
 
         pool: dict[tuple[int, bool], list] = {}
         for lit in _candidate_literals(theory, context, cfg.negation_rate > 0):
@@ -467,8 +472,11 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
             for i, (lit, answer, proofs, depth) in enumerate(chosen)
         )
         theory = Theory(theory.id, theory.facts, theory.rules, questions)
-        if not validate_theory(theory):
-            return theory
+        violations = validate_theory(theory)
+        if violations:  # an explicit raise, so python -O keeps the check
+            raise AssertionError(
+                f"generated theory {theory.id} is invalid: " + "; ".join(violations))
+        return theory
     raise GenerationError(
         f"could not generate theory {index} after {_MAX_ATTEMPTS} attempts")
 

@@ -11,7 +11,7 @@ in id order, then one trailing slot for the NAF node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -164,18 +164,6 @@ def adversarial_potentials(t: Theory, gold: ProofGraph, drop_to: float = 0.4) ->
 # Lexical edge features and the logistic scorer
 # ---------------------------------------------------------------------------
 
-FEATURE_NAMES = (
-    "unigram_jaccard",
-    "bigram_jaccard",
-    "normalized_length_difference",
-    "source_has_negation",
-    "target_has_negation",
-    "fact_to_rule",
-    "rule_to_rule",
-    "naf_to_rule",
-)
-
-
 @dataclass(frozen=True)
 class FeatureVector:
     unigram_jaccard: float
@@ -188,18 +176,10 @@ class FeatureVector:
     naf_to_rule: bool
 
     def to_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.unigram_jaccard,
-                self.bigram_jaccard,
-                self.normalized_length_difference,
-                float(self.source_has_negation),
-                float(self.target_has_negation),
-                float(self.fact_to_rule),
-                float(self.rule_to_rule),
-                float(self.naf_to_rule),
-            ]
-        )
+        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def _tokens(text: str) -> list[str]:

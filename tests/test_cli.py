@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ruleproofs import datagen
 from ruleproofs.cli import run_command
 from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule, write_theories
 
@@ -80,6 +81,25 @@ class TestExitCodes:
         assert code == 2
         assert message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_invalid_generated_theory_is_an_internal_error(self, workspace, tmp_path,
+                                                           capsys, monkeypatch):
+        build_draft = datagen._build_draft
+
+        def duplicated_fact(rng, cfg, profile):
+            draft, context = build_draft(rng, cfg, profile)
+            draft.facts.append(draft.facts[0])
+            return draft, context
+
+        monkeypatch.setattr(datagen, "_build_draft", duplicated_fact)
+        out = tmp_path / "data"
+        code = run_command(["generate", "--config", str(workspace / "config.json"),
+                            "--seed", "7", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal error: generated theory T00000 is invalid" in err
+        assert "duplicate of F" in err
         assert not out.exists()
 
     def test_data_error_is_two(self, workspace, tmp_path):

@@ -1,17 +1,21 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ruleproofs import reasoner
+from ruleproofs.cli import run_command
 from ruleproofs.datagen import (
     GenConfig,
+    GenerationError,
     PROFILES,
     generate_dataset,
     generate_theory,
 )
 from ruleproofs.proofgraph import proof_depth, validate_structure
-from ruleproofs.theory import theory_to_record, validate_theory
+from ruleproofs.theory import MAX_CONTEXT_SENTENCES, theory_to_record, validate_theory
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +136,103 @@ class TestGenerateTheory:
             assert validate_theory(t) == []
             variable = PROFILES[profile].variable
             assert any(variable in r.text for r in t.rules) or not t.rules
+
+
+@st.composite
+def gen_configs(draw):
+    """Valid configs. Half have rules_per_theory[1] == max_depth and, drawn
+    apart from that, half reach the 25-sentence limit."""
+    depth = draw(st.integers(0, 5))
+    rules_hi = depth if draw(st.booleans()) else draw(st.integers(depth, 12))
+    room = MAX_CONTEXT_SENTENCES - rules_hi
+    facts_hi = room if draw(st.booleans()) else draw(st.integers(1, room))
+    return GenConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        num_theories=1,
+        facts_per_theory=(draw(st.integers(1, facts_hi)), facts_hi),
+        rules_per_theory=(draw(st.integers(0, rules_hi)), rules_hi),
+        max_depth=depth,
+        negation_rate=draw(st.sampled_from((0.0, 0.3, 1.0)) | st.floats(0.0, 1.0)),
+        questions_per_theory=draw(st.integers(depth + 1, 12)),
+        profile=draw(st.sampled_from(sorted(PROFILES))),
+        answer_balance=draw(st.floats(0.3, 0.7)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen_configs(), st.integers(0, 99))
+def test_generated_theories_keep_their_invariants(cfg, index):
+    try:
+        t = generate_theory(cfg, index)
+    except GenerationError:
+        return
+    assert validate_theory(t) == []
+    assert cfg.facts_per_theory[0] <= len(t.facts) <= cfg.facts_per_theory[1]
+    assert cfg.rules_per_theory[0] <= len(t.rules) <= cfg.rules_per_theory[1]
+    program = reasoner.closure(t)
+    assert not any(f.literal.atom() in program.derived for f in t.facts if not f.literal.positive)
+    heads = {r.consequent.predicate for r in t.rules}
+    assert not any(not a.positive and a.predicate in heads for r in t.rules for a in r.antecedents)
+
+
+def test_twin_rule_keeps_the_rule_bound():
+    # with rules_per_theory[1] == max_depth, the second derivation of a
+    # chain atom used to give these theories a fourth rule
+    cfg = GenConfig(seed=0, num_theories=1, rules_per_theory=(3, 3), max_depth=3)
+    assert [len(generate_theory(cfg, i).rules) for i in (0, 8, 10)] == [3, 3, 3]
+
+
+# sha256 of every file ``generate`` writes for configs/<name>.json at seed 0
+GENERATED_SHA256 = {
+    "circuits_shift": {
+        "dev.theories.jsonl":
+            "15ea01dc8778914184e89e20a47b99a5464179dbb12368da016f83c5ec03726d",
+        "manifest.json":
+            "e0b902f8dc74c35f4029c7df2f1190990e8f8f31183c71345ea7cce17382bf07",
+        "test.theories.jsonl":
+            "1ae58c36626faeec7b79f863dad2b896dd3117234e3f15a95f7c0b851be0a273",
+        "train.theories.jsonl":
+            "39c5dd207a4a6a2fc7cbdd9cc303f6c83e2707be51e693563f73ebd7368dd0e2",
+    },
+    "du0": {
+        "dev.theories.jsonl":
+            "76c8e750cb2796c1c0dcb0337278d311f07fd26730eb72e731a71cf7b67fb11d",
+        "manifest.json":
+            "c7709db1cc157819375ef62093f7cbb51e6f6ef7366ab6c9f420ada5afa96278",
+        "test.theories.jsonl":
+            "79ae4b75afceec0c46b1a9cafd9755f9652b31a90b1c61e5d5420bf60fa22b6f",
+        "train.theories.jsonl":
+            "8664495577f9c45b2ac779b2cd4b0d5a38833df8e86496c7cba16c3daf50c8b7",
+    },
+    "du3": {
+        "dev.theories.jsonl":
+            "526e8de23d8aee12044eb865c3ad5474bc77bae3ae58f04f891a03f75f71eb93",
+        "manifest.json":
+            "04ee72f0fb3e48967477c63c18e152fd9dd309f668242a6130316642ca3bdc4c",
+        "test.theories.jsonl":
+            "d76e8c65457d932b65deb9e1740b5f3bcf66ff1284d3162be1622cb4801690e5",
+        "train.theories.jsonl":
+            "7d4a208bca3e68060681ec78a1e227234447bf25e800fc44c36e0f2a77e40af6",
+    },
+    "du5": {
+        "dev.theories.jsonl":
+            "1ca3c7aa8ea43ad0973bab573b9b4bd770f7c0e86cc3bf9b2d8adca3b3769f4c",
+        "manifest.json":
+            "a78901bceebf06a4a3d6a04c021914d0a7c5b16c13fb4c961aeae9cb13dd3ac0",
+        "test.theories.jsonl":
+            "77a7bd7c699906ae59455e484dfa05261134ff0dd075350e54b17695d366fa5f",
+        "train.theories.jsonl":
+            "07fcd478dc2b2f2337845aafea4361138fedf61422bf7c46f290efa0c7902653",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in ROOT.glob("configs/*.json")))
+def test_generated_bytes_are_pinned(name, tmp_path):
+    assert run_command(["generate", "--config", str(ROOT / "configs" / f"{name}.json"),
+                        "--seed", "0", "-o", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == GENERATED_SHA256[name]
 
 
 class TestGenerateDataset:

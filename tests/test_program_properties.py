@@ -3,7 +3,8 @@ generator never builds: ground rules with negation, multi-antecedent
 variable rules over three or more entities, relations, contradictory
 negative facts, an unvalidated variable rule with only negative
 antecedents whose entity is mentioned by a single fact, and rules that
-may form cycles through negation."""
+may form cycles through negation. Failure selection also runs on layered
+chains, where failure depth decides between an atom's concluders."""
 
 from dataclasses import replace
 
@@ -77,6 +78,34 @@ def theories(draw, stratified=True):
     )
 
 
+# Levels of one entity's attributes: "blue" is stated, "big" is not, and
+# each level above is concluded by two or three rules, each reading one of
+# the two levels below it and perhaps negating a lower one. So every atom an
+# antecedent names has a failure depth of its own, and chains run long.
+CHAIN = ("blue", "big", "cold", "kind", "round", "quiet", "young", "green", "red",
+         "nice", "rough", "tall")
+
+
+@st.composite
+def layered_chains(draw):
+    subject = st.sampled_from(("someone", ENTITIES[0]))
+    bodies = []
+    for level in range(2, len(CHAIN)):
+        for _ in range(draw(st.integers(2, 3))):
+            s = draw(subject)
+            antecedents = [Literal(s, draw(st.sampled_from(CHAIN[level - 2:level])))]
+            antecedents += [Literal(s, p, None, False)
+                            for p in draw(st.lists(st.sampled_from(CHAIN[:level]), max_size=1))]
+            bodies.append((antecedents, Literal(s, CHAIN[level])))
+    bodies = draw(st.permutations(bodies))
+    return Theory(
+        "T",
+        (make_fact("F1", Literal(ENTITIES[0], CHAIN[0])),),
+        tuple(make_rule(f"R{i + 1}", a, c) for i, (a, c) in enumerate(bodies)),
+        (make_question("Q1", Literal(ENTITIES[0], CHAIN[-1])),),
+    )
+
+
 def without(t: Theory, sentence_id: str) -> Theory:
     return replace(t, facts=tuple(f for f in t.facts if f.id != sentence_id),
                    rules=tuple(r for r in t.rules if r.id != sentence_id))
@@ -118,7 +147,7 @@ def test_check_proof_accepts_every_emitted_proof(t):
 
 
 @settings(max_examples=300, deadline=None)
-@given(theories())
+@given(theories() | layered_chains())
 def test_failed_instance_matches_path_oracle(t):
     program = closure(t)
     for atom in set(program.by_head) - program.derived:

@@ -198,7 +198,7 @@ def _chain_atoms(rng, cfg: GenConfig, entities, chain_attrs, relations):
     atoms = [Literal(e0, chain_attrs[0])]
     relation_iter = iter(relations)
     for level in range(1, cfg.max_depth + 1):
-        if len(entities) > 1 and rng.random() < 0.25:
+        if rng.random() < 0.25:
             rel = next(relation_iter, None)
             if rel is not None:
                 obj = entities[1 + int(rng.integers(len(entities) - 1))]
@@ -223,7 +223,7 @@ def _build_draft(rng, cfg: GenConfig, profile: VocabularyProfile):
     chain_attrs = attrs[: depth + 1]
     support_attrs = attrs[depth + 1: 2 * depth + 1]
     spare = attrs[2 * depth + 1:]
-    third = max(1, len(spare) // 3)
+    third = len(spare) // 3
     spare_neg = spare[:third]
     spare_unknown = spare[third: 2 * third]
     spare_misc = spare[2 * third:]
@@ -255,15 +255,14 @@ def _build_draft(rng, cfg: GenConfig, profile: VocabularyProfile):
                     # occasionally back the negation with a stated negative fact
                     if draft.add_fact(Literal(e0, neg_attr, positive=False)):
                         support_budget -= 1
-            elif kind < 0.7 or not other_relations:
-                support = support_attrs[(level - 1) % max(1, len(support_attrs))]
+            elif kind < 0.7:
+                support = support_attrs[level - 1]
                 if draft.add_fact(Literal(e0, support)):
                     support_budget -= 1
                     antecedents.append(Literal(variable or e0, support))
             else:
                 rel = other_relations[int(rng.integers(len(other_relations)))]
-                obj = entities[1 + int(rng.integers(len(entities) - 1))] \
-                    if len(entities) > 1 else e0
+                obj = entities[1 + int(rng.integers(len(entities) - 1))]
                 if draft.add_fact(Literal(e0, rel, obj)):
                     support_budget -= 1
                     antecedents.append(Literal(variable or e0, rel, obj))
@@ -273,7 +272,7 @@ def _build_draft(rng, cfg: GenConfig, profile: VocabularyProfile):
     # a second, shorter derivation of one chain atom makes questions at
     # that level and above carry multiple gold proofs
     if depth >= 1 and len(draft.rules) < cfg.rules_per_theory[1] \
-            and spare_misc and support_budget > 0 and rng.random() < 0.4:
+            and support_budget > 0 and rng.random() < 0.4:
         twin_attr = spare_misc[-1]
         level = int(rng.integers(1, depth + 1))
         if draft.add_fact(Literal(e0, twin_attr)):
@@ -284,10 +283,10 @@ def _build_draft(rng, cfg: GenConfig, profile: VocabularyProfile):
                  _as_rule_literal(chain[level], variable)))
 
     extra_types = ["failed", "dormant", "side"]
-    heads = itertools.cycle(spare_misc) if spare_misc else None
+    heads = itertools.cycle(spare_misc)
     attempts = 4 * max(0, n_rules - len(draft.rules))
     extra_index = 0
-    while heads and len(draft.rules) < n_rules and attempts > 0:
+    while len(draft.rules) < n_rules and attempts > 0:
         attempts -= 1
         target = next(heads)
         kind = extra_types[extra_index % len(extra_types)]
@@ -319,7 +318,7 @@ def _build_draft(rng, cfg: GenConfig, profile: VocabularyProfile):
             continue
         if entity == e0:
             continue
-        if other_relations and rng.random() < 0.25:
+        if rng.random() < 0.25:
             rel = other_relations[int(rng.integers(len(other_relations)))]
             obj = entities[int(rng.integers(len(entities)))]
             if obj != entity:
@@ -370,10 +369,9 @@ def _candidate_literals(t: Theory, context: dict, negation: bool) -> list[Litera
             candidates.append(head.bind(e0))
         else:
             candidates.append(head)
+    other = context["entities"][-1]  # never e0, which is entities[0]
     for rel in context["chain_relations"]:
-        others = [e for e in context["entities"] if e != e0]
-        if others:
-            candidates.append(Literal(e0, rel, others[-1]))
+        candidates.append(Literal(e0, rel, other))
     seen = set()
     unique = []
     for lit in candidates:

@@ -2,14 +2,16 @@
 
 Nodes are fixed first by thresholding the node probabilities. Over the
 selected nodes, the score of an assignment is the sum of
-``phi*e + (1-phi)*(1-e)`` across unmasked ordered pairs (both endpoints
-selected, target a rule, no self-loops). The unconstrained optimum keeps
-exactly the pairs with phi > 0.5; when the result must be connected in
-the undirected sense, the cheapest repair is a minimum spanning tree
-over the disconnected components, using for each component pair the
-crossing pair whose flip costs least (1 - 2*phi). Extra edges can only
-help connectivity and never improve the separable objective, so the
-repaired assignment is provably optimal.
+``phi*e + (1-phi)*(1-e)`` across the pairs that ``potentials.allowed_pairs``
+allows (both endpoints selected, target a rule, no self-loops); the edge
+mask and the lexical scorer take their cells from the same function. The
+unconstrained optimum keeps exactly the pairs with phi > 0.5. When the
+result must be connected in the undirected sense, the cheapest repair is
+one Kruskal pass: a union-find seeded with the thresholded edges takes
+the leftover pairs in order of flip cost (1 - 2*phi), ties toward the
+smallest ordered pair, and keeps each pair that joins two components.
+Extra edges can only help connectivity and never improve the separable
+objective, so the repaired assignment is provably optimal.
 
 The global constraints that an integer program would enforce are thus
 met exactly without a solver. Connectivity is witnessed by an explicit
@@ -21,14 +23,14 @@ one for a decoded proof and ``verify_flow`` checks it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .potentials import Potentials
-from .proofgraph import NAF, ProofGraph
+from .potentials import Potentials, allowed_pairs
+from .proofgraph import ProofGraph
+from .theory import layout_ids
 
 SOURCE = "source"
 SINK = "sink"
@@ -40,10 +42,7 @@ class ConnectivityInfeasible(ValueError):
 
 @dataclass(frozen=True)
 class SolverStats:
-    pairs_considered: int
-    components_before_repair: int
     repair_edges_added: int
-    elapsed_s: float
 
 
 @dataclass(frozen=True)
@@ -60,20 +59,6 @@ def select_nodes(node_prob: np.ndarray) -> list[int]:
     if selected:
         return selected
     return [int(np.argmax(node_prob))]
-
-
-def _id_for_index(index: int, num_facts: int, size: int) -> str:
-    if index == size - 1:
-        return NAF
-    if index < num_facts:
-        return f"F{index + 1}"
-    return f"R{index - num_facts + 1}"
-
-
-def allowed_pairs(selected: list[int], num_facts: int, size: int) -> list[tuple[int, int]]:
-    """Unmasked ordered pairs: both selected, distinct, target a rule."""
-    rules = [n for n in selected if num_facts <= n < size - 1]
-    return [(m, n) for n in rules for m in selected if m != n]
 
 
 class _UnionFind:
@@ -94,23 +79,16 @@ class _UnionFind:
         return True
 
 
-def _components(selected: list[int], edges: set[tuple[int, int]]) -> list[list[int]]:
-    uf = _UnionFind(selected)
-    for m, n in edges:
-        uf.union(m, n)
-    groups: dict[int, list[int]] = {}
-    for n in selected:
-        groups.setdefault(uf.find(n), []).append(n)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
-def _objective(pairs: list[tuple[int, int]], edge_prob: np.ndarray,
-               chosen: set[tuple[int, int]]) -> float:
-    total = 0.0
+def _result(p: Potentials, selected: list[int], pairs: list[tuple[int, int]],
+            chosen: set[tuple[int, int]], relaxed: bool, repairs: int) -> DecodeResult:
+    """The proof over ``selected`` with edges ``chosen``, scored on ``pairs``."""
+    objective = 0.0
     for m, n in pairs:
-        phi = float(edge_prob[m, n])
-        total += phi if (m, n) in chosen else 1.0 - phi
-    return total
+        phi = float(p.edge_prob[m, n])
+        objective += phi if (m, n) in chosen else 1.0 - phi
+    ids = layout_ids(p.num_facts, p.size)
+    proof = ProofGraph.of([ids[n] for n in selected], [(ids[m], ids[n]) for m, n in chosen])
+    return DecodeResult(proof, objective, relaxed, SolverStats(repairs))
 
 
 def decode_proof(p: Potentials, connectivity: bool = True) -> DecodeResult:
@@ -120,65 +98,31 @@ def decode_proof(p: Potentials, connectivity: bool = True) -> DecodeResult:
     unmasked pair can join some component; the caller may re-decode with
     connectivity off and flag the result as relaxed.
     """
-    start = time.perf_counter()
     selected = select_nodes(p.node_prob)
     pairs = allowed_pairs(selected, p.num_facts, p.size)
     chosen = {(m, n) for m, n in pairs if p.edge_prob[m, n] > 0.5}
-    repairs = 0
-    components = _components(selected, chosen)
-    component_count = len(components)
-
-    if connectivity and component_count > 1:
-        repair_edges = _repair_edges(components, pairs, p.edge_prob)
-        chosen |= repair_edges
-        repairs = len(repair_edges)
-
-    objective = _objective(pairs, p.edge_prob, chosen)
-    proof = ProofGraph.of(
-        [_id_for_index(n, p.num_facts, p.size) for n in selected],
-        [
-            (_id_for_index(m, p.num_facts, p.size), _id_for_index(n, p.num_facts, p.size))
-            for m, n in chosen
-        ],
-    )
-    stats = SolverStats(len(pairs), component_count, repairs, time.perf_counter() - start)
-    return DecodeResult(proof, objective, not connectivity, stats)
+    repair = _repair_edges(selected, pairs, chosen, p.edge_prob) if connectivity else set()
+    return _result(p, selected, pairs, chosen | repair, not connectivity, len(repair))
 
 
-def _repair_edges(components: list[list[int]], pairs: list[tuple[int, int]],
-                  edge_prob: np.ndarray) -> set[tuple[int, int]]:
-    """Minimum spanning tree over components using cheapest crossing pairs.
-
-    The cost of turning on a prefer-off pair is 1 - 2*phi, taken over
-    both directions between two components; ties break toward the
-    lexicographically smallest ordered pair.
-    """
-    comp_of = {}
-    for ci, comp in enumerate(components):
-        for n in comp:
-            comp_of[n] = ci
-
-    best: dict[tuple[int, int], tuple[float, tuple[int, int]]] = {}
-    for m, n in sorted(pairs):
-        cm, cn = comp_of[m], comp_of[n]
-        if cm == cn:
-            continue
-        key = (min(cm, cn), max(cm, cn))
-        cost = 1.0 - 2.0 * float(edge_prob[m, n])
-        if key not in best or (cost, (m, n)) < best[key]:
-            best[key] = (cost, (m, n))
-
-    candidates = sorted(
-        (cost, pair, key) for key, (cost, pair) in best.items()
-    )
-    uf = _UnionFind(range(len(components)))
+def _repair_edges(selected: list[int], pairs: list[tuple[int, int]],
+                  chosen: set[tuple[int, int]], edge_prob: np.ndarray) -> set[tuple[int, int]]:
+    """Kruskal's pass from the components of ``chosen``: the leftover pairs,
+    cheapest flip (1 - 2*phi) first and ties toward the smallest ordered
+    pair, each kept when it joins two components."""
+    uf = _UnionFind(selected)
+    components = len(selected) - sum(uf.union(m, n) for m, n in chosen)
     repair: set[tuple[int, int]] = set()
-    for cost, pair, (ci, cj) in candidates:
-        if uf.union(ci, cj):
-            repair.add(pair)
-    if len(repair) != len(components) - 1:
+    if components > 1:
+        leftover = sorted((1.0 - 2.0 * float(edge_prob[m, n]), (m, n))
+                          for m, n in pairs if (m, n) not in chosen)
+        for _cost, (m, n) in leftover:
+            if uf.union(m, n):
+                repair.add((m, n))
+                components -= 1
+    if components > 1:
         raise ConnectivityInfeasible(
-            f"{len(components)} components cannot be joined by unmasked pairs")
+            f"{components} components remain after every unmasked pair is tried")
     return repair
 
 
@@ -198,21 +142,10 @@ def decode_unconstrained(p: Potentials) -> DecodeResult:
     applies so the result has a node set, but edges may be structurally
     invalid. Only for comparison against the constrained decoder.
     """
-    start = time.perf_counter()
     selected = select_nodes(p.node_prob)
-    size = p.size
-    pairs = [(m, n) for m in range(size) for n in range(size) if m != n]
+    pairs = [(m, n) for m in range(p.size) for n in range(p.size) if m != n]
     chosen = {(m, n) for m, n in pairs if p.edge_prob[m, n] > 0.5}
-    objective = _objective(pairs, p.edge_prob, chosen)
-    proof = ProofGraph.of(
-        [_id_for_index(n, p.num_facts, size) for n in selected],
-        [
-            (_id_for_index(m, p.num_facts, size), _id_for_index(n, p.num_facts, size))
-            for m, n in chosen
-        ],
-    )
-    stats = SolverStats(len(pairs), 0, 0, time.perf_counter() - start)
-    return DecodeResult(proof, objective, True, stats)
+    return _result(p, selected, pairs, chosen, True, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ potentials used to exercise the decoder, and a small lexical edge scorer
 trained by logistic regression on surface features of sentence pairs.
 
 Sentence index layout is fixed everywhere: facts in id order, then rules
-in id order, then one trailing slot for the NAF node.
+in id order, then one trailing slot for the NAF node (``theory.layout_ids``).
+Which cells of that layout may carry an edge is decided once, by
+``allowed_pairs``: the edge mask, the training pairs, the scorer's
+potentials and the decoder all take their cells from it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .proofgraph import NAF, ProofGraph, is_connected, node_kind
-from .theory import Question, Theory
+from .theory import Question, Theory, layout_ids
 
 MASKED = -100
 
@@ -82,6 +85,14 @@ class Potentials:
         return cls(node_prob, edge_prob, len(t.facts))
 
 
+def allowed_pairs(selected: list[int], num_facts: int, size: int) -> list[tuple[int, int]]:
+    """The cells that may carry an edge among the ``selected`` indices of a
+    layout of ``size`` slots: both ends selected and distinct, the target a
+    rule. Ordered by target, then by source in ``selected`` order."""
+    rules = [n for n in selected if num_facts <= n < size - 1]
+    return [(m, n) for n in rules for m in selected if m != n]
+
+
 def _gold_indices(t: Theory, gold: ProofGraph) -> tuple[set[int], set[tuple[int, int]]]:
     nodes = {t.sentence_index(n) for n in gold.nodes}
     edges = {(t.sentence_index(s), t.sentence_index(d)) for s, d in gold.edges}
@@ -89,20 +100,15 @@ def _gold_indices(t: Theory, gold: ProofGraph) -> tuple[set[int], set[tuple[int,
 
 
 def build_edge_mask(t: Theory, gold: ProofGraph) -> EdgeMask:
-    """Labels for one gold proof: 0/1 on consistent cells, MASKED elsewhere.
-
-    A cell (m, n) stays unmasked exactly when both endpoints are gold
-    nodes, m != n, and n is a rule; everything else (self-loops, absent
-    nodes, edges into facts or into NAF) is masked.
+    """Labels for one gold proof: 0/1 on the ``allowed_pairs`` of the gold
+    nodes, MASKED elsewhere (self-loops, absent nodes, edges into facts or
+    into NAF).
     """
     size = t.num_sentences + 1
     gold_nodes, gold_edges = _gold_indices(t, gold)
     label = np.full((size, size), MASKED, dtype=np.int64)
-    for m in gold_nodes:
-        for n in gold_nodes:
-            if m == n or t.id_for_index(n)[0] != "R":
-                continue
-            label[m, n] = 1 if (m, n) in gold_edges else 0
+    for m, n in allowed_pairs(sorted(gold_nodes), len(t.facts), size):
+        label[m, n] = (m, n) in gold_edges
     return EdgeMask(size, label)
 
 
@@ -295,15 +301,15 @@ def fit_linear_scorer(train: list[tuple[FeatureVector, int]],
 
 
 def edge_training_pairs(t: Theory, q: Question):
-    """(src_id, dst_id, label) for every unmasked cell of the first gold proof."""
+    """(src_id, dst_id, label) for every unmasked cell of the first gold
+    proof, in row-major order."""
     if not q.gold_proofs:
         return []
-    gold = q.gold_proofs[0]
-    mask = build_edge_mask(t, gold)
-    pairs = []
-    for m, n in mask.unmasked_cells():
-        pairs.append((t.id_for_index(m), t.id_for_index(n), int(mask.label[m, n])))
-    return pairs
+    size = t.num_sentences + 1
+    gold_nodes, gold_edges = _gold_indices(t, q.gold_proofs[0])
+    ids = layout_ids(len(t.facts), size)
+    return [(ids[m], ids[n], int((m, n) in gold_edges))
+            for m, n in sorted(allowed_pairs(sorted(gold_nodes), len(t.facts), size))]
 
 
 def make_edge_training_set(theories: list[Theory]) -> list[tuple[FeatureVector, int]]:
@@ -333,17 +339,13 @@ def scorer_potentials(t: Theory, scorer: LinearScorer) -> Potentials:
 
     Fact/rule node probabilities default to 0.5 (every sentence a
     candidate), the NAF slot uses ``naf_prior``, and edge probabilities
-    come from the scorer on all typed pairs.
+    come from the scorer on the ``allowed_pairs`` of every sentence.
     """
     size = t.num_sentences + 1
     node_prob = np.full(size, 0.5)
     node_prob[size - 1] = naf_prior(t)
     edge_prob = np.zeros((size, size))
-    for n in range(len(t.facts), size - 1):
-        dst = t.id_for_index(n)
-        for m in range(size):
-            if m == n:
-                continue
-            src = t.id_for_index(m)
-            edge_prob[m, n] = scorer.score(lexical_edge_features(t, src, dst))
+    ids = layout_ids(len(t.facts), size)
+    for m, n in allowed_pairs(list(range(size)), len(t.facts), size):
+        edge_prob[m, n] = scorer.score(lexical_edge_features(t, ids[m], ids[n]))
     return Potentials(node_prob, edge_prob, len(t.facts))

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from .proofgraph import ProofGraph, proof_depth
+from .proofgraph import NAF, ProofGraph, proof_depth
 
 MAX_CONTEXT_SENTENCES = 25
 
@@ -99,7 +99,21 @@ class Literal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Literal":
-        return cls(d["subject"], d["predicate"], d.get("object"), bool(d.get("positive", True)))
+        subject, predicate, obj = d["subject"], d["predicate"], d.get("object")
+        positive = d.get("positive", True)
+        if type(subject) is not str or type(predicate) is not str \
+                or not (obj is None or type(obj) is str):
+            raise TypeError(f"subject, predicate and object must be strings in {d!r}")
+        if type(positive) is not bool:
+            raise TypeError(f"positive must be a JSON boolean, got {positive!r}")
+        return cls(subject, predicate, obj, positive)
+
+
+def layout_ids(num_facts: int, size: int) -> list[str]:
+    """The sentence id at each index of the (k+1) layout shared by labels,
+    potentials and decoding: facts in id order, then rules, then NAF."""
+    return ([f"F{i}" for i in range(1, num_facts + 1)]
+            + [f"R{i}" for i in range(1, size - num_facts)] + [NAF])
 
 
 @dataclass(frozen=True)
@@ -151,24 +165,23 @@ class Theory:
         return [f.id for f in self.facts] + [r.id for r in self.rules]
 
     def sentence_index(self, sentence_id: str) -> int:
-        """Position in the fixed fact-then-rule ordering; NAF sits at the end."""
-        if sentence_id == "NAF":
+        """Position in the fixed fact-then-rule ordering; NAF sits at the end.
+        Raises KeyError for every other id, including "F0", "F01" and "Fx"."""
+        if sentence_id == NAF:
             return self.num_sentences
-        kind, idx = sentence_id[0], int(sentence_id[1:])
-        if kind == "F" and 1 <= idx <= len(self.facts):
-            return idx - 1
-        if kind == "R" and 1 <= idx <= len(self.rules):
-            return len(self.facts) + idx - 1
+        kind, number = sentence_id[:1], sentence_id[1:]
+        if number.isascii() and number.isdigit() and number[0] != "0":
+            idx = int(number)
+            if kind == "F" and idx <= len(self.facts):
+                return idx - 1
+            if kind == "R" and idx <= len(self.rules):
+                return len(self.facts) + idx - 1
         raise KeyError(sentence_id)
 
     def id_for_index(self, index: int) -> str:
-        if 0 <= index < len(self.facts):
-            return f"F{index + 1}"
-        if index < self.num_sentences:
-            return f"R{index - len(self.facts) + 1}"
-        if index == self.num_sentences:
-            return "NAF"
-        raise IndexError(index)
+        if not 0 <= index <= self.num_sentences:
+            raise IndexError(index)
+        return layout_ids(len(self.facts), self.num_sentences + 1)[index]
 
     def fact_map(self) -> dict[str, Fact]:
         return {f.id: f for f in self.facts}
@@ -540,7 +553,38 @@ def theory_to_record(t: Theory) -> dict:
     return record
 
 
+def _question_from_dict(q: dict) -> Question:
+    answer, depth = q.get("answer"), q.get("depth")
+    if not (answer is None or type(answer) is bool):
+        raise TypeError(f"answer must be a JSON boolean, got {answer!r}")
+    if not (depth is None or type(depth) is int):
+        raise TypeError(f"depth must be an integer, got {depth!r}")
+    proofs = tuple(ProofGraph.from_dict(p) for p in q["proofs"]) if "proofs" in q else None
+    return Question(q["id"], Literal.from_dict(q["literal"]), q["text"], answer, proofs, depth)
+
+
+def _check_read(t: Theory, line: Optional[int]) -> None:
+    """Ids F1..Fn, R1..Rm, Q1..Qk in order, and gold proofs over the
+    theory's sentences and NAF only: the layout that labels, potentials
+    and evaluation index by."""
+    violations: list[str] = []
+    _check_ids(t.facts, "F", violations)
+    _check_ids(t.rules, "R", violations)
+    _check_ids(t.questions, "Q", violations)
+    if not violations:
+        named: set[str] = set()
+        for q in t.questions:
+            for proof in q.gold_proofs or ():
+                named.update(proof.nodes, *proof.edges)
+        named.difference_update(layout_ids(len(t.facts), t.num_sentences + 1))
+        violations = [f"a gold proof names unknown node {node!r}" for node in sorted(named)]
+    if violations:
+        raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations), line)
+
+
 def record_to_theory(record: dict, line: Optional[int] = None) -> Theory:
+    """Read a ``theory_to_record`` dict; raises TheoryParseError, naming
+    ``line``, for a malformed record or one that ``_check_read`` rejects."""
     if not isinstance(record, dict):
         raise TheoryParseError(
             f"theory record must be a JSON object, got {type(record).__name__}", line)
@@ -558,22 +602,12 @@ def record_to_theory(record: dict, line: Optional[int] = None) -> Theory:
             )
             for r in record.get("rules", ())
         )
-        questions = tuple(
-            Question(
-                q["id"],
-                Literal.from_dict(q["literal"]),
-                q["text"],
-                gold_answer=q.get("answer"),
-                gold_proofs=tuple(ProofGraph.from_dict(p) for p in q["proofs"])
-                if "proofs" in q
-                else None,
-                gold_depth=q.get("depth"),
-            )
-            for q in record.get("questions", ())
-        )
-        return Theory(record["id"], facts, rules, questions)
+        questions = tuple(_question_from_dict(q) for q in record.get("questions", ()))
+        t = Theory(record["id"], facts, rules, questions)
     except (KeyError, TypeError, AttributeError) as exc:
         raise TheoryParseError(f"malformed theory record: {exc}", line) from exc
+    _check_read(t, line)
+    return t
 
 
 def theory_to_text(t: Theory) -> str:

@@ -10,6 +10,7 @@ and the depth oracle enumerates every simple path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from ruleproofs.proofgraph import ProofGraph, node_kind
@@ -106,41 +107,47 @@ def negation_cycle(t: Theory):
     return None
 
 
-def naive_failed_instance(t: Theory, atom):
-    """The concluding instance with the shallowest failure for an
-    underivable atom, as (rule index, binding, failing antecedents), or
-    None when the atom is derivable or nothing concludes it.
+def naive_failed_instances(t: Theory, atoms) -> dict:
+    """For each of ``atoms``, the concluding instance with the shallowest
+    failure, as (rule index, binding, failing antecedents), or None when
+    the atom is derivable or nothing concludes it.
 
     Failure depth is recursive over paths: 0 for an atom nothing
     concludes, an instance one deeper than its shallowest failing
     antecedent (0 for a failing negative one), an atom the depth of its
     shallowest concluder, and no path may revisit an atom. Ties break on
-    rule index, then binding.
+    rule index, then binding. The instances and the closure are computed
+    once for all atoms, and an atom's depth is cached per set of atoms
+    already on its path, which is all it depends on.
     """
-    instances = _instances(t)
     derived = naive_closure(t)
+    concluders: dict = {}
+    for inst in _instances(t):
+        concluders.setdefault(inst[3].atom(), []).append(inst)
 
     def failing(antecedents):
         return tuple(a for a in antecedents if (a.atom() in derived) != a.positive)
 
+    @functools.cache
     def atom_depth(a, visiting):
         if a in visiting:
             return float("inf")
-        concluders = [inst for inst in instances if inst[3].atom() == a]
-        if not concluders:
+        if a not in concluders:
             return 0
-        return min(instance_depth(inst, visiting | {a}) for inst in concluders)
+        return min(instance_depth(inst, visiting | {a}) for inst in concluders[a])
 
     def instance_depth(inst, visiting):
         branches = [atom_depth(a.atom(), visiting) if a.positive else 0 for a in failing(inst[2])]
         return 1 + min(branches) if branches else float("inf")
 
-    concluders = [inst for inst in instances if inst[3].atom() == atom]
-    if atom in derived or not concluders:
-        return None
-    index, binding, antecedents, _ = min(concluders, key=lambda inst: (
-        instance_depth(inst, frozenset([atom])), inst[0], inst[1] or ""))
-    return index, binding, failing(antecedents)
+    def select(atom):
+        if atom in derived or atom not in concluders:
+            return None
+        index, binding, antecedents, _ = min(concluders[atom], key=lambda inst: (
+            instance_depth(inst, frozenset([atom])), inst[0], inst[1] or ""))
+        return index, binding, failing(antecedents)
+
+    return {atom: select(atom) for atom in atoms}
 
 
 def naive_answer(t: Theory, lit: Literal) -> bool:

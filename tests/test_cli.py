@@ -139,6 +139,59 @@ class TestExitCodes:
         assert "bad prediction record on line 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case, message", [
+        ("swapped_ids", "id F2: expected F1"),
+        ("unknown_proof_node", "gold proof names unknown node 'F99'"),
+        ("string_positive", "positive must be a JSON boolean, got 'false'"),
+        ("int_object", "subject, predicate and object must be strings"),
+        ("string_answer", "answer must be a JSON boolean, got 'yes'"),
+        ("float_depth", "depth must be an integer, got 2.0"),
+    ], ids=["swapped_ids", "unknown_proof_node", "string_positive", "int_object",
+            "string_answer", "float_depth"])
+    def test_theory_record_checked_at_read(self, workspace, tmp_path, capsys, case, message):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
+        bad = records[1]
+        question = bad["questions"][0]
+        if case == "swapped_ids":
+            bad["facts"][0]["id"], bad["facts"][1]["id"] = "F2", "F1"
+        elif case == "unknown_proof_node":
+            question["proofs"][-1]["nodes"].append("F99")
+        elif case == "string_positive":
+            bad["facts"][0]["literal"]["positive"] = "false"
+        elif case == "int_object":
+            question["literal"]["object"] = 5
+        elif case == "string_answer":
+            question["answer"] = "yes"
+        else:
+            question["depth"] = 2.0
+        theories = tmp_path / "theories.jsonl"
+        theories.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+
+        out = tmp_path / "labels.jsonl"
+        code = run_command(["mask-export", str(theories), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "line 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unknown_prediction_node_names_the_prediction(self, workspace, tmp_path, capsys):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        theory = json.loads(test_file.read_text().splitlines()[0])
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({
+            "theory_id": theory["id"], "question_id": theory["questions"][0]["id"],
+            "answer": True, "nodes": ["Fx"], "edges": []}) + "\n")
+        capsys.readouterr()
+        code = run_command(["eval", "--theories", str(test_file), str(preds)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert (f"prediction for ('{theory['id']}', '{theory['questions'][0]['id']}') "
+                "references unknown sentence Fx") in err
+
     @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
                                       "duplicate"])
     def test_malformed_potentials_are_data_errors(self, workspace, tmp_path, capsys, case):

@@ -175,6 +175,22 @@ def test_generated_theories_keep_their_invariants(cfg, index):
     assert not any(not a.positive and a.predicate in heads for r in t.rules for a in r.antecedents)
 
 
+def test_profiles_have_the_vocabulary_drafts_assume():
+    # a draft takes three to five entities, so the chain entity always has
+    # another to relate to; at depth 5 it takes 11 attributes for the chain
+    # and its supports, and needs three more so that the negatable, unknown
+    # and head-only thirds of the rest are each non-empty; two relations
+    # feed the chain and at least one other serves as a support
+    deepest = 5
+    with pytest.raises(ValueError, match="max_depth must be in 0..5"):
+        GenConfig(seed=0, num_theories=1, max_depth=deepest + 1, rules_per_theory=(3, 7),
+                  questions_per_theory=7).validate()
+    for name, profile in PROFILES.items():
+        assert len(set(profile.entities)) == len(profile.entities) >= 5, name
+        assert len(set(profile.attributes)) == len(profile.attributes) >= 2 * deepest + 1 + 3, name
+        assert len(set(profile.relations)) == len(profile.relations) >= 3, name
+
+
 def test_twin_rule_keeps_the_rule_bound():
     # with rules_per_theory[1] == max_depth, the second derivation of a
     # chain atom used to give these theories a fourth rule

@@ -197,6 +197,18 @@ class TestParseTheory:
         with pytest.raises(TheoryParseError, match=field):
             parse_theory(json.dumps(record))
 
+    def test_sentence_index_covers_exactly_the_layout(self):
+        t = small_theory()
+        assert [t.sentence_index(i) for i in ("F1", "F2", "R1", "R2", "NAF")] == [0, 1, 2, 3, 4]
+        assert [t.id_for_index(i) for i in range(5)] == ["F1", "F2", "R1", "R2", "NAF"]
+        for outside in ("Fx", "", "R0", "F0", "F01", "F3", "R3", "F 1", "F+1", "F\u0661",
+                        "Q1", "naf", "NAF1"):
+            with pytest.raises(KeyError):
+                t.sentence_index(outside)
+        for outside in (-1, 5):
+            with pytest.raises(IndexError):
+                t.id_for_index(outside)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_theory("x", format="yaml")

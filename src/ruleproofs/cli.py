@@ -8,8 +8,8 @@ library modules, defaulting to stdin/stdout so commands can be piped:
         ruleproofs decode --theories data/test.theories.jsonl |
         ruleproofs eval --theories data/test.theories.jsonl
 
-Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 usage error, 2 data/schema or I/O error, 3
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -416,7 +416,7 @@ _DATA_ERRORS = (
     reasoner.NonStratifiedTheory,
     datagen.GenerationError,
     json.JSONDecodeError,
-    FileNotFoundError,
+    OSError,
     KeyError,
     ValueError,
 )
@@ -432,6 +432,8 @@ def run_command(argv: list[str]) -> int:
         return USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:  # a closed downstream pipe ends the run quietly in main
+        raise
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -14,6 +14,7 @@ potentials and the decoder all take their cells from it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -280,8 +281,28 @@ class LinearScorer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearScorer":
-        config = ScorerConfig(d["learning_rate"], d["epochs"], d["seed"])
-        return cls(np.asarray(d["weights"], dtype=float), config)
+        """Read a ``to_dict`` record; raises ValueError naming a bad field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"scorer must be a JSON object, got {type(d).__name__}")
+        if d.get("features") != list(FEATURE_NAMES):
+            raise ValueError(f"features must be {list(FEATURE_NAMES)}")
+        weights, rate, epochs, seed = (d.get(key) for key in
+                                       ("weights", "learning_rate", "epochs", "seed"))
+        if not (isinstance(weights, list) and len(weights) == len(FEATURE_NAMES) + 1
+                and all(_is_finite(w) for w in weights)):
+            raise ValueError(f"weights must be {len(FEATURE_NAMES) + 1} finite numbers")
+        if not (_is_finite(rate) and rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {rate!r}")
+        if not (type(epochs) is int and epochs >= 1):
+            raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        return cls(np.asarray(weights, dtype=float), ScorerConfig(rate, epochs, seed))
+
+
+def _is_finite(value) -> bool:
+    """A JSON number whose float value is finite; NaN compares false."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def fit_linear_scorer(train: list[tuple[FeatureVector, int]],

@@ -24,11 +24,13 @@ NAF_KIND = "naf"
 
 
 def node_kind(node_id: str) -> str:
-    """Classify a node id as 'fact', 'rule', or 'naf'."""
+    """Classify a node id as 'fact', 'rule', or 'naf'. A fact or rule id is
+    "F" or "R" and a number in ASCII digits without a leading zero."""
     if node_id == NAF:
         return NAF_KIND
-    if len(node_id) >= 2 and node_id[0] in "FR" and node_id[1:].isdigit():
-        return FACT if node_id[0] == "F" else RULE
+    kind, number = node_id[:1], node_id[1:]
+    if kind in ("F", "R") and number.isascii() and number.isdigit() and number[0] != "0":
+        return FACT if kind == "F" else RULE
     raise ValueError(f"malformed proof node id: {node_id!r}")
 
 
@@ -113,7 +115,7 @@ def validate_structure(p: ProofGraph) -> list[str]:
             kinds[n] = node_kind(n)
         except ValueError:
             violations.append(f"malformed node id {n!r}")
-    for s, d in p.canonical_edges():
+    for s, d in sorted(p.edges):  # canonical order would need well-formed ids
         if s not in p.nodes or d not in p.nodes:
             violations.append(f"edge {s}->{d} references a node outside the graph")
             continue
@@ -131,21 +133,20 @@ def validate_structure(p: ProofGraph) -> list[str]:
 
 def proof_depth(p: ProofGraph) -> int:
     """Largest number of rule nodes on any simple directed path."""
+    is_rule = {n: int(node_kind(n) == RULE) for n in p.nodes}
     adjacency = {n: [] for n in p.nodes}
     for s, d in p.edges:
         adjacency[s].append(d)
-    for n in adjacency:
-        adjacency[n].sort(key=node_sort_key)
 
     best = 0
     for start in p.nodes:
-        stack = [(start, {start}, 1 if node_kind(start) == RULE else 0)]
+        stack = [(start, {start}, is_rule[start])]
         while stack:
             node, seen, rules = stack.pop()
             best = max(best, rules)
             for nxt in adjacency[node]:
                 if nxt not in seen:
-                    stack.append((nxt, seen | {nxt}, rules + (1 if node_kind(nxt) == RULE else 0)))
+                    stack.append((nxt, seen | {nxt}, rules + is_rule[nxt]))
     return best
 
 

@@ -2,21 +2,32 @@
 
 A theory bundles named facts, if-then rules, and questions. Every item
 carries both a structured literal form and a rendered English-like
-sentence from a fixed synthetic grammar, and the two round-trip exactly:
-``parse(render(x)) == x`` and rendering is byte-deterministic.
+sentence from a fixed synthetic grammar: ``parse(render(x)) == x``, and
+rendering is byte-deterministic.
 
-Grammar sketch:
+The grammar is one clause table, the words after a subject (``_phrase``
+renders it, ``_parse_phrase`` inverts it):
 
-    fact/question   "Alan is blue."  "Alan is not kind."
-                    "Alan likes Bob."  "Alan does not like Bob."
+                  singular subject       plural subject
+    attribute     is [not] blue          are [not] blue
+    relation      likes Bob              like Bob
+                  does not like Bob      do not like Bob
+
+Every sentence is made of such clauses:
+
+    fact/question   "Alan is blue."  "Alan does not like Bob."
+    ground rule     "If Alan is blue and Bob sees Carol then Bob is cold."
     variable rule   "If someone is blue and rough then they are young."
                     "If something likes Bob then it is happy."
-    ground rule     "If Alan is blue and Bob sees Carol then Bob is cold."
 
-Variables are written "someone" (pronoun "they") or "something" (pronoun
-"it") and may only appear as the subject; rules use a single variable or
-are fully ground. Relation verbs are stored in base form and rendered
-with a trailing "s" for third-person subjects.
+Entities and the variables "someone" and "something" are singular; a
+variable rule's consequent takes the variable's pronoun, plural "they"
+or singular "it". Variables may only appear as the subject; rules use a
+single variable or are fully ground. Only a variable rule's first
+antecedent names its subject, and an attribute antecedent right after an
+attribute drops its "is". The parser accepts any attribute antecedent of
+a variable rule with or without "is", so ``render(parse(s)) == s`` holds
+for rendered sentences only. Relation verbs are stored in base form.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from .proofgraph import NAF, ProofGraph, proof_depth
+from .proofgraph import FACT, NAF, NAF_KIND, RULE, ProofGraph, node_kind, proof_depth
 
 MAX_CONTEXT_SENTENCES = 25
 
@@ -167,15 +178,17 @@ class Theory:
     def sentence_index(self, sentence_id: str) -> int:
         """Position in the fixed fact-then-rule ordering; NAF sits at the end.
         Raises KeyError for every other id, including "F0", "F01" and "Fx"."""
-        if sentence_id == NAF:
+        try:
+            kind = node_kind(sentence_id)
+        except ValueError:
+            raise KeyError(sentence_id) from None
+        if kind == NAF_KIND:
             return self.num_sentences
-        kind, number = sentence_id[:1], sentence_id[1:]
-        if number.isascii() and number.isdigit() and number[0] != "0":
-            idx = int(number)
-            if kind == "F" and idx <= len(self.facts):
-                return idx - 1
-            if kind == "R" and idx <= len(self.rules):
-                return len(self.facts) + idx - 1
+        idx = int(sentence_id[1:])
+        if kind == FACT and idx <= len(self.facts):
+            return idx - 1
+        if kind == RULE and idx <= len(self.rules):
+            return len(self.facts) + idx - 1
         raise KeyError(sentence_id)
 
     def id_for_index(self, index: int) -> str:
@@ -219,65 +232,36 @@ def _entity_text(token: str) -> str:
     return token[:1].upper() + token[1:]
 
 
-def _third_person(verb: str) -> str:
-    return verb + "s"
-
-
-def _ground_clause(lit: Literal) -> str:
-    subject = _entity_text(lit.subject)
+def _phrase(lit: Literal, plural: bool) -> str:
+    """The words after the subject: the grammar's one clause table."""
     if not lit.is_relation():
-        negation = "" if lit.positive else "not "
-        return f"{subject} is {negation}{lit.predicate}"
+        return f"{'are' if plural else 'is'} {'' if lit.positive else 'not '}{lit.predicate}"
     obj = _entity_text(lit.obj)
     if lit.positive:
-        return f"{subject} {_third_person(lit.predicate)} {obj}"
-    return f"{subject} does not {lit.predicate} {obj}"
-
-
-def _variable_antecedent(lit: Literal, first: bool, prev_attribute: bool) -> tuple[str, bool]:
-    if not lit.is_relation():
-        core = lit.predicate if lit.positive else f"not {lit.predicate}"
-        if first:
-            return f"{lit.subject} is {core}", True
-        if prev_attribute:
-            return core, True
-        return f"is {core}", True
-    obj = _entity_text(lit.obj)
-    phrase = f"{_third_person(lit.predicate)} {obj}" if lit.positive else f"does not {lit.predicate} {obj}"
-    if first:
-        phrase = f"{lit.subject} {phrase}"
-    return phrase, False
-
-
-def _variable_consequent(lit: Literal) -> str:
-    pronoun = VARIABLE_PRONOUNS[lit.subject]
-    plural = pronoun == "they"
-    if not lit.is_relation():
-        copula = "are" if plural else "is"
-        core = lit.predicate if lit.positive else f"not {lit.predicate}"
-        return f"{pronoun} {copula} {core}"
-    obj = _entity_text(lit.obj)
-    if plural:
-        return f"{pronoun} {lit.predicate} {obj}" if lit.positive else f"{pronoun} do not {lit.predicate} {obj}"
-    return f"{pronoun} {_third_person(lit.predicate)} {obj}" if lit.positive else f"{pronoun} does not {lit.predicate} {obj}"
+        return f"{lit.predicate}{'' if plural else 's'} {obj}"
+    return f"{'do' if plural else 'does'} not {lit.predicate} {obj}"
 
 
 def render_literal(lit: Literal) -> str:
     """Sentence for one ground literal, used for facts and questions."""
-    return _ground_clause(lit) + "."
+    return f"{_entity_text(lit.subject)} {_phrase(lit, False)}."
 
 
 def render_rule(antecedents: Iterable[Literal], consequent: Literal) -> str:
-    antecedents = tuple(antecedents)
-    if consequent.is_variable():
-        parts = []
-        prev_attribute = False
-        for i, ant in enumerate(antecedents):
-            phrase, prev_attribute = _variable_antecedent(ant, i == 0, prev_attribute)
-            parts.append(phrase)
-        return f"If {' and '.join(parts)} then {_variable_consequent(consequent)}."
-    condition = " and ".join(_ground_clause(a) for a in antecedents)
-    return f"If {condition} then {_ground_clause(consequent)}."
+    if not consequent.is_variable():
+        clauses = [render_literal(lit)[:-1] for lit in (*antecedents, consequent)]  # no period
+        return f"If {' and '.join(clauses[:-1])} then {clauses[-1]}."
+    parts, after_attribute = [], False
+    for i, lit in enumerate(antecedents):
+        phrase = _phrase(lit, False)
+        if i == 0:
+            phrase = f"{lit.subject} {phrase}"
+        elif after_attribute and not lit.is_relation():
+            phrase = phrase[len("is "):]  # "someone is blue and rough"
+        after_attribute = not lit.is_relation()
+        parts.append(phrase)
+    pronoun = VARIABLE_PRONOUNS[consequent.subject]
+    return f"If {' and '.join(parts)} then {pronoun} {_phrase(consequent, pronoun == 'they')}."
 
 
 def render_sentence(item: Union[Fact, Rule, Question]) -> str:
@@ -285,7 +269,6 @@ def render_sentence(item: Union[Fact, Rule, Question]) -> str:
     if isinstance(item, Rule):
         return render_rule(item.antecedents, item.consequent)
     return render_literal(item.literal)
-
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -325,66 +308,18 @@ def _base_verb(token: str, line: Optional[int]) -> str:
     return _verb_token(token[:-1], line)
 
 
-def _parse_ground_clause(tokens: list[str], line=None) -> Literal:
-    if len(tokens) == 3 and tokens[1] == "is":
-        return Literal(_entity_token(tokens[0], line),
-                       _predicate_token(tokens[2], line))
-    if len(tokens) == 4 and tokens[1] == "is" and tokens[2] == "not":
-        return Literal(_entity_token(tokens[0], line),
-                       _predicate_token(tokens[3], line), positive=False)
-    if len(tokens) == 3:
-        return Literal(_entity_token(tokens[0], line),
-                       _base_verb(tokens[1], line),
-                       _entity_token(tokens[2], line))
-    if len(tokens) == 5 and tokens[1] == "does" and tokens[2] == "not":
-        return Literal(_entity_token(tokens[0], line),
-                       _verb_token(tokens[3], line),
-                       _entity_token(tokens[4], line), positive=False)
-    raise TheoryParseError(f"cannot parse clause {' '.join(tokens)!r}", line)
-
-
-def _parse_variable_antecedent(tokens: list[str], variable: str, line=None) -> Literal:
-    if tokens[:1] == ["is"]:
-        if len(tokens) == 2:
-            return Literal(variable, _predicate_token(tokens[1], line))
-        if len(tokens) == 3 and tokens[1] == "not":
-            return Literal(variable, _predicate_token(tokens[2], line), positive=False)
-    if len(tokens) == 1:
-        return Literal(variable, _predicate_token(tokens[0], line))
-    if len(tokens) == 2 and tokens[0] == "not":
-        return Literal(variable, _predicate_token(tokens[1], line), positive=False)
-    if len(tokens) == 2:
-        return Literal(variable, _base_verb(tokens[0], line),
-                       _entity_token(tokens[1], line))
-    if len(tokens) == 4 and tokens[0] == "does" and tokens[1] == "not":
-        return Literal(variable, _verb_token(tokens[2], line),
-                       _entity_token(tokens[3], line), positive=False)
-    raise TheoryParseError(f"cannot parse condition {' '.join(tokens)!r}", line)
-
-
-def _parse_variable_consequent(tokens: list[str], variable: str, line=None) -> Literal:
-    pronoun = VARIABLE_PRONOUNS[variable]
-    if not tokens or tokens[0] != pronoun:
-        raise TheoryParseError(
-            f"consequent must start with {pronoun!r} for variable {variable!r}", line)
-    rest = tokens[1:]
-    copula = "are" if pronoun == "they" else "is"
-    if rest[:1] == [copula]:
-        if len(rest) == 2:
-            return Literal(variable, _predicate_token(rest[1], line))
-        if len(rest) == 3 and rest[1] == "not":
-            return Literal(variable, _predicate_token(rest[2], line), positive=False)
-    negator = "do" if pronoun == "they" else "does"
-    if len(rest) == 4 and rest[0] == negator and rest[1] == "not":
-        return Literal(variable, _verb_token(rest[2], line),
-                       _entity_token(rest[3], line), positive=False)
-    if len(rest) == 2:
-        if pronoun == "they":
-            return Literal(variable, _verb_token(rest[0], line),
-                           _entity_token(rest[1], line))
-        return Literal(variable, _base_verb(rest[0], line),
-                       _entity_token(rest[1], line))
-    raise TheoryParseError(f"cannot parse consequent {' '.join(tokens)!r}", line)
+def _parse_phrase(subject: str, words: list[str], plural: bool, line: Optional[int]) -> Literal:
+    """Invert ``_phrase``: the literal whose words after ``subject`` are ``words``."""
+    copula, negator = ("are", "do") if plural else ("is", "does")
+    if words[:1] == [copula] and (len(words) == 2 or len(words) == 3 and words[1] == "not"):
+        return Literal(subject, _predicate_token(words[-1], line), positive=len(words) == 2)
+    if len(words) == 2:
+        verb = _verb_token(words[0], line) if plural else _base_verb(words[0], line)
+        return Literal(subject, verb, _entity_token(words[1], line))
+    if len(words) == 4 and words[:2] == [negator, "not"]:
+        return Literal(subject, _verb_token(words[2], line),
+                       _entity_token(words[3], line), positive=False)
+    raise TheoryParseError(f"cannot parse clause {' '.join([subject, *words])!r}", line)
 
 
 def _strip_period(text: str, line=None) -> str:
@@ -398,7 +333,9 @@ def _strip_period(text: str, line=None) -> str:
 
 
 def parse_rule_sentence(text: str, line: Optional[int] = None) -> tuple[tuple[Literal, ...], Literal]:
-    """Parse an "If ... then ...." sentence into antecedents and consequent."""
+    """Parse an "If ... then ...." sentence into antecedents and consequent.
+    A variable rule's attribute antecedent may carry or drop its "is"
+    wherever it stands; the renderer drops it only after an attribute."""
     body = _strip_period(text, line)
     if not body.startswith("If "):
         raise TheoryParseError(f"rule sentence must start with 'If': {text!r}", line)
@@ -406,21 +343,23 @@ def parse_rule_sentence(text: str, line: Optional[int] = None) -> tuple[tuple[Li
     if body.count(" then ") != 1:
         raise TheoryParseError("rule sentence needs exactly one 'then'", line)
     condition, consequent_text = body.split(" then ")
-    first_word = condition.split(" ", 1)[0]
-    if first_word in VARIABLE_PRONOUNS:
-        variable = first_word
-        condition = condition[len(variable) + 1:]
-        antecedents = tuple(
-            _parse_variable_antecedent(chunk.split(), variable, line)
-            for chunk in condition.split(" and ")
-        )
-        consequent = _parse_variable_consequent(consequent_text.split(), variable, line)
-        return antecedents, consequent
-    antecedents = tuple(
-        _parse_ground_clause(chunk.split(), line) for chunk in condition.split(" and ")
-    )
-    consequent = _parse_ground_clause(consequent_text.split(), line)
-    return antecedents, consequent
+    variable = condition.split(" ", 1)[0]
+    if variable not in VARIABLE_PRONOUNS:
+        clauses = [chunk.split() or [""] for chunk in (*condition.split(" and "), consequent_text)]
+        *antecedents, consequent = (_parse_phrase(_entity_token(subject, line), words, False, line)
+                                    for subject, *words in clauses)
+        return tuple(antecedents), consequent
+    antecedents = []
+    for chunk in condition[len(variable) + 1:].split(" and "):
+        words = chunk.split()
+        if len(words) == 1 or words[:1] == ["not"]:  # an attribute without its "is"
+            words = ["is", *words]
+        antecedents.append(_parse_phrase(variable, words, False, line))
+    pronoun, *words = consequent_text.split() or [""]
+    if pronoun != VARIABLE_PRONOUNS[variable]:
+        raise TheoryParseError(f"consequent must start with {VARIABLE_PRONOUNS[variable]!r} "
+                               f"for variable {variable!r}", line)
+    return tuple(antecedents), _parse_phrase(variable, words, pronoun == "they", line)
 
 
 def parse_fact_sentence(text: str, line: Optional[int] = None) -> Literal:
@@ -428,7 +367,8 @@ def parse_fact_sentence(text: str, line: Optional[int] = None) -> Literal:
     body = _strip_period(text, line)
     if body.startswith("If "):
         raise TheoryParseError("expected a declarative sentence, got a rule", line)
-    return _parse_ground_clause(body.split(), line)
+    subject, *words = body.split()
+    return _parse_phrase(_entity_token(subject, line), words, False, line)
 
 
 def parse_sentence(text: str, line: Optional[int] = None):
@@ -447,6 +387,18 @@ def _check_ids(items, prefix: str, violations: list[str]) -> None:
         expected = f"{prefix}{i + 1}"
         if item.id != expected:
             violations.append(f"id {item.id}: expected {expected} (ids must be contiguous)")
+
+
+def _check_ground(items, kind: str, violations: list[str]) -> None:
+    for item in items:
+        if item.literal.is_variable():
+            violations.append(f"{item.id}: {kind} literal must be ground")
+
+
+def _check_antecedents(rules, violations: list[str]) -> None:
+    for r in rules:
+        if not r.antecedents:
+            violations.append(f"{r.id}: rule has no antecedents")
 
 
 def validate_theory(t: Theory) -> list[str]:
@@ -471,18 +423,17 @@ def validate_theory(t: Theory) -> list[str]:
     for pred in sorted(attribute_preds & relation_preds):
         violations.append(f"predicate {pred!r} used both with and without an object")
 
+    _check_ground(t.facts, "fact", violations)
+    _check_ground(t.questions, "question", violations)
+    _check_antecedents(t.rules, violations)
     seen_literals = {}
     for f in t.facts:
-        if not f.literal.is_ground():
-            violations.append(f"{f.id}: fact literal must be ground")
         if f.literal in seen_literals:
             violations.append(f"{f.id}: duplicate of {seen_literals[f.literal]}")
         seen_literals.setdefault(f.literal, f.id)
 
     seen_rules = {}
     for r in t.rules:
-        if not r.antecedents:
-            violations.append(f"{r.id}: rule has no antecedents")
         if not r.consequent.positive:
             violations.append(f"{r.id}: rule consequent must be positive")
         variable = r.variable()
@@ -500,8 +451,6 @@ def validate_theory(t: Theory) -> list[str]:
         seen_rules.setdefault(body, r.id)
 
     for q in t.questions:
-        if not q.literal.is_ground():
-            violations.append(f"{q.id}: question literal must be ground")
         if q.gold_proofs is not None and q.gold_depth is not None:
             depth = max(proof_depth(p) for p in q.gold_proofs) if q.gold_proofs else 0
             if depth != q.gold_depth:
@@ -553,6 +502,12 @@ def theory_to_record(t: Theory) -> dict:
     return record
 
 
+def _string(value, field: str) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def _question_from_dict(q: dict) -> Question:
     answer, depth = q.get("answer"), q.get("depth")
     if not (answer is None or type(answer) is bool):
@@ -560,17 +515,22 @@ def _question_from_dict(q: dict) -> Question:
     if not (depth is None or type(depth) is int):
         raise TypeError(f"depth must be an integer, got {depth!r}")
     proofs = tuple(ProofGraph.from_dict(p) for p in q["proofs"]) if "proofs" in q else None
-    return Question(q["id"], Literal.from_dict(q["literal"]), q["text"], answer, proofs, depth)
+    return Question(q["id"], Literal.from_dict(q["literal"]), _string(q["text"], "text"),
+                    answer, proofs, depth)
 
 
 def _check_read(t: Theory, line: Optional[int]) -> None:
     """Ids F1..Fn, R1..Rm, Q1..Qk in order, and gold proofs over the
     theory's sentences and NAF only: the layout that labels, potentials
-    and evaluation index by."""
+    and evaluation index by. Also ground facts and questions, and rules
+    with antecedents, which the reasoner assumes."""
     violations: list[str] = []
     _check_ids(t.facts, "F", violations)
     _check_ids(t.rules, "R", violations)
     _check_ids(t.questions, "Q", violations)
+    _check_ground(t.facts, "fact", violations)
+    _check_ground(t.questions, "question", violations)
+    _check_antecedents(t.rules, violations)
     if not violations:
         named: set[str] = set()
         for q in t.questions:
@@ -590,7 +550,7 @@ def record_to_theory(record: dict, line: Optional[int] = None) -> Theory:
             f"theory record must be a JSON object, got {type(record).__name__}", line)
     try:
         facts = tuple(
-            Fact(f["id"], Literal.from_dict(f["literal"]), f["text"])
+            Fact(f["id"], Literal.from_dict(f["literal"]), _string(f["text"], "text"))
             for f in record.get("facts", ())
         )
         rules = tuple(
@@ -598,12 +558,12 @@ def record_to_theory(record: dict, line: Optional[int] = None) -> Theory:
                 r["id"],
                 tuple(Literal.from_dict(a) for a in r["antecedents"]),
                 Literal.from_dict(r["consequent"]),
-                r["text"],
+                _string(r["text"], "text"),
             )
             for r in record.get("rules", ())
         )
         questions = tuple(_question_from_dict(q) for q in record.get("questions", ()))
-        t = Theory(record["id"], facts, rules, questions)
+        t = Theory(_string(record["id"], "theory id"), facts, rules, questions)
     except (KeyError, TypeError, AttributeError) as exc:
         raise TheoryParseError(f"malformed theory record: {exc}", line) from exc
     _check_read(t, line)
@@ -635,14 +595,13 @@ def _theory_from_text(text: str, first_line: int = 1) -> Theory:
         if not item_id or item_id[0] not in "FRQ" or not item_id[1:].isdigit():
             raise TheoryParseError(f"bad sentence id {item_id!r}", line_no)
         if item_id[0] == "R":
-            antecedents, consequent = parse_rule_sentence(sentence, line_no)
-            rules.append(Rule(item_id, antecedents, consequent, render_rule(antecedents, consequent)))
+            rules.append(make_rule(item_id, *parse_rule_sentence(sentence, line_no)))
         else:
             literal = parse_fact_sentence(sentence, line_no)
             if item_id[0] == "F":
-                facts.append(Fact(item_id, literal, render_literal(literal)))
+                facts.append(make_fact(item_id, literal))
             else:
-                questions.append(Question(item_id, literal, render_literal(literal)))
+                questions.append(make_question(item_id, literal))
     if theory_id is None:
         raise TheoryParseError("missing 'theory: <id>' header", first_line)
     return Theory(theory_id, tuple(facts), tuple(rules), tuple(questions))

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from ruleproofs import datagen
+from ruleproofs import cli, datagen
 from ruleproofs.cli import run_command
+from ruleproofs.potentials import FEATURE_NAMES, LinearScorer
 from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule, write_theories
 
 
@@ -146,8 +147,14 @@ class TestExitCodes:
         ("int_object", "subject, predicate and object must be strings"),
         ("string_answer", "answer must be a JSON boolean, got 'yes'"),
         ("float_depth", "depth must be an integer, got 2.0"),
+        ("no_antecedents", "R1: rule has no antecedents"),
+        ("variable_fact", "F1: fact literal must be ground"),
+        ("variable_question", "Q1: question literal must be ground"),
+        ("int_theory_id", "theory id must be a string, got 5"),
+        ("int_text", "text must be a string, got 5"),
     ], ids=["swapped_ids", "unknown_proof_node", "string_positive", "int_object",
-            "string_answer", "float_depth"])
+            "string_answer", "float_depth", "no_antecedents", "variable_fact",
+            "variable_question", "int_theory_id", "int_text"])
     def test_theory_record_checked_at_read(self, workspace, tmp_path, capsys, case, message):
         test_file = workspace / "data" / "test.theories.jsonl"
         records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
@@ -163,8 +170,18 @@ class TestExitCodes:
             question["literal"]["object"] = 5
         elif case == "string_answer":
             question["answer"] = "yes"
-        else:
+        elif case == "float_depth":
             question["depth"] = 2.0
+        elif case == "no_antecedents":
+            bad["rules"][0]["antecedents"] = []
+        elif case == "variable_fact":
+            bad["facts"][0]["literal"]["subject"] = "someone"
+        elif case == "variable_question":
+            question["literal"]["subject"] = "something"
+        elif case == "int_theory_id":
+            bad["id"] = 5
+        else:
+            bad["rules"][0]["text"] = 5
         theories = tmp_path / "theories.jsonl"
         theories.write_text("".join(json.dumps(r) + "\n" for r in records))
         capsys.readouterr()
@@ -177,6 +194,58 @@ class TestExitCodes:
         assert "line 2" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["null_weights", "list", "nested_weights", "two_weights",
+                                      "string_learning_rate", "reversed_features",
+                                      "zero_epochs", "string_seed"])
+    def test_malformed_scorer_is_a_data_error(self, workspace, tmp_path, capsys, case):
+        payload = LinearScorer.untrained().to_dict()
+        if case == "null_weights":
+            payload["weights"] = None
+        elif case == "list":
+            payload = [payload]
+        elif case == "nested_weights":
+            payload["weights"] = [[w] for w in payload["weights"]]
+        elif case == "two_weights":
+            payload["weights"] = [0.0, 0.0]
+        elif case == "string_learning_rate":
+            payload["learning_rate"] = "x"
+        elif case == "reversed_features":
+            payload["features"] = list(reversed(FEATURE_NAMES))
+        elif case == "zero_epochs":
+            payload["epochs"] = 0
+        else:
+            payload["seed"] = "1"
+        scorer = tmp_path / "scorer.json"
+        scorer.write_text(json.dumps(payload))
+        out = tmp_path / "scores.jsonl"
+        capsys.readouterr()
+        code = run_command(["score-edges", "--scorer", str(scorer),
+                            str(workspace / "data" / "dev.theories.jsonl"), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        field = {"list": "scorer", "string_learning_rate": "learning_rate",
+                 "reversed_features": "features", "zero_epochs": "epochs",
+                 "string_seed": "seed"}.get(case, "weights")
+        assert f"error: {field} must be" in err
+        assert not out.exists()
+
+    def test_unreadable_input_is_a_data_error(self, tmp_path, capsys):
+        assert run_command(["answer", str(tmp_path)]) == 2
+        assert run_command(["generate", "--config", str(tmp_path), "--seed", "1",
+                            "-o", str(tmp_path / "data")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_broken_pipe_exits_zero(self, monkeypatch):
+        def closed_pipe(args):
+            raise BrokenPipeError
+
+        monkeypatch.setitem(cli._COMMANDS, "answer", closed_pipe)
+        monkeypatch.setattr("sys.argv", ["ruleproofs", "answer"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
 
     def test_unknown_prediction_node_names_the_prediction(self, workspace, tmp_path, capsys):
         test_file = workspace / "data" / "test.theories.jsonl"

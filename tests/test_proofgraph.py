@@ -21,7 +21,7 @@ class TestNodeKinds:
         assert node_kind("NAF") == "naf"
 
     def test_malformed(self):
-        for bad in ("X1", "F", "R-1", "naf", "F1a"):
+        for bad in ("X1", "F", "R-1", "naf", "F1a", "F0", "F01", "F\u00b2"):
             with pytest.raises(ValueError):
                 node_kind(bad)
 
@@ -71,6 +71,11 @@ class TestValidateStructure:
 
     def test_empty_graph_rejected(self):
         assert validate_structure(ProofGraph.of([])) == ["graph has no nodes"]
+
+    def test_malformed_id_is_a_violation(self):
+        for bad in ("F\u00b2", "F01"):
+            p = ProofGraph.of([bad, "R1"], [(bad, "R1")])
+            assert validate_structure(p) == [f"malformed node id {bad!r}"]
 
     def test_edge_outside_nodes_rejected(self):
         p = ProofGraph(frozenset(["F1"]), frozenset([("F1", "R9")]))

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ruleproofs.datagen import PROFILES, GenConfig, generate_theory
 from ruleproofs.theory import (
     Fact,
     Literal,
@@ -17,6 +18,8 @@ from ruleproofs.theory import (
     parse_rule_sentence,
     parse_sentence,
     parse_theory,
+    render_literal,
+    render_rule,
     render_sentence,
     theory_to_record,
     theory_to_text,
@@ -130,6 +133,39 @@ class TestParsing:
     def test_rejects_two_thens(self):
         with pytest.raises(TheoryParseError):
             parse_rule_sentence("If someone is blue then they are young then they are old.")
+
+    # Sentences the renderer never writes but the parser accepts: an
+    # attribute antecedent of a variable rule may carry or drop its "is".
+    @pytest.mark.parametrize("text, antecedents, consequent", [
+        ("If someone blue then they are young.",
+         [Literal("someone", "blue")], Literal("someone", "young")),
+        ("If someone is blue and is rough then they are young.",
+         [Literal("someone", "blue"), Literal("someone", "rough")], Literal("someone", "young")),
+        ("If someone likes Bob and kind then they are young.",
+         [Literal("someone", "like", "bob"), Literal("someone", "kind")],
+         Literal("someone", "young")),
+        ("If someone likes Bob and not kind then they are young.",
+         [Literal("someone", "like", "bob"), Literal("someone", "kind", positive=False)],
+         Literal("someone", "young")),
+        ("If something not live then it is broken.",
+         [Literal("something", "live", positive=False)], Literal("something", "broken")),
+    ], ids=["first_without_is", "second_with_is", "after_relation_without_is",
+            "negative_after_relation_without_is", "negative_first_without_is"])
+    def test_accepts_optional_is(self, text, antecedents, consequent):
+        assert parse_rule_sentence(text) == (tuple(antecedents), consequent)
+        assert render_rule(antecedents, consequent) != text
+
+    @pytest.mark.parametrize("text", [
+        "If someone likes Bob then they likes Bob.",
+        "If something likes Bob then it like Bob.",
+        "If someone is blue then they is young.",
+        "If something is blue then it are young.",
+        "If something is blue then it do not like Bob.",
+        "If someone is blue then it is young.",
+    ], ids=["they_third_person", "it_base_form", "they_is", "it_are", "it_do", "wrong_pronoun"])
+    def test_pronoun_decides_the_verb_form(self, text):
+        with pytest.raises(TheoryParseError):
+            parse_rule_sentence(text)
 
     def test_error_carries_line(self):
         with pytest.raises(TheoryParseError) as exc:
@@ -285,6 +321,25 @@ class TestValidateTheory:
                      gold_depth=2)
         t = Theory("t", (make_fact("F1", Literal("alan", "blue")),), (), (q,))
         assert any("depth" in v for v in validate_theory(t))
+
+
+class TestGeneratedCorpora:
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_every_sentence_round_trips(self, profile):
+        cfg = GenConfig(seed=5, num_theories=4, max_depth=3, profile=profile)
+        for index in range(cfg.num_theories):
+            t = generate_theory(cfg, index)
+            for item in (*t.facts, *t.rules, *t.questions):
+                parsed = parse_sentence(item.text)
+                if isinstance(item, Rule):
+                    assert parsed == (item.antecedents, item.consequent)
+                    assert render_rule(*parsed) == item.text
+                else:
+                    assert parsed == item.literal
+                    assert render_literal(parsed) == item.text
+            again = parse_theory(theory_to_text(t), format="sentence-text")
+            assert (again.facts, again.rules) == (t.facts, t.rules)
+            assert [q.literal for q in again.questions] == [q.literal for q in t.questions]
 
 
 ENTITIES = st.sampled_from(["alan", "bob", "carol", "dave"])

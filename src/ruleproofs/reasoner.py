@@ -6,21 +6,28 @@ underivable ones, and identifies the sentences whose removal flips an
 answer.
 
 Each theory is compiled once, by ``closure``, into a ``GroundProgram``,
-the reasoner's only per-theory object: rules are grounded over the
-theory's entities, atoms are interned as integer ids, and atoms are
-partitioned into strata so that no atom depends negatively on its own
-stratum (a theory with a dependency cycle through negation is rejected).
-The program derives its least fixpoint once and keeps the derived atoms,
-the instances that derived each one, a head index and a fact lookup;
-every entry point reads them instead of grounding again. A derivation
-runs stratum by stratum; inside a stratum each instance counts its
-missing positive antecedents and fires when the count reaches zero
-(Dowling & Gallier 1984), so every atom is derived and propagated at
-most once. A negative antecedent holds when its atom is absent from the
-strata below. Critical sentences reuse the same program: removing a
-sentence drops its fact, or its rule's instances, plus the instances
-bound to an entity that no other sentence or question mentions. A
-stratification of the full program is valid for every such subprogram.
+the reasoner's only per-theory object. The compile runs on integer ids
+only: atoms are interned, each rule is grounded straight to atom ids over
+the theory's entities, and an instance is kept as its rule index and
+binding, its head id and its positive and negative antecedent ids. Atoms
+are partitioned into strata so that no atom depends negatively on its
+own stratum (a theory with a dependency cycle through negation is
+rejected). A negated atom that no instance concludes is set by the facts
+alone, so its value is final before any stratum runs and it does not
+raise its reader's stratum. The program derives its least fixpoint once;
+every entry point reads it instead of grounding again. A derivation runs
+stratum by stratum; inside a stratum each instance counts its missing
+positive antecedents and fires when the count reaches zero (Dowling &
+Gallier 1984), so every atom is derived and propagated at most once. A
+negative antecedent holds when its atom is absent; by then the atom is
+final, concluded in a lower stratum or set by the facts alone.
+A ``GroundInstance`` with bound literals is built only where something
+first reads it (the derivation index, failure selection, proof
+checking), so answering and critical sentences build none. Critical
+sentences reuse the same program: removing a sentence drops its fact,
+or its rule's instances, plus the instances bound to an entity that no
+other sentence or question mentions. A stratification of the full
+program is valid for every such subprogram.
 
 Proof conventions, applied in this order for a question literal q:
 
@@ -74,44 +81,62 @@ class GroundInstance:
     consequent: Literal
 
 
-def ground_instances(t: Theory) -> list[GroundInstance]:
+def ground_instances(t: Theory):
+    """Ground every rule straight to atom ids, in grounding order: rule by
+    rule, a variable rule once per entity of the theory in sorted order.
+
+    Returns the atom ids (every fact's atom included) and four columns with
+    one entry per instance: its (rule index, binding), its head id, and its
+    positive and its negative antecedent ids. No literal is bound.
+    """
+    ids: dict[Atom, int] = {}
+    for f in t.facts:
+        ids.setdefault(f.literal.atom(), len(ids))
     entities = t.entities()
-    instances = []
+
+    def column(lit: Literal, bindings) -> list[int]:
+        """The atom id of ``lit`` under each binding."""
+        if lit.is_variable():
+            return [ids.setdefault((e, lit.predicate, lit.obj), len(ids)) for e in bindings]
+        return [ids.setdefault(lit.atom(), len(ids))] * len(bindings)
+
+    keys, heads, positives, negatives = [], [], [], []
     for index, rule in enumerate(t.rules):
-        if rule.is_variable_rule():
-            for entity in entities:
-                instances.append(
-                    GroundInstance(
-                        rule.id,
-                        index,
-                        entity,
-                        tuple(a.bind(entity) for a in rule.antecedents),
-                        rule.consequent.bind(entity),
-                    )
-                )
-        else:
-            instances.append(
-                GroundInstance(rule.id, index, None, rule.antecedents, rule.consequent)
-            )
-    return instances
+        bindings = entities if rule.is_variable_rule() else [None]
+        positive, negative = [], []
+        for lit in rule.antecedents:
+            (positive if lit.positive else negative).append(column(lit, bindings))
+        keys += [(index, b) for b in bindings]
+        heads += column(rule.consequent, bindings)
+        positives += zip(*positive) if positive else [()] * len(bindings)
+        negatives += zip(*negative) if negative else [()] * len(bindings)
+    return ids, keys, heads, positives, negatives
 
 
 def _stratify(atoms: list[Atom], heads: list[int], positives: list[tuple[int, ...]],
               negatives: list[tuple[int, ...]]) -> list[int]:
-    """Least stratum per atom id, so negative dependencies always point strictly down.
+    """Least stratum per atom id, so negating a concluded atom always points strictly down.
 
     Relaxes every instance until a pass changes nothing: its head rises to
     the largest stratum of its positive antecedents and to one above each
-    negative antecedent's (Bellman-Ford on longest paths). Without a cycle
-    through negation a longest path is simple, so it has at most
+    negated atom's that some instance concludes (Bellman-Ford on longest
+    paths). An atom that nothing concludes is set by the facts alone, so
+    its flag is final before any stratum runs, with or without a removed
+    sentence; and a cycle through negation negates an atom on the cycle,
+    which is concluded, so ignoring the others rejects the same theories.
+    Without such a cycle a longest path is simple, so it has at most
     |atoms| - 1 edges and settles within that many passes; strata still
     rising after |atoms| + 1 passes mean the theory is not stratified.
     """
     strata = [0] * len(atoms)
+    concluded = set(heads)
+    if concluded.isdisjoint(itertools.chain.from_iterable(negatives)):
+        return strata  # only a negated concluded atom lifts a stratum
     for _ in range(len(atoms) + 1):
         rising = None
         for head, pos, neg in zip(heads, positives, negatives):
-            level = max([strata[a] for a in pos] + [strata[a] + 1 for a in neg], default=0)
+            level = max([strata[a] for a in pos]
+                        + [strata[a] + 1 for a in neg if a in concluded], default=0)
             if level > strata[head]:
                 strata[head] = level
                 rising = head
@@ -123,35 +148,32 @@ def _stratify(atoms: list[Atom], heads: list[int], positives: list[tuple[int, ..
 class GroundProgram:
     """A theory grounded, stratified and derived once, shared by every entry point.
 
-    Atoms are interned as ids. ``levels`` holds instance indices by the
-    stratum of their head; ``watchers[a]`` lists the instances of atom
-    ``a``'s stratum with ``a`` among their positive antecedents; and
-    ``removals[s]`` holds the instances that vanish with sentence ``s``.
-    ``derived`` is the least fixpoint (``flags`` by atom id) and
-    ``derivation_index`` maps each derived atom to the instances that fire
-    for it, in grounding order.
+    The compile runs on integer ids only. ``atom_ids`` interns the atoms
+    (``atoms`` lists them by id), and instance ``i`` is the row
+    ``keys[i]`` (rule index, binding), ``heads[i]``, ``positives[i]`` and
+    ``negatives[i]``. ``levels`` holds instance indices by the stratum of
+    their head; ``watchers[a]`` lists the instances of atom ``a``'s stratum
+    with ``a`` among their positive antecedents. ``flags`` is the least
+    fixpoint by atom id and ``fired`` lists the instances that fire in it.
+
+    The rest is built on first read and then kept. ``instance(i)`` builds
+    one ``GroundInstance`` from its key; ``derived`` is the fixpoint as a
+    set of atoms; ``derivation_index`` maps each derived atom to the
+    instances that fire for it, in grounding order, and builds only those.
+    ``rule_rows`` indexes instances by rule id, and ``removals[s]`` holds
+    the instances that vanish with sentence ``s``. Answering, decoding and
+    critical sentences build no instance.
     """
 
     def __init__(self, t: Theory):
         self.theory = t
-        self.instances = ground_instances(t)
-        self.atom_ids: dict[Atom, int] = {}
-        self.fact_by_literal: dict[Literal, str] = {}
-        for f in t.facts:
-            self.fact_by_literal.setdefault(f.literal, f.id)
-            self._intern(f.literal.atom())
-        self.by_head: dict[Atom, list[GroundInstance]] = {}
-        self.by_rule: dict[str, list[GroundInstance]] = {}
-        self.heads, self.positives, self.negatives = [], [], []
-        for inst in self.instances:
-            self.by_head.setdefault(inst.consequent.atom(), []).append(inst)
-            self.by_rule.setdefault(inst.rule_id, []).append(inst)
-            self.heads.append(self._intern(inst.consequent.atom()))
-            self.positives.append(tuple(
-                self._intern(a.atom()) for a in inst.antecedents if a.positive))
-            self.negatives.append(tuple(
-                self._intern(a.atom()) for a in inst.antecedents if not a.positive))
-        strata = _stratify(list(self.atom_ids), self.heads, self.positives, self.negatives)
+        self.atom_ids, self.keys, self.heads, self.positives, self.negatives = \
+            ground_instances(t)
+        self.atoms = list(self.atom_ids)
+        self._instances: list[Optional[GroundInstance]] = [None] * len(self.keys)
+        self.fact_atoms = [(f.id, self.atom_ids[f.literal.atom()])
+                           for f in t.facts if f.literal.positive]
+        strata = _stratify(self.atoms, self.heads, self.positives, self.negatives)
         self.levels: list[list[int]] = [[] for _ in range(max(strata, default=-1) + 1)]
         self.watchers: list[list[int]] = [[] for _ in strata]
         for i, head in enumerate(self.heads):
@@ -159,13 +181,54 @@ class GroundProgram:
             for a in self.positives[i]:
                 if strata[a] == strata[head]:
                     self.watchers[a].append(i)
+        self.flags, self.fired = self.derive()
 
-        self.flags, fired = self.derive()
-        self.derived = frozenset(atom for atom, a in self.atom_ids.items() if self.flags[a])
+    def instance(self, i: int) -> GroundInstance:
+        """Instance ``i``, built from its rule and binding on first use."""
+        inst = self._instances[i]
+        if inst is None:
+            index, binding = self.keys[i]
+            rule = self.theory.rules[index]
+            antecedents, consequent = rule.antecedents, rule.consequent
+            if binding is not None:
+                antecedents = tuple(a.bind(binding) for a in antecedents)
+                consequent = consequent.bind(binding)
+            inst = self._instances[i] = GroundInstance(
+                rule.id, index, binding, antecedents, consequent)
+        return inst
+
+    def derives(self, atom: Atom) -> bool:
+        """Whether ``atom`` is in the least fixpoint."""
+        a = self.atom_ids.get(atom)
+        return a is not None and bool(self.flags[a])
+
+    @cached_property
+    def fact_by_literal(self) -> dict[Literal, str]:
+        """The first fact stating each literal."""
+        facts: dict[Literal, str] = {}
+        for f in self.theory.facts:
+            facts.setdefault(f.literal, f.id)
+        return facts
+
+    @cached_property
+    def derived(self) -> frozenset[Atom]:
+        return frozenset(atom for atom, a in self.atom_ids.items() if self.flags[a])
+
+    @cached_property
+    def derivation_index(self) -> dict[Atom, tuple[GroundInstance, ...]]:
         index: dict[Atom, list[GroundInstance]] = {}
-        for i in sorted(fired):
-            index.setdefault(self.instances[i].consequent.atom(), []).append(self.instances[i])
-        self.derivation_index = {atom: tuple(entries) for atom, entries in index.items()}
+        for i in sorted(self.fired):
+            index.setdefault(self.atoms[self.heads[i]], []).append(self.instance(i))
+        return {atom: tuple(entries) for atom, entries in index.items()}
+
+    @cached_property
+    def rule_rows(self) -> dict[str, list[int]]:
+        """Instance indices by rule id."""
+        rules = self.theory.rules
+        rows: dict[str, list[int]] = {}
+        for i, (index, _binding) in enumerate(self.keys):
+            rows.setdefault(rules[index].id, []).append(i)
+        return rows
 
     @cached_property
     def removals(self) -> dict[str, set[int]]:
@@ -181,9 +244,9 @@ class GroundProgram:
                 for entity in lit.entities():
                     owners.setdefault(entity, set()).add(owner)
         removals: dict[str, set[int]] = {}
-        for i, inst in enumerate(self.instances):
-            removals.setdefault(inst.rule_id, set()).add(i)
-            sole = owners[inst.binding] if inst.binding is not None else ()
+        for i, (index, binding) in enumerate(self.keys):
+            removals.setdefault(t.rules[index].id, set()).add(i)
+            sole = owners[binding] if binding is not None else ()
             if len(sole) == 1 and None not in sole:
                 removals.setdefault(next(iter(sole)), set()).add(i)
         return removals
@@ -193,8 +256,8 @@ class GroundProgram:
         """What each non-rule node of a proof supplies: a fact its literal,
         and NAF every negative antecedent whose atom stays underived."""
         supplies = {f.id: frozenset([f.literal]) for f in self.theory.facts}
-        supplies[NAF] = frozenset(ant for inst in self.instances for ant in inst.antecedents
-                                  if not ant.positive and ant.atom() not in self.derived)
+        underived = {a for neg in self.negatives for a in neg if not self.flags[a]}
+        supplies[NAF] = frozenset(Literal(*self.atoms[a], False) for a in underived)
         return supplies
 
     @cached_property
@@ -220,16 +283,13 @@ class GroundProgram:
                     changed = True
         return depths
 
-    def _intern(self, atom: Atom) -> int:
-        return self.atom_ids.setdefault(atom, len(self.atom_ids))
-
     def derive(self, removed: Optional[str] = None) -> tuple[bytearray, list[int]]:
         """Derived flags by atom id and the indices of the instances that
         fire, for the theory without sentence ``removed`` (if given)."""
         derived = bytearray(len(self.atom_ids))
-        for f in self.theory.facts:
-            if f.literal.positive and f.id != removed:
-                derived[self.atom_ids[f.literal.atom()]] = 1
+        for fact_id, a in self.fact_atoms:
+            if fact_id != removed:
+                derived[a] = 1
         skip = self.removals.get(removed, ()) if removed is not None else ()
         heads, positives, negatives, watchers = \
             self.heads, self.positives, self.negatives, self.watchers
@@ -238,7 +298,7 @@ class GroundProgram:
         for level in self.levels:
             ready = []
             for i in level:
-                if i in skip or any(derived[a] for a in negatives[i]):
+                if i in skip or negatives[i] and any(derived[a] for a in negatives[i]):
                     continue  # its count stays at zero and only falls, so it never fires
                 count = 0
                 for a in positives[i]:
@@ -354,22 +414,26 @@ def _minimal_fragments(program: GroundProgram, atom: Atom) -> list[_Fragment]:
 
 def _fails(program: GroundProgram, ant: Literal) -> bool:
     """Whether the antecedent is false in the program's fixpoint."""
-    return (ant.atom() in program.derived) != ant.positive
+    return program.derives(ant.atom()) != ant.positive
 
 
 def select_failed_instance(program: GroundProgram, atom: Atom):
     """Pick the concluding instance with the shallowest failure for an
     underivable atom; ties break on rule index, then binding. Returns
     (instance, failing antecedent set) or None when nothing concludes it."""
-    concluders = None if atom in program.derived else program.by_head.get(atom)
+    a = program.atom_ids.get(atom)
+    concluders = [] if a is None or program.flags[a] else \
+        [i for i, head in enumerate(program.heads) if head == a]
     if not concluders:
         return None
     # most underivable atoms have one concluder; then the failure table
-    # is not needed, and most programs never build it
-    chosen = concluders[0] if len(concluders) == 1 else min(concluders, key=lambda inst: (
-        min(program.failure_depths[program.atom_ids[ant.atom()]] if ant.positive else 0
-            for ant in inst.antecedents if _fails(program, ant)),
-        inst.rule_index, inst.binding or ""))
+    # is not needed, and most programs never build it. Grounding order is
+    # (rule index, binding) order, so the first shallowest wins the tie.
+    flags = program.flags
+    chosen = program.instance(concluders[0] if len(concluders) == 1 else min(
+        concluders, key=lambda i: min(
+            [program.failure_depths[b] for b in program.positives[i] if not flags[b]]
+            + [0.0 for b in program.negatives[i] if flags[b]])))
     return chosen, tuple(ant for ant in chosen.antecedents if _fails(program, ant))
 
 
@@ -404,7 +468,7 @@ def prove_literal(program: GroundProgram, lit: Literal,
     if fact_id is not None:
         return [ProofGraph.of([fact_id])]
 
-    if atom in program.derived:
+    if program.derives(atom):
         proofs = [ProofGraph.of(f.nodes, f.edges) for f in _minimal_fragments(program, atom)]
         proofs.sort(key=ProofGraph.canonical_key)
         return proofs[:max_proofs]
@@ -469,7 +533,7 @@ def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
         return p.nodes == frozenset([lookup]) and not p.edges
 
     supplied, needs = _simulate(program, p)
-    if atom in program.derived:
+    if program.derives(atom):
         exempt = None
         if not any(Literal(*atom) in lits for lits in supplied.values()):
             return False
@@ -498,6 +562,8 @@ def _simulate(program: GroundProgram, p: ProofGraph):
     is satisfied when some incoming edge comes from a node that supplies it.
     """
     supplied = {node: set(program.supplies.get(node, ())) for node in p.nodes}
+    instances = {node: [program.instance(i) for i in program.rule_rows.get(node, ())]
+                 for node in p.nodes}
     incoming: dict[str, list[str]] = {n: [] for n in p.nodes}
     for s, d in p.edges:
         incoming[d].append(s)
@@ -507,7 +573,7 @@ def _simulate(program: GroundProgram, p: ProofGraph):
     while changed:
         changed = False
         for node in p.nodes:
-            for inst in program.by_rule.get(node, ()):
+            for inst in instances[node]:
                 if inst.consequent in supplied[node]:
                     continue
                 if all(any(a in supplied[s] for s in incoming[node]) for a in inst.antecedents):

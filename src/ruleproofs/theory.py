@@ -305,7 +305,8 @@ def _verb_token(token: str, line: Optional[int]) -> str:
 def _base_verb(token: str, line: Optional[int]) -> str:
     if not token.endswith("s") or len(token) < 2:
         raise TheoryParseError(f"expected a third-person verb, got {token!r}", line)
-    return _verb_token(token[:-1], line)
+    # a reserved word ("does") is rejected before its "s" is stripped
+    return _verb_token(_predicate_token(token, line)[:-1], line)
 
 
 def _parse_phrase(subject: str, words: list[str], plural: bool, line: Optional[int]) -> Literal:

@@ -1,6 +1,8 @@
-"""Every stage of the README pipeline on configs/du3.json at seed 0 writes
-the bytes pinned here. A refactor of labels, potentials, decoding, eval or
-the lexical scorer that changes any output fails this test."""
+"""Every stage of the README pipeline on configs/du3.json at seed 0, and
+the reasoner subcommands answer, prove and critical on its test split,
+write the bytes pinned here. A refactor of the reasoner, labels,
+potentials, decoding, eval or the lexical scorer that changes any output
+fails this test."""
 
 import hashlib
 from pathlib import Path
@@ -13,6 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 STAGES = (
     ("data", ["generate", "--config", str(ROOT / "configs" / "du3.json"), "--seed", "0",
               "-o", "{out}/data"]),
+    ("answers.jsonl", ["answer", "{test}"]),
+    ("proofs.jsonl", ["prove", "{test}"]),
+    ("critical.jsonl", ["critical", "{test}"]),
     ("labels.jsonl", ["mask-export", "{test}"]),
     ("noisy.pots.jsonl", ["oracle-potentials", "--seed", "0", "--noise", "0.3", "{test}"]),
     ("adversarial.pots.jsonl", ["oracle-potentials", "--seed", "0", "--adversarial", "{test}"]),
@@ -39,8 +44,12 @@ PIPELINE_SHA256 = {
         "514814ccb6d37384277c341ee082360b8dd2c677749e1e83ba9b84df1fb7b946",
     "adversarial.preds.jsonl":
         "3834d33a979a4e6484ba01b3151fcbc08383c314f4d4b96c060dd7230191351c",
+    "answers.jsonl":
+        "e93a624163cf67a2351060b5438856449f5966fc3ac0ba656c146804b836f250",
     "cells.jsonl":
         "5aeade55d41951188bfb7e2842cf00f9bf252139f3fd278de8335851dea80dde",
+    "critical.jsonl":
+        "af046b58119cdb2f6ab0ca493d99eefcf2b870399cefcf87e157de90a3626cca",
     "data/dev.theories.jsonl":
         "526e8de23d8aee12044eb865c3ad5474bc77bae3ae58f04f891a03f75f71eb93",
     "data/manifest.json":
@@ -55,6 +64,8 @@ PIPELINE_SHA256 = {
         "d1f0b2545ea0d0cdce52e892163fa4e23e29b628c3b2beb09220bc287cdce88d",
     "noisy.preds.jsonl":
         "fec97882c8afa5359a5e2aad21ca2c6698376477da25b2cd4414fd7a8b543226",
+    "proofs.jsonl":
+        "c01a00fa9e95eebe23728591b46ea39971d979e8e1f6a91074a3be1418894cf3",
     "report.json":
         "afcb49fb392f5a5307dd1c6bc87e9d919035e506cc90a01374671f8862a4ab6d",
     "report.txt":

@@ -146,6 +146,15 @@ def derived_atoms(program: GroundProgram, removed=None) -> set:
 def test_program_matches_oracle_on_every_ablation(t):
     program = closure(t)
     assert derived_atoms(program) == oracles.naive_closure(t) == set(program.derived)
+    built = [program.instance(i) for i in range(len(program.keys))]
+    assert [(inst.rule_index, inst.binding, inst.antecedents, inst.consequent)
+            for inst in built] == oracles._instances(t)
+    # the id rows name the atoms of the instance built from the same key
+    for i, inst in enumerate(built):
+        assert program.atoms[program.heads[i]] == inst.consequent.atom()
+        for ids, positive in ((program.positives[i], True), (program.negatives[i], False)):
+            assert [program.atoms[a] for a in ids] == \
+                [ant.atom() for ant in inst.antecedents if ant.positive == positive]
     for sentence_id in t.sentence_ids():
         assert derived_atoms(program, sentence_id) == oracles.naive_closure(
             without(t, sentence_id)), sentence_id
@@ -173,7 +182,7 @@ def test_check_proof_accepts_every_emitted_proof(t):
 
 def assert_failed_instances_match_path_oracle(t):
     program = closure(t)
-    atoms = set(program.by_head) - program.derived
+    atoms = {program.atoms[head] for head in program.heads} - program.derived
     expected = oracles.naive_failed_instances(t, atoms)
     for atom in atoms:
         inst, failing = select_failed_instance(program, atom)

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from ruleproofs.datagen import GenConfig, generate_theory
+from ruleproofs import reasoner
 from ruleproofs.proofgraph import ProofGraph, proof_depth
 from ruleproofs.reasoner import (
     NonStratifiedTheory,
@@ -84,6 +85,30 @@ class TestClosure:
         )
         with pytest.raises(NonStratifiedTheory):
             closure(t)
+
+    def test_negating_an_unconcluded_atom_keeps_one_stratum(self):
+        # nothing concludes "cold": its flag is fixed by the facts before
+        # any stratum runs, also when F1 is removed
+        t = theory_of(
+            [Literal("alan", "cold"), Literal("alan", "blue")],
+            [([Literal("someone", "cold", None, False)], Literal("someone", "young"))],
+        )
+        c = closure(t)
+        assert len(c.levels) == 1
+        assert ("alan", "young", None) not in c.derived
+        flags, _fired = c.derive("F1")
+        assert flags[c.atom_ids[("alan", "young", None)]]
+
+    def test_negating_a_concluded_atom_stratifies(self):
+        t = theory_of(
+            [Literal("alan", "blue")],
+            [([Literal("someone", "cold", None, False)], Literal("someone", "young")),
+             ([Literal("someone", "blue")], Literal("someone", "cold"))],
+        )
+        c = closure(t)
+        assert len(c.levels) == 2
+        assert ("alan", "cold", None) in c.derived
+        assert ("alan", "young", None) not in c.derived
 
     def test_positive_cycle_allowed(self):
         t = theory_of(
@@ -420,6 +445,48 @@ class TestCriticalSentences:
             [Literal("alan", "smart")],
         )
         assert critical_sentences(t)[0] == set()
+
+
+class TestInstancesOnFirstUse:
+    """The compile keeps id rows only; a ``GroundInstance`` is built where
+    a proof reads it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class Counting(reasoner.GroundInstance):
+            def __init__(self, rule_id, rule_index, binding, antecedents, consequent):
+                built.append((rule_id, binding))
+                super().__init__(rule_id, rule_index, binding, antecedents, consequent)
+
+        monkeypatch.setattr(reasoner, "GroundInstance", Counting)
+        return built
+
+    def test_answers_and_critical_sentences_build_none(self, built):
+        theories = random_theories(30)
+        built.clear()  # generating them builds the instances of their proofs
+        for t in theories:
+            program = closure(t)
+            for q in t.questions:
+                program.holds(q.literal)
+            critical_sentences(t)
+        assert built == []
+
+    def test_proofs_build_the_instances_they_read(self, built):
+        t = theory_of(
+            [Literal("alan", "blue"), Literal("bob", "big")],
+            [([Literal("someone", "blue")], Literal("someone", "young")),
+             ([Literal("someone", "young")], Literal("someone", "kind"))],
+            [Literal("alan", "kind")],
+        )
+        program = closure(t)
+        assert built == []
+        [p] = reasoner.prove_literal(program, t.questions[0].literal)
+        assert built == [("R1", "alan"), ("R2", "alan")]  # the fired ones
+        built.clear()
+        assert check_proof(t, t.questions[0], p)
+        assert sorted(built) == [("R1", "alan"), ("R1", "bob"), ("R2", "alan"), ("R2", "bob")]
 
 
 class TestOracleAgreement:

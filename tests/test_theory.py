@@ -125,6 +125,10 @@ class TestParsing:
             parse_fact_sentence("Alan is not.")
         with pytest.raises(TheoryParseError):
             parse_fact_sentence("If is blue.")
+        with pytest.raises(TheoryParseError):
+            parse_fact_sentence("Alan does Bob.")
+        with pytest.raises(TheoryParseError):
+            parse_rule_sentence("If someone does Bob then they doe Carol.")
 
     def test_rejects_lowercase_entity(self):
         with pytest.raises(TheoryParseError):

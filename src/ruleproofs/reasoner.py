@@ -20,12 +20,11 @@ stratum by stratum; inside a stratum each instance counts its missing
 positive antecedents and fires when the count reaches zero (Dowling &
 Gallier 1984), so every atom is derived and propagated at most once. A
 negative antecedent holds when its atom is absent; by then the atom is
-final, concluded in a lower stratum or set by the facts alone.
-A ``GroundInstance`` with bound literals is built only where something
-first reads it (the derivation index, failure selection, proof
-checking), so answering and critical sentences build none. Critical
-sentences reuse the same program: removing a sentence drops its fact,
-or its rule's instances, plus the instances bound to an entity that no
+final, concluded in a lower stratum or set by the facts alone. Proof
+search, failure selection and proof checking read the same id rows; a
+``Literal`` is looked up only where a caller passes one in. Critical
+sentences reuse the same program: removing a sentence drops its fact, or
+its rule's instances, plus the instances bound to an entity that no
 other sentence or question mentions. A stratification of the full
 program is valid for every such subprogram.
 
@@ -40,12 +39,12 @@ Proof conventions, applied in this order for a question literal q:
   with the shallowest failure, derivations of its satisfiable
   antecedents, and a NAF node covering the failing branches.
 
-A proof is checked by firing its rules against what its other nodes
-supply: a fact its literal, and NAF every negative antecedent whose atom
-the program leaves underived, so an antecedent arrives over an edge
-exactly when the edge's source supplies it. The shallowest failure is read
-from a per-program table of failure depths, one relaxation over the
-instances.
+A proof is checked by firing its rules' instances against what its
+other nodes supply, as signed atom ids (atom id, positive): a fact its
+literal, and NAF every negative antecedent whose atom the program leaves
+underived, so an antecedent arrives over an edge exactly when the edge's
+source supplies it. The shallowest failure is read from a per-program
+table of failure depths, one relaxation over the instances.
 """
 
 from __future__ import annotations
@@ -68,17 +67,6 @@ _FRAGMENT_CAP = 256
 
 class NonStratifiedTheory(ValueError):
     """A dependency cycle runs through a negative antecedent."""
-
-
-@dataclass(frozen=True)
-class GroundInstance:
-    """One rule with its variable (if any) bound to a concrete entity."""
-
-    rule_id: str
-    rule_index: int
-    binding: Optional[str]
-    antecedents: tuple[Literal, ...]
-    consequent: Literal
 
 
 def ground_instances(t: Theory):
@@ -156,13 +144,14 @@ class GroundProgram:
     with ``a`` among their positive antecedents. ``flags`` is the least
     fixpoint by atom id and ``fired`` lists the instances that fire in it.
 
-    The rest is built on first read and then kept. ``instance(i)`` builds
-    one ``GroundInstance`` from its key; ``derived`` is the fixpoint as a
-    set of atoms; ``derivation_index`` maps each derived atom to the
-    instances that fire for it, in grounding order, and builds only those.
-    ``rule_rows`` indexes instances by rule id, and ``removals[s]`` holds
-    the instances that vanish with sentence ``s``. Answering, decoding and
-    critical sentences build no instance.
+    The rest is built on first read and then kept. ``derived`` is the
+    fixpoint as a set of atoms; ``derivation_index`` maps each derived
+    head id to the instances that fire for it, in grounding order;
+    ``rule_ids`` names each instance's rule and ``rule_rows`` indexes
+    instances by rule id; ``stated_by`` maps a signed atom id (atom id,
+    positive) to the facts stating it; ``removals[s]`` holds the instances
+    that vanish with sentence ``s``. Proofs and their checks read these
+    rows; no literal is bound.
     """
 
     def __init__(self, t: Theory):
@@ -170,7 +159,6 @@ class GroundProgram:
         self.atom_ids, self.keys, self.heads, self.positives, self.negatives = \
             ground_instances(t)
         self.atoms = list(self.atom_ids)
-        self._instances: list[Optional[GroundInstance]] = [None] * len(self.keys)
         self.fact_atoms = [(f.id, self.atom_ids[f.literal.atom()])
                            for f in t.facts if f.literal.positive]
         strata = _stratify(self.atoms, self.heads, self.positives, self.negatives)
@@ -183,51 +171,37 @@ class GroundProgram:
                     self.watchers[a].append(i)
         self.flags, self.fired = self.derive()
 
-    def instance(self, i: int) -> GroundInstance:
-        """Instance ``i``, built from its rule and binding on first use."""
-        inst = self._instances[i]
-        if inst is None:
-            index, binding = self.keys[i]
-            rule = self.theory.rules[index]
-            antecedents, consequent = rule.antecedents, rule.consequent
-            if binding is not None:
-                antecedents = tuple(a.bind(binding) for a in antecedents)
-                consequent = consequent.bind(binding)
-            inst = self._instances[i] = GroundInstance(
-                rule.id, index, binding, antecedents, consequent)
-        return inst
-
-    def derives(self, atom: Atom) -> bool:
-        """Whether ``atom`` is in the least fixpoint."""
-        a = self.atom_ids.get(atom)
-        return a is not None and bool(self.flags[a])
-
     @cached_property
-    def fact_by_literal(self) -> dict[Literal, str]:
-        """The first fact stating each literal."""
-        facts: dict[Literal, str] = {}
+    def stated_by(self) -> dict[tuple[int, bool], list[str]]:
+        """The ids of the facts stating each signed atom id, in fact order."""
+        stated: dict[tuple[int, bool], list[str]] = {}
         for f in self.theory.facts:
-            facts.setdefault(f.literal, f.id)
-        return facts
+            lit = f.literal
+            stated.setdefault((self.atom_ids[lit.atom()], lit.positive), []).append(f.id)
+        return stated
 
     @cached_property
     def derived(self) -> frozenset[Atom]:
         return frozenset(atom for atom, a in self.atom_ids.items() if self.flags[a])
 
     @cached_property
-    def derivation_index(self) -> dict[Atom, tuple[GroundInstance, ...]]:
-        index: dict[Atom, list[GroundInstance]] = {}
+    def derivation_index(self) -> dict[int, list[int]]:
+        index: dict[int, list[int]] = {}
         for i in sorted(self.fired):
-            index.setdefault(self.atoms[self.heads[i]], []).append(self.instance(i))
-        return {atom: tuple(entries) for atom, entries in index.items()}
+            index.setdefault(self.heads[i], []).append(i)
+        return index
+
+    @cached_property
+    def rule_ids(self) -> list[str]:
+        rules = self.theory.rules
+        return [rules[index].id for index, _binding in self.keys]
 
     @cached_property
     def rule_rows(self) -> dict[str, list[int]]:
         """Instance indices by rule id."""
-        rules = self.theory.rules
         rows: dict[str, list[int]] = {}
-        for i, (index, _binding) in enumerate(self.keys):
-            rows.setdefault(rules[index].id, []).append(i)
+        for i, rule_id in enumerate(self.rule_ids):
+            rows.setdefault(rule_id, []).append(i)
         return rows
 
     @cached_property
@@ -252,12 +226,14 @@ class GroundProgram:
         return removals
 
     @cached_property
-    def supplies(self) -> dict[str, frozenset[Literal]]:
-        """What each non-rule node of a proof supplies: a fact its literal,
-        and NAF every negative antecedent whose atom stays underived."""
-        supplies = {f.id: frozenset([f.literal]) for f in self.theory.facts}
-        underived = {a for neg in self.negatives for a in neg if not self.flags[a]}
-        supplies[NAF] = frozenset(Literal(*self.atoms[a], False) for a in underived)
+    def supplies(self) -> dict[str, frozenset[tuple[int, bool]]]:
+        """What each non-rule node of a proof supplies, as signed atom ids: a
+        fact its literal, and NAF every negative antecedent whose atom
+        stays underived."""
+        supplies = {fact_id: frozenset([signed])
+                    for signed, fact_ids in self.stated_by.items() for fact_id in fact_ids}
+        supplies[NAF] = frozenset((a, False) for neg in self.negatives for a in neg
+                                  if not self.flags[a])
         return supplies
 
     @cached_property
@@ -324,12 +300,11 @@ class GroundProgram:
               removed: Optional[str] = None) -> bool:
         """Closed-world truth of ``lit`` in the program, or against the
         flags from ``derive(removed)``."""
-        atom = self.atom_ids.get(lit.atom())
-        present = atom is not None and (self.flags if flags is None else flags)[atom]
+        a = self.atom_ids.get(lit.atom())
+        present = a is not None and (self.flags if flags is None else flags)[a]
         if lit.positive:
             return bool(present)
-        return not present or any(
-            f.literal == lit and f.id != removed for f in self.theory.facts)
+        return not present or any(f != removed for f in self.stated_by.get((a, False), ()))
 
 
 def closure(t: Theory) -> GroundProgram:
@@ -356,45 +331,54 @@ class _Fragment:
         return (sorted(self.nodes), sorted(self.edges))
 
 
-def _negative_support(program: GroundProgram, ant: Literal) -> _Fragment:
-    """Support for a satisfied negative antecedent: a stated negative fact
-    when one exists, the collapsed NAF node otherwise."""
-    fact_id = program.fact_by_literal.get(ant)
-    if fact_id is not None:
-        return _Fragment(frozenset([fact_id]), frozenset(), fact_id)
-    return _Fragment(frozenset([NAF]), frozenset(), NAF)
+def _leaf(node: str) -> _Fragment:
+    return _Fragment(frozenset([node]), frozenset(), node)
 
 
-def _fragments(program: GroundProgram, atom: Atom, path: frozenset[Atom]) -> list[_Fragment]:
-    """All derivation fragments for a derivable atom, avoiding any atom
+def _antecedents(program: GroundProgram, i: int) -> list[tuple[int, bool]]:
+    """Instance ``i``'s antecedents as signed atom ids, positive ones first."""
+    return [(b, True) for b in program.positives[i]] + [(b, False) for b in program.negatives[i]]
+
+
+def _satisfiable(program: GroundProgram, i: int) -> list[tuple[int, bool]]:
+    """Instance ``i``'s antecedents that hold in the program's fixpoint."""
+    return [(b, positive) for b, positive in _antecedents(program, i)
+            if bool(program.flags[b]) == positive]
+
+
+def _negative_support(program: GroundProgram, a: int) -> _Fragment:
+    """Support for a satisfied negative antecedent on atom ``a``: the first
+    fact stating its negation when one exists, the collapsed NAF node
+    otherwise."""
+    stated = program.stated_by.get((a, False))
+    return _leaf(stated[0] if stated else NAF)
+
+
+def _fragments(program: GroundProgram, a: int, path: frozenset[int]) -> list[_Fragment]:
+    """All derivation fragments for a derivable atom id, avoiding any atom
     already under derivation on the current path."""
     options: list[_Fragment] = []
-    fact_id = program.fact_by_literal.get(Literal(*atom))
-    if fact_id is not None:
-        options.append(_Fragment(frozenset([fact_id]), frozenset(), fact_id))
-    for inst in program.derivation_index.get(atom, ()):
+    stated = program.stated_by.get((a, True))
+    if stated:
+        options.append(_leaf(stated[0]))
+    for i in program.derivation_index.get(a, ()):
         choice_lists: list[list[_Fragment]] = []
-        feasible = True
-        for ant in inst.antecedents:
-            if ant.positive:
-                if ant.atom() in path:
-                    feasible = False
-                    break
-                subs = _fragments(program, ant.atom(), path | {ant.atom()})
-                if not subs:
-                    feasible = False
-                    break
-                choice_lists.append(subs)
-            else:
-                choice_lists.append([_negative_support(program, ant)])
-        if not feasible:
-            continue
+        for b in program.positives[i]:
+            subs = [] if b in path else _fragments(program, b, path | {b})
+            if not subs:
+                break
+            choice_lists.append(subs)
+        if len(choice_lists) < len(program.positives[i]):
+            continue  # a positive antecedent has no fragment off the path
+        # one choice per negative antecedent, so the cap cuts the same combos
+        choice_lists += [[_negative_support(program, b)] for b in program.negatives[i]]
+        rule_id = program.rule_ids[i]
         for combo in itertools.product(*choice_lists):
-            nodes = frozenset([inst.rule_id]).union(*(f.nodes for f in combo)) \
-                if combo else frozenset([inst.rule_id])
-            edges = frozenset((f.root, inst.rule_id) for f in combo).union(
+            nodes = frozenset([rule_id]).union(*(f.nodes for f in combo)) \
+                if combo else frozenset([rule_id])
+            edges = frozenset((f.root, rule_id) for f in combo).union(
                 *(f.edges for f in combo)) if combo else frozenset()
-            options.append(_Fragment(nodes, edges, inst.rule_id))
+            options.append(_Fragment(nodes, edges, rule_id))
             if len(options) >= _FRAGMENT_CAP:
                 break
         if len(options) >= _FRAGMENT_CAP:
@@ -403,24 +387,20 @@ def _fragments(program: GroundProgram, atom: Atom, path: frozenset[Atom]) -> lis
     return sorted(unique.values(), key=_Fragment.key)
 
 
-def _minimal_fragments(program: GroundProgram, atom: Atom) -> list[_Fragment]:
-    """The derivation fragments of an atom that properly contain no other
-    (nodes and edges)."""
-    fragments = _fragments(program, atom, frozenset([atom]))
+def _minimal_fragments(program: GroundProgram, a: int) -> list[_Fragment]:
+    """The derivation fragments of an atom id that properly contain no
+    other (nodes and edges)."""
+    fragments = _fragments(program, a, frozenset([a]))
     return [f for f in fragments if not any(
         (g.nodes, g.edges) != (f.nodes, f.edges) and g.nodes <= f.nodes and g.edges <= f.edges
         for g in fragments)]
 
 
-def _fails(program: GroundProgram, ant: Literal) -> bool:
-    """Whether the antecedent is false in the program's fixpoint."""
-    return program.derives(ant.atom()) != ant.positive
-
-
-def select_failed_instance(program: GroundProgram, atom: Atom):
-    """Pick the concluding instance with the shallowest failure for an
-    underivable atom; ties break on rule index, then binding. Returns
-    (instance, failing antecedent set) or None when nothing concludes it."""
+def select_failed_instance(program: GroundProgram, atom: Atom) -> Optional[int]:
+    """The index of the concluding instance with the shallowest failure for
+    an underivable atom; ties break on rule index, then binding. None when
+    nothing concludes it. Its antecedents that fail are those the
+    program's flags leave false."""
     a = program.atom_ids.get(atom)
     concluders = [] if a is None or program.flags[a] else \
         [i for i, head in enumerate(program.heads) if head == a]
@@ -429,32 +409,28 @@ def select_failed_instance(program: GroundProgram, atom: Atom):
     # most underivable atoms have one concluder; then the failure table
     # is not needed, and most programs never build it. Grounding order is
     # (rule index, binding) order, so the first shallowest wins the tie.
+    if len(concluders) == 1:
+        return concluders[0]
     flags = program.flags
-    chosen = program.instance(concluders[0] if len(concluders) == 1 else min(
-        concluders, key=lambda i: min(
-            [program.failure_depths[b] for b in program.positives[i] if not flags[b]]
-            + [0.0 for b in program.negatives[i] if flags[b]])))
-    return chosen, tuple(ant for ant in chosen.antecedents if _fails(program, ant))
+    return min(concluders, key=lambda i: min(
+        [program.failure_depths[b] for b in program.positives[i] if not flags[b]]
+        + [0.0 for b in program.negatives[i] if flags[b]]))
 
 
-def _failed_proof(program: GroundProgram, atom: Atom) -> ProofGraph:
-    selection = select_failed_instance(program, atom)
-    if selection is None:
+def _failed_proof(program: GroundProgram, i: Optional[int]) -> ProofGraph:
+    """The failure demonstration around the picked instance ``i``."""
+    if i is None:
         return ProofGraph.of([NAF])
-    inst, failing = selection
     # an instance concluding an underived atom has a failing antecedent for NAF to cover
-    nodes = {inst.rule_id, NAF}
-    edges = {(NAF, inst.rule_id)}
-    for ant in inst.antecedents:
-        if ant in failing:
-            continue
-        if ant.positive:
-            fragment = _minimal_fragments(program, ant.atom())[0]
-        else:
-            fragment = _negative_support(program, ant)
+    rule_id = program.rule_ids[i]
+    nodes = {rule_id, NAF}
+    edges = {(NAF, rule_id)}
+    for b, positive in _satisfiable(program, i):
+        fragment = _minimal_fragments(program, b)[0] if positive \
+            else _negative_support(program, b)
         nodes |= fragment.nodes
         edges |= fragment.edges
-        edges.add((fragment.root, inst.rule_id))
+        edges.add((fragment.root, rule_id))
     return ProofGraph.of(nodes, edges)
 
 
@@ -462,18 +438,18 @@ def prove_literal(program: GroundProgram, lit: Literal,
                   max_proofs: int = DEFAULT_MAX_PROOFS) -> list[ProofGraph]:
     if max_proofs < 1:
         raise ValueError("max_proofs must be at least 1")
-    atom = lit.atom()
+    a = program.atom_ids.get(lit.atom())
 
-    fact_id = None if lit.positive else program.fact_by_literal.get(lit)
-    if fact_id is not None:
-        return [ProofGraph.of([fact_id])]
+    stated = None if lit.positive else program.stated_by.get((a, False))
+    if stated:
+        return [ProofGraph.of([stated[0]])]
 
-    if program.derives(atom):
-        proofs = [ProofGraph.of(f.nodes, f.edges) for f in _minimal_fragments(program, atom)]
+    if a is not None and program.flags[a]:
+        proofs = [ProofGraph.of(f.nodes, f.edges) for f in _minimal_fragments(program, a)]
         proofs.sort(key=ProofGraph.canonical_key)
         return proofs[:max_proofs]
 
-    return [_failed_proof(program, atom)]
+    return [_failed_proof(program, select_failed_instance(program, lit.atom()))]
 
 
 def prove(t: Theory, q: Question, max_proofs: int = DEFAULT_MAX_PROOFS) -> list[ProofGraph]:
@@ -519,35 +495,34 @@ def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
     """
     if validate_structure(p):
         return False
-    fact_map = t.fact_map()
-    rule_map = t.rule_map()
+    sentence_ids = set(t.sentence_ids())
     for node in p.nodes:
-        if node != NAF and node not in fact_map and node not in rule_map:
+        if node != NAF and node not in sentence_ids:
             raise KeyError(f"unknown node id {node!r}")
 
     program = closure(t)
-    atom = q.literal.atom()
+    a = program.atom_ids.get(q.literal.atom())
 
-    lookup = None if q.literal.positive else program.fact_by_literal.get(q.literal)
-    if lookup is not None:
-        return p.nodes == frozenset([lookup]) and not p.edges
+    stated = None if q.literal.positive else program.stated_by.get((a, False))
+    if stated:
+        return p.nodes == frozenset([stated[0]]) and not p.edges
 
     supplied, needs = _simulate(program, p)
-    if program.derives(atom):
+    if a is not None and program.flags[a]:
         exempt = None
-        if not any(Literal(*atom) in lits for lits in supplied.values()):
+        if not any((a, True) in signed for signed in supplied.values()):
             return False
     else:
-        selection = select_failed_instance(program, atom)
-        if selection is None:
+        i = select_failed_instance(program, q.literal.atom())
+        if i is None:
             return p.nodes == frozenset([NAF]) and not p.edges
-        inst, failing = selection
-        exempt = (NAF, inst.rule_id)  # an edge needs both ends in p, so the rule node is there
-        if exempt not in p.edges or any(src == inst.rule_id for src, _ in p.edges):
+        rule_id = program.rule_ids[i]
+        exempt = (NAF, rule_id)  # an edge needs both ends in p, so the rule node is there
+        if exempt not in p.edges or any(src == rule_id for src, _ in p.edges):
             return False
-        sources = [src for src, dst in p.edges if dst == inst.rule_id]
-        needs[inst.rule_id] = {ant for ant in inst.antecedents if ant not in failing}
-        if not all(any(ant in supplied[src] for src in sources) for ant in needs[inst.rule_id]):
+        sources = [src for src, dst in p.edges if dst == rule_id]
+        needs[rule_id] = set(_satisfiable(program, i))
+        if not all(any(ant in supplied[src] for src in sources) for ant in needs[rule_id]):
             return False
 
     return all((src, dst) == exempt or any(ant in supplied[src] for ant in needs.get(dst, ()))
@@ -556,28 +531,30 @@ def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
 
 def _simulate(program: GroundProgram, p: ProofGraph):
     """Fire the proof's rules against what its nodes supply (see
-    ``GroundProgram.supplies``) until nothing changes. Returns the literals
-    supplied per node and, per fired rule node, the antecedents of its
-    fired instances. A rule may fire under several bindings; an antecedent
-    is satisfied when some incoming edge comes from a node that supplies it.
+    ``GroundProgram.supplies``) until nothing changes. Returns the signed
+    atom ids supplied per node and, per fired rule node, the antecedents of
+    its fired instances. A rule may fire under several bindings; an
+    antecedent is satisfied when some incoming edge comes from a node that
+    supplies it.
     """
     supplied = {node: set(program.supplies.get(node, ())) for node in p.nodes}
-    instances = {node: [program.instance(i) for i in program.rule_rows.get(node, ())]
+    instances = {node: [((program.heads[i], True), _antecedents(program, i))
+                        for i in program.rule_rows.get(node, ())]
                  for node in p.nodes}
     incoming: dict[str, list[str]] = {n: [] for n in p.nodes}
     for s, d in p.edges:
         incoming[d].append(s)
 
-    needs: dict[str, set[Literal]] = {}
+    needs: dict[str, set[tuple[int, bool]]] = {}
     changed = True
     while changed:
         changed = False
         for node in p.nodes:
-            for inst in instances[node]:
-                if inst.consequent in supplied[node]:
+            for consequent, antecedents in instances[node]:
+                if consequent in supplied[node]:
                     continue
-                if all(any(a in supplied[s] for s in incoming[node]) for a in inst.antecedents):
-                    supplied[node].add(inst.consequent)
-                    needs.setdefault(node, set()).update(inst.antecedents)
+                if all(any(a in supplied[s] for s in incoming[node]) for a in antecedents):
+                    supplied[node].add(consequent)
+                    needs.setdefault(node, set()).update(antecedents)
                     changed = True
     return supplied, needs

@@ -85,9 +85,6 @@ class Literal:
     def is_variable(self) -> bool:
         return self.subject in VARIABLE_PRONOUNS
 
-    def is_ground(self) -> bool:
-        return not self.is_variable()
-
     def atom(self) -> Atom:
         return (self.subject, self.predicate, self.obj)
 
@@ -196,12 +193,6 @@ class Theory:
             raise IndexError(index)
         return layout_ids(len(self.facts), self.num_sentences + 1)[index]
 
-    def fact_map(self) -> dict[str, Fact]:
-        return {f.id: f for f in self.facts}
-
-    def rule_map(self) -> dict[str, Rule]:
-        return {r.id: r for r in self.rules}
-
     def sentence_text(self, sentence_id: str) -> str:
         kind = sentence_id[0]
         items = self.facts if kind == "F" else self.rules
@@ -212,7 +203,13 @@ class Theory:
 
     def entities(self) -> list[str]:
         """Ground entity tokens appearing anywhere, in sorted order."""
-        return sorted({e for lit in self._all_literals() for e in lit.entities()})
+        found = set()
+        for lit in self._all_literals():
+            if lit.subject not in VARIABLE_PRONOUNS:
+                found.add(lit.subject)
+            if lit.obj is not None:
+                found.add(lit.obj)
+        return sorted(found)
 
     def _all_literals(self) -> Iterator[Literal]:
         for f in self.facts:

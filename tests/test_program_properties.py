@@ -146,15 +146,14 @@ def derived_atoms(program: GroundProgram, removed=None) -> set:
 def test_program_matches_oracle_on_every_ablation(t):
     program = closure(t)
     assert derived_atoms(program) == oracles.naive_closure(t) == set(program.derived)
-    built = [program.instance(i) for i in range(len(program.keys))]
-    assert [(inst.rule_index, inst.binding, inst.antecedents, inst.consequent)
-            for inst in built] == oracles._instances(t)
-    # the id rows name the atoms of the instance built from the same key
-    for i, inst in enumerate(built):
-        assert program.atoms[program.heads[i]] == inst.consequent.atom()
+    instances = oracles._instances(t)
+    assert program.keys == [(index, binding) for index, binding, _ants, _head in instances]
+    # the id rows name the atoms of the oracle's instance at the same index
+    for i, (_index, _binding, antecedents, consequent) in enumerate(instances):
+        assert program.atoms[program.heads[i]] == consequent.atom()
         for ids, positive in ((program.positives[i], True), (program.negatives[i], False)):
             assert [program.atoms[a] for a in ids] == \
-                [ant.atom() for ant in inst.antecedents if ant.positive == positive]
+                [ant.atom() for ant in antecedents if ant.positive == positive]
     for sentence_id in t.sentence_ids():
         assert derived_atoms(program, sentence_id) == oracles.naive_closure(
             without(t, sentence_id)), sentence_id
@@ -184,9 +183,15 @@ def assert_failed_instances_match_path_oracle(t):
     program = closure(t)
     atoms = {program.atoms[head] for head in program.heads} - program.derived
     expected = oracles.naive_failed_instances(t, atoms)
+    flags = program.flags
     for atom in atoms:
-        inst, failing = select_failed_instance(program, atom)
-        assert (inst.rule_index, inst.binding, failing) == expected[atom], atom
+        i = select_failed_instance(program, atom)
+        failing = [Literal(*program.atoms[b]) for b in program.positives[i] if not flags[b]] \
+            + [Literal(*program.atoms[b], False) for b in program.negatives[i] if flags[b]]
+        index, binding, expected_failing = expected[atom]
+        # the id rows list positive antecedents before negative ones, each in rule order
+        assert (*program.keys[i], tuple(failing)) == (
+            index, binding, tuple(sorted(expected_failing, key=lambda a: not a.positive))), atom
 
 
 @settings(max_examples=300, deadline=None)

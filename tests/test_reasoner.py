@@ -2,7 +2,6 @@ import pytest
 
 import oracles
 from ruleproofs.datagen import GenConfig, generate_theory
-from ruleproofs import reasoner
 from ruleproofs.proofgraph import ProofGraph, proof_depth
 from ruleproofs.reasoner import (
     NonStratifiedTheory,
@@ -125,7 +124,7 @@ class TestClosure:
             [([Literal("someone", "blue")], Literal("someone", "young"))],
         )
         c = closure(t)
-        assert ("alan", "young", None) in c.derivation_index
+        assert c.atom_ids[("alan", "young", None)] in c.derivation_index
 
     def test_derivation_index_complete_on_generated_theories(self):
         for t in random_theories(30):
@@ -133,7 +132,7 @@ class TestClosure:
             fact_atoms = {f.literal.atom() for f in t.facts if f.literal.positive}
             for atom in c.derived:
                 if atom not in fact_atoms:
-                    assert c.derivation_index.get(atom), (t.id, atom)
+                    assert c.derivation_index.get(c.atom_ids[atom]), (t.id, atom)
 
 
 class TestAnswer:
@@ -438,6 +437,20 @@ class TestCriticalSentences:
         )
         assert critical_sentences(t)[0] == {"R3"}
 
+    def test_stated_negation_of_a_derived_atom(self):
+        # R1 derives "alan is young", so only a fact stating its negation
+        # keeps the question true; when two facts state it, neither is needed
+        blue, not_young = Literal("alan", "blue"), Literal("alan", "young", None, False)
+        rules = [([Literal("someone", "blue")], Literal("someone", "young"))]
+        once = theory_of([blue, not_young], rules, [not_young])
+        twice = theory_of([blue, not_young, not_young], rules, [not_young])
+        assert critical_sentences(once) == [{"F2"}]
+        assert critical_sentences(twice) == [set()]
+        for t in (once, twice):
+            assert answer_question(t, t.questions[0]) is True
+            assert prove(t, t.questions[0]) == [ProofGraph.of(["F2"])]
+            assert check_proof(t, t.questions[0], ProofGraph.of(["F2"]))
+
     def test_false_with_no_concluding_rule_has_no_critical(self):
         t = theory_of(
             [Literal("alan", "blue")],
@@ -445,48 +458,6 @@ class TestCriticalSentences:
             [Literal("alan", "smart")],
         )
         assert critical_sentences(t)[0] == set()
-
-
-class TestInstancesOnFirstUse:
-    """The compile keeps id rows only; a ``GroundInstance`` is built where
-    a proof reads it."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        built = []
-
-        class Counting(reasoner.GroundInstance):
-            def __init__(self, rule_id, rule_index, binding, antecedents, consequent):
-                built.append((rule_id, binding))
-                super().__init__(rule_id, rule_index, binding, antecedents, consequent)
-
-        monkeypatch.setattr(reasoner, "GroundInstance", Counting)
-        return built
-
-    def test_answers_and_critical_sentences_build_none(self, built):
-        theories = random_theories(30)
-        built.clear()  # generating them builds the instances of their proofs
-        for t in theories:
-            program = closure(t)
-            for q in t.questions:
-                program.holds(q.literal)
-            critical_sentences(t)
-        assert built == []
-
-    def test_proofs_build_the_instances_they_read(self, built):
-        t = theory_of(
-            [Literal("alan", "blue"), Literal("bob", "big")],
-            [([Literal("someone", "blue")], Literal("someone", "young")),
-             ([Literal("someone", "young")], Literal("someone", "kind"))],
-            [Literal("alan", "kind")],
-        )
-        program = closure(t)
-        assert built == []
-        [p] = reasoner.prove_literal(program, t.questions[0].literal)
-        assert built == [("R1", "alan"), ("R2", "alan")]  # the fired ones
-        built.clear()
-        assert check_proof(t, t.questions[0], p)
-        assert sorted(built) == [("R1", "alan"), ("R1", "bob"), ("R2", "alan"), ("R2", "bob")]
 
 
 class TestOracleAgreement:

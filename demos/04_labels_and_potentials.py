@@ -18,6 +18,7 @@ from ruleproofs.potentials import (
     lexical_edge_features,
     make_edge_training_set,
     oracle_potentials,
+    sentence_tokens,
 )
 
 bundle = generate_dataset(GenConfig(seed=11, num_theories=60, max_depth=3))
@@ -34,7 +35,8 @@ print("Unmasked cells:", len(mask.unmasked_cells()))
 pot = oracle_potentials(theory, gold, noise=0.2, seed=3)
 print("\nNode probabilities at noise 0.2:", np.round(pot.node_prob, 3))
 
-fv = lexical_edge_features(theory, "F1", "R1")
+tokens = sentence_tokens(theory)  # each sentence tokenized once per theory
+fv = lexical_edge_features(tokens, "F1", "R1")
 print("\nLexical features F1 -> R1:", fv)
 
 train = make_edge_training_set(bundle.train)

@@ -39,6 +39,7 @@ from .potentials import (
     fit_linear_scorer,
     lexical_edge_features,
     oracle_potentials,
+    sentence_tokens,
 )
 from .decoder import (
     ConnectivityInfeasible,
@@ -97,6 +98,7 @@ __all__ = [
     "render_sentence",
     "score_example",
     "select_nodes",
+    "sentence_tokens",
     "validate_structure",
     "validate_theory",
     "verify_flow",

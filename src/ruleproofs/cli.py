@@ -283,11 +283,12 @@ def _cmd_score_edges(args) -> int:
 
     def cell_rows():
         for t in theories:
+            tokens = potentials.sentence_tokens(t)
             for q in t.questions:
                 _require_gold(t, q)
                 cells = []
                 for src, dst, label in potentials.edge_training_pairs(t, q):
-                    prob = scorer.score(potentials.lexical_edge_features(t, src, dst))
+                    prob = scorer.score(potentials.lexical_edge_features(tokens, src, dst))
                     hits.append(int(prob >= 0.5) == label)
                     cells.append({"src": src, "dst": dst, "prob": round(prob, 6),
                                   "label": label})

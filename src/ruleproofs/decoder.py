@@ -55,7 +55,7 @@ class DecodeResult:
 
 def select_nodes(node_prob: np.ndarray) -> list[int]:
     """Indices at or above 0.5; falls back to the argmax when none qualify."""
-    selected = [i for i, p in enumerate(node_prob) if p >= 0.5]
+    selected = [i for i, p in enumerate(node_prob.tolist()) if p >= 0.5]
     if selected:
         return selected
     return [int(np.argmax(node_prob))]
@@ -79,15 +79,17 @@ class _UnionFind:
         return True
 
 
-def _result(p: Potentials, selected: list[int], pairs: list[tuple[int, int]],
-            chosen: set[tuple[int, int]], relaxed: bool, repairs: int) -> DecodeResult:
-    """The proof over ``selected`` with edges ``chosen``, scored on ``pairs``."""
+def _result(p: Potentials, phi: list[list[float]], selected: list[int],
+            pairs: list[tuple[int, int]], chosen: set[tuple[int, int]],
+            relaxed: bool, repairs: int) -> DecodeResult:
+    """The proof over ``selected`` with edges ``chosen``, scored on ``pairs``
+    of the edge probabilities ``phi`` (``p.edge_prob.tolist()``)."""
     objective = 0.0
     for m, n in pairs:
-        phi = float(p.edge_prob[m, n])
-        objective += phi if (m, n) in chosen else 1.0 - phi
+        objective += phi[m][n] if (m, n) in chosen else 1.0 - phi[m][n]
     ids = layout_ids(p.num_facts, p.size)
-    proof = ProofGraph.of([ids[n] for n in selected], [(ids[m], ids[n]) for m, n in chosen])
+    proof = ProofGraph(frozenset([ids[n] for n in selected]),
+                       frozenset([(ids[m], ids[n]) for m, n in chosen]))
     return DecodeResult(proof, objective, relaxed, SolverStats(repairs))
 
 
@@ -100,13 +102,14 @@ def decode_proof(p: Potentials, connectivity: bool = True) -> DecodeResult:
     """
     selected = select_nodes(p.node_prob)
     pairs = allowed_pairs(selected, p.num_facts, p.size)
-    chosen = {(m, n) for m, n in pairs if p.edge_prob[m, n] > 0.5}
-    repair = _repair_edges(selected, pairs, chosen, p.edge_prob) if connectivity else set()
-    return _result(p, selected, pairs, chosen | repair, not connectivity, len(repair))
+    phi = p.edge_prob.tolist()
+    chosen = {(m, n) for m, n in pairs if phi[m][n] > 0.5}
+    repair = _repair_edges(selected, pairs, chosen, phi) if connectivity else set()
+    return _result(p, phi, selected, pairs, chosen | repair, not connectivity, len(repair))
 
 
 def _repair_edges(selected: list[int], pairs: list[tuple[int, int]],
-                  chosen: set[tuple[int, int]], edge_prob: np.ndarray) -> set[tuple[int, int]]:
+                  chosen: set[tuple[int, int]], phi: list[list[float]]) -> set[tuple[int, int]]:
     """Kruskal's pass from the components of ``chosen``: the leftover pairs,
     cheapest flip (1 - 2*phi) first and ties toward the smallest ordered
     pair, each kept when it joins two components."""
@@ -114,7 +117,7 @@ def _repair_edges(selected: list[int], pairs: list[tuple[int, int]],
     components = len(selected) - sum(uf.union(m, n) for m, n in chosen)
     repair: set[tuple[int, int]] = set()
     if components > 1:
-        leftover = sorted((1.0 - 2.0 * float(edge_prob[m, n]), (m, n))
+        leftover = sorted((1.0 - 2.0 * phi[m][n], (m, n))
                           for m, n in pairs if (m, n) not in chosen)
         for _cost, (m, n) in leftover:
             if uf.union(m, n):
@@ -144,8 +147,9 @@ def decode_unconstrained(p: Potentials) -> DecodeResult:
     """
     selected = select_nodes(p.node_prob)
     pairs = [(m, n) for m in range(p.size) for n in range(p.size) if m != n]
-    chosen = {(m, n) for m, n in pairs if p.edge_prob[m, n] > 0.5}
-    return _result(p, selected, pairs, chosen, True, 0)
+    phi = p.edge_prob.tolist()
+    chosen = {(m, n) for m, n in pairs if phi[m][n] > 0.5}
+    return _result(p, phi, selected, pairs, chosen, True, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .proofgraph import NAF, ProofGraph, is_connected, node_kind
 from .theory import Question, Theory, layout_ids
 
 MASKED = -100
+
+# The exact JSON types of a probability and of a row of them.
+_NUMBER, _LIST = frozenset({int, float}), frozenset({list})
 
 
 @dataclass(frozen=True)
@@ -58,21 +62,31 @@ class Potentials:
         return {
             "theory_id": theory_id,
             "question_id": question_id,
-            "node_prob": [float(x) for x in self.node_prob],
-            "edge_prob": [[float(x) for x in row] for row in self.edge_prob],
+            "node_prob": self.node_prob.tolist(),
+            "edge_prob": self.edge_prob.tolist(),
         }
 
     @classmethod
     def from_record(cls, record: dict, t: Theory) -> "Potentials":
         """Read a ``to_record`` line for theory ``t``.
 
-        Raises ValueError unless ``node_prob`` has k+1 entries and
+        Raises ValueError unless every value is a JSON number (not a
+        string or a boolean), ``node_prob`` has k+1 entries and
         ``edge_prob`` is (k+1) x (k+1), k being the theory's sentence
         count, and every value lies in [0, 1] (NaN does not).
         """
         size = t.num_sentences + 1
-        node_prob = np.asarray(record["node_prob"], dtype=float)
-        edge_prob = np.asarray(record["edge_prob"], dtype=float)
+        node_values, edge_rows = record["node_prob"], record["edge_prob"]
+        if not (type(node_values) is list and _NUMBER.issuperset(map(type, node_values))):
+            raise ValueError("node_prob must be a list of JSON numbers")
+        if not (type(edge_rows) is list and _LIST.issuperset(map(type, edge_rows))
+                and _NUMBER.issuperset(map(type, chain.from_iterable(edge_rows)))):
+            raise ValueError("edge_prob must be a list of lists of JSON numbers")
+        try:
+            node_prob = np.asarray(node_values, dtype=float)
+            edge_prob = np.asarray(edge_rows, dtype=float)
+        except OverflowError:
+            raise ValueError("a probability is an integer beyond the float range") from None
         if node_prob.shape != (size,):
             raise ValueError(f"node_prob has shape {node_prob.shape}, "
                              f"theory {t.id} needs ({size},)")
@@ -205,8 +219,16 @@ def _bigrams(tokens: list[str]) -> set[tuple[str, str]]:
     return set(zip(tokens, tokens[1:]))
 
 
-def lexical_edge_features(t: Theory, src: str, dst: str) -> FeatureVector:
-    """Surface-overlap features for a candidate edge src -> dst.
+def sentence_tokens(t: Theory) -> dict[str, list[str]]:
+    """Each sentence's tokens by id, and an empty token list for NAF."""
+    tokens = {item.id: _tokens(item.text) for item in (*t.facts, *t.rules)}
+    tokens[NAF] = []
+    return tokens
+
+
+def lexical_edge_features(tokens: dict[str, list[str]], src: str, dst: str) -> FeatureVector:
+    """Surface-overlap features for a candidate edge src -> dst, from the
+    theory's ``sentence_tokens``.
 
     The target must be a rule; the source is a sentence id or "NAF",
     which contributes an empty token list and its own type flag.
@@ -215,8 +237,7 @@ def lexical_edge_features(t: Theory, src: str, dst: str) -> FeatureVector:
         raise ValueError(f"feature target must be a rule, got {dst!r}")
     src_kind = node_kind(src)
 
-    dst_tokens = _tokens(t.sentence_text(dst))
-    src_tokens = [] if src == NAF else _tokens(t.sentence_text(src))
+    src_tokens, dst_tokens = tokens[src], tokens[dst]
     longest = max(len(src_tokens), len(dst_tokens), 1)
     return FeatureVector(
         unigram_jaccard=_jaccard(set(src_tokens), set(dst_tokens)),
@@ -336,9 +357,10 @@ def edge_training_pairs(t: Theory, q: Question):
 def make_edge_training_set(theories: list[Theory]) -> list[tuple[FeatureVector, int]]:
     train = []
     for t in theories:
+        tokens = sentence_tokens(t)
         for q in t.questions:
             for src, dst, label in edge_training_pairs(t, q):
-                train.append((lexical_edge_features(t, src, dst), label))
+                train.append((lexical_edge_features(tokens, src, dst), label))
     return train
 
 
@@ -367,6 +389,7 @@ def scorer_potentials(t: Theory, scorer: LinearScorer) -> Potentials:
     node_prob[size - 1] = naf_prior(t)
     edge_prob = np.zeros((size, size))
     ids = layout_ids(len(t.facts), size)
+    tokens = sentence_tokens(t)
     for m, n in allowed_pairs(list(range(size)), len(t.facts), size):
-        edge_prob[m, n] = scorer.score(lexical_edge_features(t, ids[m], ids[n]))
+        edge_prob[m, n] = scorer.score(lexical_edge_features(tokens, ids[m], ids[n]))
     return Potentials(node_prob, edge_prob, len(t.facts))

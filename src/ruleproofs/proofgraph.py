@@ -14,6 +14,7 @@ for a question depends on the theory and is checked by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 NAF = "NAF"
@@ -21,6 +22,10 @@ NAF = "NAF"
 FACT = "fact"
 RULE = "rule"
 NAF_KIND = "naf"
+
+# What ``ProofGraph.from_dict`` accepts, checked item by item with ``map``:
+# exact JSON types, and two ends per edge.
+_STRING, _LIST, _PAIR = frozenset({str}), frozenset({list}), frozenset({2})
 
 
 def node_kind(node_id: str) -> str:
@@ -75,13 +80,13 @@ class ProofGraph:
         """Read a ``to_dict`` record; raises TypeError unless ``nodes`` is a
         list of strings and ``edges`` a list of two-string lists."""
         nodes, edges = d["nodes"], d["edges"]
-        if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+        if not (type(nodes) is list and _STRING.issuperset(map(type, nodes))):
             raise TypeError(f"nodes must be a list of strings, got {nodes!r}")
-        if not isinstance(edges, list) or not all(
-                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
-                and isinstance(e[1], str) for e in edges):
+        if not (type(edges) is list and _LIST.issuperset(map(type, edges))
+                and _PAIR.issuperset(map(len, edges))
+                and _STRING.issuperset(map(type, chain.from_iterable(edges)))):
             raise TypeError(f"edges must be a list of two-string lists, got {edges!r}")
-        return cls.of(nodes, [tuple(e) for e in edges])
+        return cls(frozenset(nodes), frozenset(map(tuple, edges)))
 
 
 def is_connected(nodes: frozenset[str], edges: Iterable[tuple[str, str]]) -> bool:

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Iterator, Optional, Union
+from functools import cached_property
+from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
-from .proofgraph import FACT, NAF, NAF_KIND, RULE, ProofGraph, node_kind, proof_depth
+from .proofgraph import NAF, ProofGraph, proof_depth
 
 MAX_CONTEXT_SENTENCES = 25
 
@@ -172,34 +173,20 @@ class Theory:
     def sentence_ids(self) -> list[str]:
         return [f.id for f in self.facts] + [r.id for r in self.rules]
 
+    @cached_property
+    def _layout_index(self) -> dict[str, int]:
+        return {sentence_id: index for index, sentence_id
+                in enumerate(layout_ids(len(self.facts), self.num_sentences + 1))}
+
     def sentence_index(self, sentence_id: str) -> int:
         """Position in the fixed fact-then-rule ordering; NAF sits at the end.
         Raises KeyError for every other id, including "F0", "F01" and "Fx"."""
-        try:
-            kind = node_kind(sentence_id)
-        except ValueError:
-            raise KeyError(sentence_id) from None
-        if kind == NAF_KIND:
-            return self.num_sentences
-        idx = int(sentence_id[1:])
-        if kind == FACT and idx <= len(self.facts):
-            return idx - 1
-        if kind == RULE and idx <= len(self.rules):
-            return len(self.facts) + idx - 1
-        raise KeyError(sentence_id)
+        return self._layout_index[sentence_id]
 
     def id_for_index(self, index: int) -> str:
         if not 0 <= index <= self.num_sentences:
             raise IndexError(index)
         return layout_ids(len(self.facts), self.num_sentences + 1)[index]
-
-    def sentence_text(self, sentence_id: str) -> str:
-        kind = sentence_id[0]
-        items = self.facts if kind == "F" else self.rules
-        for item in items:
-            if item.id == sentence_id:
-                return item.text
-        raise KeyError(sentence_id)
 
     def entities(self) -> list[str]:
         """Ground entity tokens appearing anywhere, in sorted order."""
@@ -506,15 +493,35 @@ def _string(value, field: str) -> str:
     return value
 
 
-def _question_from_dict(q: dict) -> Question:
+def _question_from_dict(q: dict, read_literal: Callable[[dict], Literal]) -> Question:
     answer, depth = q.get("answer"), q.get("depth")
     if not (answer is None or type(answer) is bool):
         raise TypeError(f"answer must be a JSON boolean, got {answer!r}")
     if not (depth is None or type(depth) is int):
         raise TypeError(f"depth must be an integer, got {depth!r}")
     proofs = tuple(ProofGraph.from_dict(p) for p in q["proofs"]) if "proofs" in q else None
-    return Question(q["id"], Literal.from_dict(q["literal"]), _string(q["text"], "text"),
+    return Question(q["id"], read_literal(q["literal"]), _string(q["text"], "text"),
                     answer, proofs, depth)
+
+
+def _literal_table() -> Callable[[dict], Literal]:
+    """``Literal.from_dict`` that builds each distinct literal of one read
+    once. A key carries the type of ``positive``, so ``"positive": 1`` never
+    finds the literal read for ``true``; the other fields can only equal a
+    string or null, which the literal read under that key had."""
+    built: dict[tuple, Literal] = {}
+
+    def read(d: dict) -> Literal:
+        try:
+            positive = d.get("positive", True)
+            return built[d["subject"], d["predicate"], d.get("object"), positive, type(positive)]
+        except (AttributeError, KeyError, TypeError):  # not built yet, or malformed
+            pass
+        literal = Literal.from_dict(d)
+        built[literal.subject, literal.predicate, literal.obj, literal.positive, bool] = literal
+        return literal
+
+    return read
 
 
 def _check_read(t: Theory, line: Optional[int]) -> None:
@@ -540,27 +547,31 @@ def _check_read(t: Theory, line: Optional[int]) -> None:
         raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations), line)
 
 
-def record_to_theory(record: dict, line: Optional[int] = None) -> Theory:
+def record_to_theory(record: dict, line: Optional[int],
+                     read_literal: Callable[[dict], Literal]) -> Theory:
     """Read a ``theory_to_record`` dict; raises TheoryParseError, naming
-    ``line``, for a malformed record or one that ``_check_read`` rejects."""
+    ``line``, for a malformed record or one that ``_check_read`` rejects.
+    ``read_literal`` reads each literal dict: ``Literal.from_dict``, or the
+    ``_literal_table`` of a read of many records."""
     if not isinstance(record, dict):
         raise TheoryParseError(
             f"theory record must be a JSON object, got {type(record).__name__}", line)
     try:
         facts = tuple(
-            Fact(f["id"], Literal.from_dict(f["literal"]), _string(f["text"], "text"))
+            Fact(f["id"], read_literal(f["literal"]), _string(f["text"], "text"))
             for f in record.get("facts", ())
         )
         rules = tuple(
             Rule(
                 r["id"],
-                tuple(Literal.from_dict(a) for a in r["antecedents"]),
-                Literal.from_dict(r["consequent"]),
+                tuple(map(read_literal, r["antecedents"])),
+                read_literal(r["consequent"]),
                 _string(r["text"], "text"),
             )
             for r in record.get("rules", ())
         )
-        questions = tuple(_question_from_dict(q) for q in record.get("questions", ()))
+        questions = tuple(_question_from_dict(q, read_literal)
+                          for q in record.get("questions", ()))
         t = Theory(_string(record["id"], "theory id"), facts, rules, questions)
     except (KeyError, TypeError, AttributeError) as exc:
         raise TheoryParseError(f"malformed theory record: {exc}", line) from exc
@@ -614,7 +625,7 @@ def parse_theory(data: Union[bytes, str], format: str = "structured-json") -> Th
             record = json.loads(data)
         except json.JSONDecodeError as exc:
             raise TheoryParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-        t = record_to_theory(record)
+        t = record_to_theory(record, None, Literal.from_dict)
     elif format == "sentence-text":
         t = _theory_from_text(data)
     else:
@@ -631,6 +642,8 @@ def write_theories(fp: IO[str], theories: Iterable[Theory]) -> None:
 
 
 def read_theories(fp: IO[str]) -> Iterator[Theory]:
+    """One theory per JSONL line; the lines share one literal table."""
+    read_literal = _literal_table()
     for line_no, line in enumerate(fp, start=1):
         if not line.strip():
             continue
@@ -638,7 +651,7 @@ def read_theories(fp: IO[str]) -> Iterator[Theory]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TheoryParseError(f"invalid JSON: {exc.msg}", line_no, exc.colno) from exc
-        yield record_to_theory(record, line_no)
+        yield record_to_theory(record, line_no, read_literal)
 
 
 def make_fact(fact_id: str, literal: Literal) -> Fact:

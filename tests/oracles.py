@@ -5,14 +5,17 @@ oracle runs an alternating fixpoint with naive whole-program passes, the
 stratification oracle searches the ground dependency graph for a negative
 edge inside a cycle, the failure-selection oracle recurses over paths that
 never revisit an atom, the decode oracle enumerates every edge assignment,
-and the depth oracle enumerates every simple path.
+the depth oracle enumerates every simple path, the layout oracle parses
+each sentence id, and the feature oracle tokenizes both texts of a cell.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import re
 
+from ruleproofs.potentials import FeatureVector
 from ruleproofs.proofgraph import ProofGraph, node_kind
 from ruleproofs.theory import Literal, Theory
 
@@ -223,3 +226,48 @@ def exhaustive_depth(p: ProofGraph) -> int:
         return best
 
     return max(walk(n, {n}) for n in p.nodes)
+
+
+def parsed_sentence_index(t: Theory, sentence_id: str) -> int:
+    """Layout position by parsing the id: "F<i>" is fact i, "R<i>" rule i
+    after the facts, "NAF" the last slot. Raises KeyError for every other
+    id, including "F0", "F01", "Fx" and an index past the theory's end."""
+    try:
+        kind = node_kind(sentence_id)
+    except ValueError:
+        raise KeyError(sentence_id) from None
+    if kind == "naf":
+        return t.num_sentences
+    idx = int(sentence_id[1:])
+    if kind == "fact" and idx <= len(t.facts):
+        return idx - 1
+    if kind == "rule" and idx <= len(t.rules):
+        return len(t.facts) + idx - 1
+    raise KeyError(sentence_id)
+
+
+def cell_features(t: Theory, src: str, dst: str) -> FeatureVector:
+    """The lexical features of the cell src -> dst from its two sentence
+    texts, each tokenized here: lower-cased runs of letters and digits,
+    with no text (and no tokens) for NAF."""
+    texts = {item.id: item.text for item in (*t.facts, *t.rules)}
+
+    def words(sentence_id):
+        return re.findall(r"[^\W_]+", texts[sentence_id].lower()) if sentence_id != "NAF" else []
+
+    a, b = words(src), words(dst)
+    pairs_a, pairs_b = set(zip(a, a[1:])), set(zip(b, b[1:]))
+
+    def overlap(x, y):
+        return len(x & y) / len(x | y) if x | y else 0.0
+
+    return FeatureVector(
+        unigram_jaccard=overlap(set(a), set(b)),
+        bigram_jaccard=overlap(pairs_a, pairs_b),
+        normalized_length_difference=abs(len(a) - len(b)) / max(len(a), len(b), 1),
+        source_has_negation="not" in a,
+        target_has_negation="not" in b,
+        fact_to_rule=src.startswith("F"),
+        rule_to_rule=src.startswith("R"),
+        naf_to_rule=src == "NAF",
+    )

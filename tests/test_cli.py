@@ -152,9 +152,10 @@ class TestExitCodes:
         ("variable_question", "Q1: question literal must be ground"),
         ("int_theory_id", "theory id must be a string, got 5"),
         ("int_text", "text must be a string, got 5"),
+        ("int_positive", "positive must be a JSON boolean, got 1"),
     ], ids=["swapped_ids", "unknown_proof_node", "string_positive", "int_object",
             "string_answer", "float_depth", "no_antecedents", "variable_fact",
-            "variable_question", "int_theory_id", "int_text"])
+            "variable_question", "int_theory_id", "int_text", "int_positive"])
     def test_theory_record_checked_at_read(self, workspace, tmp_path, capsys, case, message):
         test_file = workspace / "data" / "test.theories.jsonl"
         records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
@@ -180,6 +181,9 @@ class TestExitCodes:
             question["literal"]["subject"] = "something"
         elif case == "int_theory_id":
             bad["id"] = 5
+        elif case == "int_positive":  # a literal read on line 1, but for the type of positive
+            literal = next(f["literal"] for f in records[0]["facts"] if f["literal"]["positive"])
+            bad["facts"][0]["literal"] = {**literal, "positive": 1}
         else:
             bad["rules"][0]["text"] = 5
         theories = tmp_path / "theories.jsonl"
@@ -262,7 +266,7 @@ class TestExitCodes:
                 "references unknown sentence Fx") in err
 
     @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
-                                      "duplicate"])
+                                      "duplicate", "string", "bool", "huge_int"])
     def test_malformed_potentials_are_data_errors(self, workspace, tmp_path, capsys, case):
         test_file = workspace / "data" / "test.theories.jsonl"
         pots = tmp_path / "pots.jsonl"
@@ -283,6 +287,12 @@ class TestExitCodes:
             bad["edge_prob"][0][0] = 1.5
         elif case == "duplicate":  # a second record for the first question
             records[1] = records[0]
+        elif case == "string":
+            bad["node_prob"] = [str(x) for x in bad["node_prob"]]
+        elif case == "bool":
+            bad["edge_prob"] = [[x > 0.5 for x in row] for row in bad["edge_prob"]]
+        elif case == "huge_int":  # a JSON integer that no float can hold
+            bad["edge_prob"][0][0] = 10 ** 400
         else:
             bad["edge_prob"] = [row[:2] for row in bad["edge_prob"]]
         pots.write_text("".join(json.dumps(r) + "\n" for r in records))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ruleproofs import decoder
 from ruleproofs.datagen import GenConfig, generate_theory
 from ruleproofs.potentials import (
@@ -8,6 +9,7 @@ from ruleproofs.potentials import (
     FeatureVector,
     LinearScorer,
     ScorerConfig,
+    allowed_pairs,
     build_edge_mask,
     edge_training_pairs,
     fit_linear_scorer,
@@ -18,9 +20,10 @@ from ruleproofs.potentials import (
     node_labels,
     oracle_potentials,
     scorer_potentials,
+    sentence_tokens,
 )
 from ruleproofs.proofgraph import ProofGraph
-from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule
+from ruleproofs.theory import Literal, Theory, layout_ids, make_fact, make_question, make_rule
 
 
 def labeled_theory():
@@ -173,7 +176,7 @@ class TestLexicalFeatures:
              make_rule("R2", [Literal("someone", "blue")], Literal("someone", "cold"))),
             (),
         )
-        fv = lexical_edge_features(t, "R1", "R1")
+        fv = lexical_edge_features(sentence_tokens(t), "R1", "R1")
         assert fv.unigram_jaccard == 1.0
         assert fv.bigram_jaccard == 1.0
         assert fv.normalized_length_difference == 0.0
@@ -186,7 +189,7 @@ class TestLexicalFeatures:
             (make_rule("R1", [Literal("someone", "blue")], Literal("someone", "young")),),
             (),
         )
-        fv = lexical_edge_features(t, "F1", "R1")
+        fv = lexical_edge_features(sentence_tokens(t), "F1", "R1")
         assert fv.unigram_jaccard == pytest.approx(2 / 9)
         assert fv.fact_to_rule and not fv.rule_to_rule and not fv.naf_to_rule
 
@@ -196,7 +199,7 @@ class TestLexicalFeatures:
             (make_rule("R1", [Literal("someone", "blue")], Literal("someone", "young")),),
             (),
         )
-        fv = lexical_edge_features(t, "NAF", "R1")
+        fv = lexical_edge_features(sentence_tokens(t), "NAF", "R1")
         assert fv.unigram_jaccard == 0.0
         assert fv.naf_to_rule and not fv.fact_to_rule
         assert fv.normalized_length_difference == 1.0
@@ -209,13 +212,30 @@ class TestLexicalFeatures:
                        Literal("someone", "quiet")),),
             (),
         )
-        fv = lexical_edge_features(t, "F1", "R1")
+        fv = lexical_edge_features(sentence_tokens(t), "F1", "R1")
         assert fv.source_has_negation and fv.target_has_negation
 
     def test_target_must_be_rule(self):
         t, _ = labeled_theory()
         with pytest.raises(ValueError):
-            lexical_edge_features(t, "R1", "F1")
+            lexical_edge_features(sentence_tokens(t), "R1", "F1")
+
+    def test_token_map_features_equal_per_cell_tokenizing(self):
+        cfg = GenConfig(seed=5, num_theories=12, max_depth=3)
+        cells = 0
+        for t in (generate_theory(cfg, i) for i in range(cfg.num_theories)):
+            tokens = sentence_tokens(t)
+            size = t.num_sentences + 1
+            ids = layout_ids(len(t.facts), size)
+            every = allowed_pairs(list(range(size)), len(t.facts), size)
+            for q in t.questions:
+                gold = q.gold_proofs[0]
+                selected = sorted(t.sentence_index(n) for n in gold.nodes)
+                for m, n in allowed_pairs(selected, len(t.facts), size) + every:
+                    assert lexical_edge_features(tokens, ids[m], ids[n]) \
+                        == oracles.cell_features(t, ids[m], ids[n])
+                    cells += 1
+        assert cells > 1000
 
 
 class TestLinearScorer:

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ruleproofs.datagen import PROFILES, GenConfig, generate_theory
 from ruleproofs.theory import (
     Fact,
@@ -248,6 +249,25 @@ class TestParseTheory:
         for outside in (-1, 5):
             with pytest.raises(IndexError):
                 t.id_for_index(outside)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 4), st.integers(0, 4),
+           st.lists(st.sampled_from(["F", "R", "NAF", "Q", "0", "1", "2", "9", "10", "\u0661",
+                                     "\uff11", "\u00b2", " ", "+", "-"]),
+                    max_size=4).map("".join))
+    def test_sentence_index_agrees_with_parsing_the_id(self, num_facts, num_rules, sentence_id):
+        t = Theory("t", tuple(make_fact(f"F{i}", Literal("alan", "blue"))
+                              for i in range(1, num_facts + 1)),
+                   tuple(make_rule(f"R{i}", [Literal("someone", "blue")],
+                                   Literal("someone", "cold"))
+                         for i in range(1, num_rules + 1)), ())
+        try:
+            expected = oracles.parsed_sentence_index(t, sentence_id)
+        except KeyError:
+            with pytest.raises(KeyError):
+                t.sentence_index(sentence_id)
+        else:
+            assert t.sentence_index(sentence_id) == expected
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

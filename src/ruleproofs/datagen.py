@@ -436,15 +436,20 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
     """One deterministic theory with fully annotated questions.
 
     Attempt ``a`` drafts from its own rng, seeded ``[seed, index, a]``, so
-    a rejected draft changes no other attempt.
+    a rejected draft changes no other attempt. When every attempt is
+    rejected, the ``GenerationError`` counts the rejections by cause.
     """
     cfg.validate()
     profile = PROFILES[cfg.profile]
+    too_small = no_questions = most_facts = most_rules = 0
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng([cfg.seed, index, attempt])
         draft, context = _build_draft(rng, cfg, profile)
+        most_facts = max(most_facts, len(draft.facts))
+        most_rules = max(most_rules, len(draft.rules))
         if len(draft.facts) < cfg.facts_per_theory[0] \
                 or len(draft.rules) < cfg.rules_per_theory[0]:
+            too_small += 1
             continue
         theory = _assemble(rng, draft, f"T{index:05d}")
         program = reasoner.closure(theory)
@@ -460,6 +465,7 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
 
         chosen = _pick_questions(rng, cfg, index, pool)
         if chosen is None:
+            no_questions += 1
             continue
         rng.shuffle(chosen)
         questions = tuple(
@@ -476,7 +482,11 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
                 f"generated theory {theory.id} is invalid: " + "; ".join(violations))
         return theory
     raise GenerationError(
-        f"could not generate theory {index} after {_MAX_ATTEMPTS} attempts")
+        f"could not generate theory {index} after {_MAX_ATTEMPTS} attempts: "
+        f"{too_small} drafts had too few facts or rules (at most {most_facts} facts "
+        f"and {most_rules} rules, against a minimum of {cfg.facts_per_theory[0]} facts "
+        f"and {cfg.rules_per_theory[0]} rules), and {no_questions} admitted no question "
+        f"set covering depths 0..{cfg.max_depth} at answer balance {cfg.answer_balance}")
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,22 @@ literal, and NAF every negative antecedent whose atom the program leaves
 underived, so an antecedent arrives over an edge exactly when the edge's
 source supplies it. The shallowest failure is read from a per-program
 table of failure depths, one relaxation over the instances.
+
+Proof search reads two more per-program tables, filled entry by entry as
+proofs are asked for, so an atom is enumerated once per program however
+many literals, signs and deeper derivations ask for it (tabling, Chen &
+Warren 1996). The fragment table holds the derivation fragments of an
+atom off a path, keyed on (atom, path ∩ cone), where the cone of an atom
+is the atom and every atom its fired instances reach through positive
+antecedents. Those are the only atoms whose presence on the path the
+enumeration tests, also inside its recursion, so the key is exact: two
+paths that agree on the cone give the same fragments. Keying on the atom
+alone would not be, since in a positive cycle an atom's fragments under
+an ancestor differ from its own. The proof table holds each derived
+atom's minimal fragments and its proofs in canonical order; a positive
+and a negative question on the atom slice the same list, and failure
+demonstrations read the first minimal fragment of each satisfiable
+antecedent from it.
 """
 
 from __future__ import annotations
@@ -61,7 +77,8 @@ DEFAULT_MAX_PROOFS = 10
 
 # Per-atom cap on enumerated support fragments; keeps pathological
 # theories from exploding the proof search. Generated data stays far
-# below it.
+# below it. The cut is the one an enumeration without tables makes, made
+# once per fragment table entry: it depends only on the entry's key.
 _FRAGMENT_CAP = 256
 
 
@@ -152,6 +169,14 @@ class GroundProgram:
     positive) to the facts stating it; ``removals[s]`` holds the instances
     that vanish with sentence ``s``. Proofs and their checks read these
     rows; no literal is bound.
+
+    Proof search fills two tables, one entry per first read, and they go
+    with the program. ``_fragment_table`` maps (atom id, path ∩ cone) to
+    the atom's derivation fragments off the path; the cone of an atom
+    (``_cone``) is every atom whose presence on the path the enumeration
+    can test, so the key is exact. ``_proof_table`` maps a derived atom id
+    to its minimal fragments and its canonically sorted proofs. Entries
+    are tuples, shared by every caller.
     """
 
     def __init__(self, t: Theory):
@@ -170,6 +195,10 @@ class GroundProgram:
                 if strata[a] == strata[head]:
                     self.watchers[a].append(i)
         self.flags, self.fired = self.derive()
+        # proof search tables, filled entry by entry as proofs are asked for
+        self._cones: dict[int, frozenset[int]] = {}
+        self._fragment_table: dict[tuple[int, frozenset[int]], tuple[_Fragment, ...]] = {}
+        self._proof_table: dict[int, tuple[tuple[_Fragment, ...], tuple[ProofGraph, ...]]] = {}
 
     @cached_property
     def stated_by(self) -> dict[tuple[int, bool], list[str]]:
@@ -258,6 +287,23 @@ class GroundProgram:
                     depths[head] = depth
                     changed = True
         return depths
+
+    def _cone(self, a: int) -> frozenset[int]:
+        """Atom id ``a`` and every atom its fired instances reach through
+        positive antecedents, recursively."""
+        cone = self._cones.get(a)
+        if cone is None:
+            index, positives = self.derivation_index, self.positives
+            reached = {a}
+            frontier = [a]
+            while frontier:
+                for i in index.get(frontier.pop(), ()):
+                    for b in positives[i]:
+                        if b not in reached:
+                            reached.add(b)
+                            frontier.append(b)
+            cone = self._cones[a] = frozenset(reached)
+        return cone
 
     def derive(self, removed: Optional[str] = None) -> tuple[bytearray, list[int]]:
         """Derived flags by atom id and the indices of the instances that
@@ -354,24 +400,34 @@ def _negative_support(program: GroundProgram, a: int) -> _Fragment:
     return _leaf(stated[0] if stated else NAF)
 
 
-def _fragments(program: GroundProgram, a: int, path: frozenset[int]) -> list[_Fragment]:
+def _fragments(program: GroundProgram, a: int, path: frozenset[int]) -> tuple[_Fragment, ...]:
     """All derivation fragments for a derivable atom id, avoiding any atom
-    already under derivation on the current path."""
+    already under derivation on the current path, read from the program's
+    fragment table."""
+    key = (a, path & program._cone(a))
+    fragments = program._fragment_table.get(key)
+    if fragments is None:
+        fragments = program._fragment_table[key] = _enumerate_fragments(program, a, key[1])
+    return fragments
+
+
+def _enumerate_fragments(program: GroundProgram, a: int,
+                         path: frozenset[int]) -> tuple[_Fragment, ...]:
     options: list[_Fragment] = []
     stated = program.stated_by.get((a, True))
     if stated:
         options.append(_leaf(stated[0]))
     for i in program.derivation_index.get(a, ()):
-        choice_lists: list[list[_Fragment]] = []
+        choice_lists: list[tuple[_Fragment, ...]] = []
         for b in program.positives[i]:
-            subs = [] if b in path else _fragments(program, b, path | {b})
+            subs = () if b in path else _fragments(program, b, path | {b})
             if not subs:
                 break
             choice_lists.append(subs)
         if len(choice_lists) < len(program.positives[i]):
             continue  # a positive antecedent has no fragment off the path
         # one choice per negative antecedent, so the cap cuts the same combos
-        choice_lists += [[_negative_support(program, b)] for b in program.negatives[i]]
+        choice_lists += [(_negative_support(program, b),) for b in program.negatives[i]]
         rule_id = program.rule_ids[i]
         for combo in itertools.product(*choice_lists):
             nodes = frozenset([rule_id]).union(*(f.nodes for f in combo)) \
@@ -384,16 +440,25 @@ def _fragments(program: GroundProgram, a: int, path: frozenset[int]) -> list[_Fr
         if len(options) >= _FRAGMENT_CAP:
             break
     unique = {(f.nodes, f.edges, f.root): f for f in options}
-    return sorted(unique.values(), key=_Fragment.key)
+    return tuple(sorted(unique.values(), key=_Fragment.key))
 
 
-def _minimal_fragments(program: GroundProgram, a: int) -> list[_Fragment]:
-    """The derivation fragments of an atom id that properly contain no
-    other (nodes and edges)."""
-    fragments = _fragments(program, a, frozenset([a]))
-    return [f for f in fragments if not any(
-        (g.nodes, g.edges) != (f.nodes, f.edges) and g.nodes <= f.nodes and g.edges <= f.edges
-        for g in fragments)]
+def _proved(program: GroundProgram,
+            a: int) -> tuple[tuple[_Fragment, ...], tuple[ProofGraph, ...]]:
+    """A derived atom id's minimal fragments, those that properly contain
+    no other (nodes and edges), and its proofs in canonical order, read
+    from the program's proof table."""
+    entry = program._proof_table.get(a)
+    if entry is None:
+        fragments = _fragments(program, a, frozenset([a]))
+        minimal = tuple(f for f in fragments if not any(
+            (g.nodes, g.edges) != (f.nodes, f.edges) and g.nodes <= f.nodes and g.edges <= f.edges
+            for g in fragments))
+        proofs = [ProofGraph.of(f.nodes, f.edges) for f in minimal]
+        if len(proofs) > 1:
+            proofs.sort(key=ProofGraph.canonical_key)
+        entry = program._proof_table[a] = (minimal, tuple(proofs))
+    return entry
 
 
 def select_failed_instance(program: GroundProgram, atom: Atom) -> Optional[int]:
@@ -426,7 +491,7 @@ def _failed_proof(program: GroundProgram, i: Optional[int]) -> ProofGraph:
     nodes = {rule_id, NAF}
     edges = {(NAF, rule_id)}
     for b, positive in _satisfiable(program, i):
-        fragment = _minimal_fragments(program, b)[0] if positive \
+        fragment = _proved(program, b)[0][0] if positive \
             else _negative_support(program, b)
         nodes |= fragment.nodes
         edges |= fragment.edges
@@ -445,9 +510,7 @@ def prove_literal(program: GroundProgram, lit: Literal,
         return [ProofGraph.of([stated[0]])]
 
     if a is not None and program.flags[a]:
-        proofs = [ProofGraph.of(f.nodes, f.edges) for f in _minimal_fragments(program, a)]
-        proofs.sort(key=ProofGraph.canonical_key)
-        return proofs[:max_proofs]
+        return list(_proved(program, a)[1][:max_proofs])
 
     return [_failed_proof(program, select_failed_instance(program, lit.atom()))]
 

@@ -4,7 +4,8 @@ Nothing here shares code with the library's own algorithms: the closure
 oracle runs an alternating fixpoint with naive whole-program passes, the
 stratification oracle searches the ground dependency graph for a negative
 edge inside a cycle, the failure-selection oracle recurses over paths that
-never revisit an atom, the decode oracle enumerates every edge assignment,
+never revisit an atom, the proof oracle enumerates every path-restricted
+derivation from scratch for each literal, the decode oracle enumerates every edge assignment,
 the depth oracle enumerates every simple path, the layout oracle parses
 each sentence id, and the feature oracle tokenizes both texts of a cell.
 """
@@ -16,7 +17,7 @@ import itertools
 import re
 
 from ruleproofs.potentials import FeatureVector
-from ruleproofs.proofgraph import ProofGraph, node_kind
+from ruleproofs.proofgraph import NAF, ProofGraph, node_kind
 from ruleproofs.theory import Literal, Theory
 
 
@@ -37,11 +38,12 @@ def _entities(t: Theory) -> list[str]:
 def _instances(t: Theory):
     """(rule index, binding, antecedents, consequent) for every ground instance."""
     out = []
+    entities = _entities(t)
     for index, r in enumerate(t.rules):
         if r.variable() is None:
             out.append((index, None, tuple(r.antecedents), r.consequent))
         else:
-            for e in _entities(t):
+            for e in entities:
                 out.append((index, e, tuple(a.bind(e) for a in r.antecedents),
                             r.consequent.bind(e)))
     return out
@@ -158,6 +160,93 @@ def naive_answer(t: Theory, lit: Literal) -> bool:
     if lit.positive:
         return lit.atom() in derived
     return lit.atom() not in derived or any(f.literal == lit for f in t.facts)
+
+
+@functools.lru_cache(maxsize=1)
+def _proof_basis(t: Theory):
+    """What the proofs of a theory read, computed once for the many
+    literals a test proves on it: the closure, the first fact stating each
+    signed atom, each instance as (rule index, binding, rule id, head,
+    positive antecedents, negative antecedents, whether its body holds),
+    and the failure selection of every concluded atom."""
+    derived = naive_closure(t)
+    stated: dict = {}
+    for f in t.facts:
+        stated.setdefault((f.literal.atom(), f.literal.positive), f.id)
+    rows = []
+    for index, binding, antecedents, consequent in _instances(t):
+        positives = tuple(a.atom() for a in antecedents if a.positive)
+        negatives = tuple(a.atom() for a in antecedents if not a.positive)
+        fires = derived.issuperset(positives) and derived.isdisjoint(negatives)
+        rows.append((index, binding, t.rules[index].id, consequent.atom(),
+                     positives, negatives, fires))
+    return derived, stated, rows, naive_failed_instances(t, {row[3] for row in rows})
+
+
+def naive_proofs(t: Theory, lit: Literal, max_proofs: int = 10) -> list:
+    """The proofs of ``lit`` by enumerating derivations from scratch.
+
+    A negative literal stated by a fact is that fact alone. A literal whose
+    atom is derivable gets the minimal derivation graphs of the atom: the
+    first positive fact stating it, or an instance whose body holds, whose
+    positive antecedents each have a derivation that revisits no atom on
+    the path from the root, and whose negative ones are each shown by the
+    first fact stating the negation, else by NAF. Each atom keeps at most
+    256 graphs, cut in grounding order before the minimality filter, as
+    the library's enumeration does; graphs are sorted canonically and the
+    first ``max_proofs`` kept. Any other literal gets the failure
+    demonstration around the instance ``naive_failed_instances`` picks.
+    """
+    cap = 256
+    derived, stated, rows, failed = _proof_basis(t)
+
+    def leaf(node):
+        return frozenset([node]), frozenset(), node
+
+    def negative_support(atom):
+        return leaf(stated.get((atom, False), NAF))
+
+    def graphs(atom, path):
+        found = [leaf(stated[atom, True])] if (atom, True) in stated else []
+        for _index, _binding, rule_id, head, positives, negatives, fires in rows:
+            if len(found) >= cap:
+                break
+            if head != atom or not fires or any(b in path for b in positives):
+                continue
+            choices = [graphs(b, path | {b}) for b in positives]
+            choices += [[negative_support(b)] for b in negatives]
+            for combo in itertools.product(*choices):
+                nodes = {rule_id}.union(*(g[0] for g in combo))
+                edges = {(g[2], rule_id) for g in combo}.union(*(g[1] for g in combo))
+                found.append((frozenset(nodes), frozenset(edges), rule_id))
+                if len(found) >= cap:
+                    break
+        return sorted(dict.fromkeys(found), key=lambda g: (sorted(g[0]), sorted(g[1])))
+
+    def minimal(atom):
+        found = graphs(atom, frozenset([atom]))
+        return [g for g in found if not any(
+            (h[0], h[1]) != (g[0], g[1]) and h[0] <= g[0] and h[1] <= g[1] for h in found)]
+
+    atom = lit.atom()
+    if not lit.positive and (atom, False) in stated:
+        return [ProofGraph.of([stated[atom, False]])]
+    if atom in derived:
+        proofs = sorted((ProofGraph.of(g[0], g[1]) for g in minimal(atom)),
+                        key=ProofGraph.canonical_key)
+        return proofs[:max_proofs]
+    picked = failed.get(atom)
+    if picked is None:
+        return [ProofGraph.of([NAF])]
+    _index, _binding, rule_id, _head, positives, negatives, _fires = next(
+        row for row in rows if row[:2] == picked[:2])
+    nodes, edges = {rule_id, NAF}, {(NAF, rule_id)}
+    shown = [minimal(b)[0] for b in positives if b in derived] \
+        + [negative_support(b) for b in negatives if b not in derived]
+    for g in shown:
+        nodes |= g[0]
+        edges |= g[1] | {(g[2], rule_id)}
+    return [ProofGraph.of(nodes, edges)]
 
 
 def brute_force_decode(node_prob, edge_prob, num_facts):

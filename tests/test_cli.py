@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unreachable_fact_count_names_the_shortfall(self, tmp_path, capsys):
+        # distractor facts are drawn in a capped loop, so drafts fall short of 25
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "seed": 0, "num_theories": 1, "facts_per_theory": [25, 25],
+            "rules_per_theory": [0, 0], "max_depth": 0, "negation_rate": 0.0,
+            "questions_per_theory": 6, "profile": "people"}))
+        out = tmp_path / "data"
+        code = run_command(["generate", "--config", str(path), "--seed", "1", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "after 60 attempts: " in err
+        assert "minimum of 25 facts" in err
+        assert int(re.search(r"at most (\d+) facts", err).group(1)) < 25
         assert "Traceback" not in err
         assert not out.exists()
 

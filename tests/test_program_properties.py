@@ -4,7 +4,9 @@ variable rules over three or more entities, relations, contradictory
 negative facts, an unvalidated variable rule with only negative
 antecedents whose entity is mentioned by a single fact, and rules that
 may form cycles through negation. Failure selection also runs on layered
-chains, where failure depth decides between an atom's concluders."""
+chains, where failure depth decides between an atom's concluders. Proof
+search runs on both, and on theories whose rules form positive cycles,
+against an enumeration without tables."""
 
 import functools
 from dataclasses import replace
@@ -131,6 +133,32 @@ def layered_chains(draw):
     )
 
 
+# One entity whose attributes in LOOPED are stated or concluded and read
+# each other, so positive cycles through derived atoms are common. Rules
+# negate only "big", which nothing concludes, so every theory is stratified.
+LOOPED = ("cold", "kind", "round")
+LOOP_FACTS = st.lists(st.sampled_from([Literal(ENTITIES[0], p) for p in ("blue",) + LOOPED[:2]]
+                                      + [Literal(ENTITIES[0], "big", None, False)]),
+                      min_size=1, max_size=3, unique=True)
+LOOP_BODY = st.tuples(st.sampled_from(("someone", ENTITIES[0])),
+                      st.lists(st.sampled_from(("blue",) + LOOPED), min_size=1, max_size=2,
+                               unique=True),
+                      st.booleans(), st.sampled_from(LOOPED))
+
+
+@st.composite
+def looped_theories(draw):
+    bodies = [([Literal(s, p) for p in reads] + [Literal(s, "big", None, False)] * negates,
+               Literal(s, head))
+              for s, reads, negates, head in draw(st.lists(LOOP_BODY, min_size=2, max_size=7))]
+    return Theory(
+        "T",
+        tuple(make_fact(f"F{i + 1}", lit) for i, lit in enumerate(draw(LOOP_FACTS))),
+        tuple(make_rule(f"R{i + 1}", a, c) for i, (a, c) in enumerate(bodies)),
+        (),
+    )
+
+
 def without(t: Theory, sentence_id: str) -> Theory:
     return replace(t, facts=tuple(f for f in t.facts if f.id != sentence_id),
                    rules=tuple(r for r in t.rules if r.id != sentence_id))
@@ -204,6 +232,32 @@ def test_failed_instance_matches_path_oracle(t):
 @given(layered_chains())
 def test_failed_instance_matches_path_oracle_on_layered_chains(t):
     assert_failed_instances_match_path_oracle(t)
+
+
+def assert_every_literal_proved_as_oracle(t, rng):
+    program = closure(t)
+    literals = [Literal(*atom, positive) for atom in program.atoms for positive in (True, False)]
+    rng.shuffle(literals)  # one program serves every call, in a drawn order
+    for lit in literals:
+        assert prove_literal(program, lit) == oracles.naive_proofs(t, lit, 10), lit
+
+
+@settings(max_examples=100, deadline=None)
+@given(theories(), st.randoms(use_true_random=False))
+def test_proofs_match_unmemoized_oracle(t, rng):
+    assert_every_literal_proved_as_oracle(t, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(looped_theories(), st.randoms(use_true_random=False))
+def test_proofs_match_unmemoized_oracle_on_positive_cycles(t, rng):
+    assert_every_literal_proved_as_oracle(t, rng)
+
+
+@settings(max_examples=50, deadline=None)
+@given(layered_chains(), st.randoms(use_true_random=False))
+def test_proofs_match_unmemoized_oracle_on_layered_chains(t, rng):
+    assert_every_literal_proved_as_oracle(t, rng)
 
 
 @settings(max_examples=300, deadline=None)

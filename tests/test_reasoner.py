@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import oracles
@@ -10,6 +12,7 @@ from ruleproofs.reasoner import (
     closure,
     critical_sentences,
     prove,
+    prove_literal,
 )
 from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule
 
@@ -328,6 +331,62 @@ class TestProve:
             [Literal("alan", "young")],
         )
         assert len(prove(t, t.questions[0], max_proofs=1)) == 1
+
+    def test_capped_enumeration_matches_unmemoized_oracle(self):
+        # six antecedents, each concluded from any of three facts: the goal
+        # has 3**6 = 729 minimal proofs, more than the per-atom fragment cap,
+        # so both sides keep the same capped, cut-in-grounding-order subset
+        facts = [Literal("alan", attr) for attr in ("blue", "rough", "young")]
+        middle = ("cold", "kind", "round", "quiet", "green", "red")
+        rules = [([Literal("someone", fact.predicate)], Literal("someone", attr))
+                 for attr in middle for fact in facts]
+        rules.append(([Literal("someone", attr) for attr in middle], Literal("someone", "nice")))
+        goal = Literal("alan", "nice")
+        t = theory_of(facts, rules, [goal])
+        assert len(t.facts) + len(t.rules) == 22
+        program = closure(t)
+        for max_proofs in (10, 1000):
+            assert prove_literal(program, goal, max_proofs) == \
+                oracles.naive_proofs(t, goal, max_proofs)
+        negated = goal.negated()
+        assert prove_literal(program, negated) == oracles.naive_proofs(t, negated, 10)
+
+    def test_positive_cycle_proved_in_either_order(self):
+        # cold and kind each follow from a fact and from each other
+        t = theory_of(
+            [Literal("alan", "blue"), Literal("alan", "rough")],
+            [([Literal("someone", "blue")], Literal("someone", "cold")),
+             ([Literal("someone", "rough")], Literal("someone", "kind")),
+             ([Literal("someone", "cold")], Literal("someone", "kind")),
+             ([Literal("someone", "kind")], Literal("someone", "cold"))],
+        )
+        cold, kind = Literal("alan", "cold"), Literal("alan", "kind")
+        expected = {
+            cold: [ProofGraph.of(["F1", "R1"], [("F1", "R1")]),
+                   ProofGraph.of(["F2", "R2", "R4"], [("F2", "R2"), ("R2", "R4")])],
+            kind: [ProofGraph.of(["F1", "R1", "R3"], [("F1", "R1"), ("R1", "R3")]),
+                   ProofGraph.of(["F2", "R2"], [("F2", "R2")])],
+        }
+        for order in ((cold, kind), (kind, cold)):
+            program = closure(t)  # one program, so the second reads the first's entries
+            for lit in order:
+                assert prove_literal(program, lit) == expected[lit] == \
+                    oracles.naive_proofs(t, lit, 10), (order, lit)
+
+    def test_three_atom_cycle_proved_in_every_order(self):
+        # cold -> kind -> round -> cold, each also from a fact of its own: a
+        # sub-derivation's fragments depend on atoms two steps up its path
+        ring = ("cold", "kind", "round")
+        t = theory_of(
+            [Literal("alan", "blue"), Literal("alan", "rough"), Literal("alan", "young")],
+            [([Literal("someone", base)], Literal("someone", attr))
+             for base, attr in zip(("blue", "rough", "young"), ring)]
+            + [([Literal("someone", ring[k - 1])], Literal("someone", ring[k])) for k in range(3)],
+        )
+        for order in itertools.permutations([Literal("alan", attr) for attr in ring]):
+            program = closure(t)
+            for lit in order:
+                assert prove_literal(program, lit) == oracles.naive_proofs(t, lit, 10), order
 
 
 class TestCheckFailureDemonstration:

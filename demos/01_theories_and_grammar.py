@@ -1,8 +1,9 @@
 """Build a theory by hand, render it, and round-trip it through the grammar.
 
 A theory is a tiny rule-base: named facts, if-then rules, and questions.
-Every item keeps a structured literal form plus a rendered sentence, and
-the two stay interconvertible.
+In memory every item keeps a structured literal form plus a rendered
+sentence; a theory record stores only the sentence, and reading it back
+parses each literal from that text.
 """
 
 import json
@@ -13,10 +14,9 @@ from ruleproofs.theory import (
     make_fact,
     make_question,
     make_rule,
-    parse_sentence,
+    parse_rule_sentence,
     parse_theory,
     theory_to_record,
-    theory_to_text,
     validate_theory,
 )
 
@@ -44,17 +44,13 @@ for item in (*theory.facts, *theory.rules, *theory.questions):
     print(f"  {item.id}: {item.text}")
 
 print("\nParsing a sentence back into structure")
-print(" ", parse_sentence("If someone is blue and likes Bob then they are young."))
+print(" ", parse_rule_sentence("If someone is blue and likes Bob then they are young."))
 
 print("\nValidation violations:", validate_theory(theory) or "none")
 
 record = theory_to_record(theory)
+print("\nTheory record: each sentence is stored once, as its text")
+for key in ("facts", "rules", "questions"):
+    print(f"  {key}: {json.dumps(record[key])}")
 again = parse_theory(json.dumps(record))
-print("JSON round-trip is exact:", again == theory)
-
-text = theory_to_text(theory)
-print("\nSentence-text form:")
-print(text)
-reparsed = parse_theory(text, format="sentence-text")
-print("Sentence-text round-trip keeps facts and rules:",
-      reparsed.facts == theory.facts and reparsed.rules == theory.rules)
+print("Record round-trip re-parses every literal exactly:", again == theory)

@@ -415,11 +415,12 @@ _DATA_ERRORS = (
     theory_mod.TheoryParseError,
     evalharness.EvaluationError,
     reasoner.NonStratifiedTheory,
+    datagen.ConfigError,
     datagen.GenerationError,
+    potentials.ScorerError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
     OSError,
-    KeyError,
-    ValueError,
 )
 
 
@@ -438,7 +439,7 @@ def run_command(argv: list[str]) -> int:
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except AssertionError as exc:
+    except (AssertionError, KeyError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

@@ -93,6 +93,11 @@ _FIELD_KINDS = {
 }
 
 
+class ConfigError(ValueError):
+    """A generator config with an unknown, missing, mistyped or out-of-range
+    setting."""
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int
@@ -135,7 +140,7 @@ class GenConfig:
         if self.profile not in PROFILES:
             problems.append(f"unknown vocabulary profile {self.profile!r}")
         if problems:
-            raise ValueError("invalid generator config: " + "; ".join(problems))
+            raise ConfigError("invalid generator config: " + "; ".join(problems))
 
     def to_dict(self) -> dict:
         return {
@@ -156,7 +161,7 @@ class GenConfig:
         replacing its seed. Unknown or missing keys and mistyped values are
         errors."""
         if not isinstance(d, dict):
-            raise ValueError(f"generator config must be a JSON object, not {type(d).__name__}")
+            raise ConfigError(f"generator config must be a JSON object, not {type(d).__name__}")
         if seed is not None:
             d = {**d, "seed": seed}
         kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
@@ -166,7 +171,7 @@ class GenConfig:
         problems += [f"{key} must be {kinds[key][0]}, got {value!r}" for key, value in d.items()
                      if key in kinds and not kinds[key][1](value)]
         if problems:
-            raise ValueError("invalid generator config: " + "; ".join(problems))
+            raise ConfigError("invalid generator config: " + "; ".join(problems))
         cfg = cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
         cfg.validate()
         return cfg

@@ -266,6 +266,10 @@ def logistic_loss_and_grad(weights: np.ndarray, X: np.ndarray, y: np.ndarray):
     return loss, grad
 
 
+class ScorerError(ValueError):
+    """A scorer file, or a training set, that cannot make a scorer."""
+
+
 @dataclass(frozen=True)
 class ScorerConfig:
     learning_rate: float = 0.5
@@ -302,22 +306,22 @@ class LinearScorer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearScorer":
-        """Read a ``to_dict`` record; raises ValueError naming a bad field."""
+        """Read a ``to_dict`` record; raises ScorerError naming a bad field."""
         if not isinstance(d, dict):
-            raise ValueError(f"scorer must be a JSON object, got {type(d).__name__}")
+            raise ScorerError(f"scorer must be a JSON object, got {type(d).__name__}")
         if d.get("features") != list(FEATURE_NAMES):
-            raise ValueError(f"features must be {list(FEATURE_NAMES)}")
+            raise ScorerError(f"features must be {list(FEATURE_NAMES)}")
         weights, rate, epochs, seed = (d.get(key) for key in
                                        ("weights", "learning_rate", "epochs", "seed"))
         if not (isinstance(weights, list) and len(weights) == len(FEATURE_NAMES) + 1
                 and all(_is_finite(w) for w in weights)):
-            raise ValueError(f"weights must be {len(FEATURE_NAMES) + 1} finite numbers")
+            raise ScorerError(f"weights must be {len(FEATURE_NAMES) + 1} finite numbers")
         if not (_is_finite(rate) and rate > 0):
-            raise ValueError(f"learning_rate must be positive and finite, got {rate!r}")
+            raise ScorerError(f"learning_rate must be positive and finite, got {rate!r}")
         if not (type(epochs) is int and epochs >= 1):
-            raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
+            raise ScorerError(f"epochs must be an integer >= 1, got {epochs!r}")
         if type(seed) is not int:
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+            raise ScorerError(f"seed must be an integer, got {seed!r}")
         return cls(np.asarray(weights, dtype=float), ScorerConfig(rate, epochs, seed))
 
 
@@ -330,11 +334,11 @@ def fit_linear_scorer(train: list[tuple[FeatureVector, int]],
                       config: ScorerConfig = ScorerConfig()) -> LinearScorer:
     """Full-batch gradient descent on the logistic loss; deterministic."""
     if not train:
-        raise ValueError("empty training set")
+        raise ScorerError("empty training set")
     X = np.stack([fv.to_array() for fv, _ in train])
     y = np.array([label for _, label in train], dtype=float)
     if not np.isfinite(X).all():
-        raise ValueError("non-finite feature value in training set")
+        raise ScorerError("non-finite feature value in training set")
     weights = np.zeros(X.shape[1] + 1)
     for _ in range(config.epochs):
         _, grad = logistic_loss_and_grad(weights, X, y)

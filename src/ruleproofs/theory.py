@@ -1,9 +1,10 @@
 """Data model and sentence grammar for rule-base theories.
 
-A theory bundles named facts, if-then rules, and questions. Every item
-carries both a structured literal form and a rendered English-like
-sentence from a fixed synthetic grammar: ``parse(render(x)) == x``, and
-rendering is byte-deterministic.
+A theory bundles named facts, if-then rules, and questions. In memory
+every item carries both a structured literal form and a rendered
+English-like sentence from a fixed synthetic grammar:
+``parse(render(x)) == x``, and rendering is byte-deterministic. On disk
+an item is its text only; reading a theory parses each literal from it.
 
 The grammar is one clause table, the words after a subject (``_phrase``
 renders it, ``_parse_phrase`` inverts it):
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import IO, Callable, Iterable, Iterator, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from .proofgraph import NAF, ProofGraph, proof_depth
 
@@ -102,21 +103,6 @@ class Literal:
             return self
         return Literal(entity, self.predicate, self.obj, self.positive)
 
-    def to_dict(self) -> dict:
-        return {"subject": self.subject, "predicate": self.predicate,
-                "object": self.obj, "positive": self.positive}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Literal":
-        subject, predicate, obj = d["subject"], d["predicate"], d.get("object")
-        positive = d.get("positive", True)
-        if type(subject) is not str or type(predicate) is not str \
-                or not (obj is None or type(obj) is str):
-            raise TypeError(f"subject, predicate and object must be strings in {d!r}")
-        if type(positive) is not bool:
-            raise TypeError(f"positive must be a JSON boolean, got {positive!r}")
-        return cls(subject, predicate, obj, positive)
-
 
 def layout_ids(num_facts: int, size: int) -> list[str]:
     """The sentence id at each index of the (k+1) layout shared by labels,
@@ -182,11 +168,6 @@ class Theory:
         """Position in the fixed fact-then-rule ordering; NAF sits at the end.
         Raises KeyError for every other id, including "F0", "F01" and "Fx"."""
         return self._layout_index[sentence_id]
-
-    def id_for_index(self, index: int) -> str:
-        if not 0 <= index <= self.num_sentences:
-            raise IndexError(index)
-        return layout_ids(len(self.facts), self.num_sentences + 1)[index]
 
     def entities(self) -> list[str]:
         """Ground entity tokens appearing anywhere, in sorted order."""
@@ -307,6 +288,36 @@ def _parse_phrase(subject: str, words: list[str], plural: bool, line: Optional[i
     raise TheoryParseError(f"cannot parse clause {' '.join([subject, *words])!r}", line)
 
 
+# A read's parsed clauses, each keyed on its subject and its words as
+# written: an entity's clause on its text ("Alan is blue"), a variable
+# rule's clause on (variable, consequent pronoun or None, words).
+Clauses = dict[Union[str, tuple[str, Optional[str], str]], Literal]
+
+
+def _entity_clause(text: str, line: Optional[int], clauses: Clauses) -> Literal:
+    """The literal of a clause led by an entity, parsed once per table."""
+    literal = clauses.get(text)
+    if literal is None:
+        subject, *words = text.split() or [""]
+        literal = clauses[text] = _parse_phrase(_entity_token(subject, line), words, False, line)
+    return literal
+
+
+def _variable_clause(variable: str, pronoun: Optional[str], text: str, line: Optional[int],
+                     clauses: Clauses) -> Literal:
+    """The literal of a variable rule's clause, parsed once per table:
+    ``text`` follows the consequent's ``pronoun``, or is an antecedent
+    (no pronoun), whose attribute may carry or drop its "is"."""
+    key = (variable, pronoun, text)
+    literal = clauses.get(key)
+    if literal is None:
+        words = text.split()
+        if pronoun is None and (len(words) == 1 or words[:1] == ["not"]):
+            words = ["is", *words]
+        literal = clauses[key] = _parse_phrase(variable, words, pronoun == "they", line)
+    return literal
+
+
 def _strip_period(text: str, line=None) -> str:
     stripped = text.strip()
     if not stripped.endswith("."):
@@ -317,10 +328,13 @@ def _strip_period(text: str, line=None) -> str:
     return body
 
 
-def parse_rule_sentence(text: str, line: Optional[int] = None) -> tuple[tuple[Literal, ...], Literal]:
+def parse_rule_sentence(text: str, line: Optional[int] = None,
+                        clauses: Optional[Clauses] = None) -> tuple[tuple[Literal, ...], Literal]:
     """Parse an "If ... then ...." sentence into antecedents and consequent.
     A variable rule's attribute antecedent may carry or drop its "is"
-    wherever it stands; the renderer drops it only after an attribute."""
+    wherever it stands; the renderer drops it only after an attribute.
+    ``clauses`` is a table of parsed clauses shared between calls."""
+    clauses = {} if clauses is None else clauses
     body = _strip_period(text, line)
     if not body.startswith("If "):
         raise TheoryParseError(f"rule sentence must start with 'If': {text!r}", line)
@@ -330,37 +344,26 @@ def parse_rule_sentence(text: str, line: Optional[int] = None) -> tuple[tuple[Li
     condition, consequent_text = body.split(" then ")
     variable = condition.split(" ", 1)[0]
     if variable not in VARIABLE_PRONOUNS:
-        clauses = [chunk.split() or [""] for chunk in (*condition.split(" and "), consequent_text)]
-        *antecedents, consequent = (_parse_phrase(_entity_token(subject, line), words, False, line)
-                                    for subject, *words in clauses)
+        *antecedents, consequent = (_entity_clause(chunk, line, clauses)
+                                    for chunk in (*condition.split(" and "), consequent_text))
         return tuple(antecedents), consequent
-    antecedents = []
-    for chunk in condition[len(variable) + 1:].split(" and "):
-        words = chunk.split()
-        if len(words) == 1 or words[:1] == ["not"]:  # an attribute without its "is"
-            words = ["is", *words]
-        antecedents.append(_parse_phrase(variable, words, False, line))
-    pronoun, *words = consequent_text.split() or [""]
+    antecedents = tuple([_variable_clause(variable, None, chunk, line, clauses)
+                         for chunk in condition[len(variable) + 1:].split(" and ")])
+    pronoun, *rest = consequent_text.split(None, 1) or [""]
     if pronoun != VARIABLE_PRONOUNS[variable]:
         raise TheoryParseError(f"consequent must start with {VARIABLE_PRONOUNS[variable]!r} "
                                f"for variable {variable!r}", line)
-    return tuple(antecedents), _parse_phrase(variable, words, pronoun == "they", line)
+    return antecedents, _variable_clause(variable, pronoun, "".join(rest), line, clauses)
 
 
-def parse_fact_sentence(text: str, line: Optional[int] = None) -> Literal:
-    """Parse a declarative sentence (fact or question) into its literal."""
+def parse_fact_sentence(text: str, line: Optional[int] = None,
+                        clauses: Optional[Clauses] = None) -> Literal:
+    """Parse a declarative sentence (fact or question) into its literal.
+    ``clauses`` is a table of parsed clauses shared between calls."""
     body = _strip_period(text, line)
     if body.startswith("If "):
         raise TheoryParseError("expected a declarative sentence, got a rule", line)
-    subject, *words = body.split()
-    return _parse_phrase(_entity_token(subject, line), words, False, line)
-
-
-def parse_sentence(text: str, line: Optional[int] = None):
-    """Dispatch on shape: returns a Literal or (antecedents, consequent)."""
-    if text.strip().startswith("If "):
-        return parse_rule_sentence(text, line)
-    return parse_fact_sentence(text, line)
+    return _entity_clause(body, line, {} if clauses is None else clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +377,17 @@ def _check_ids(items, prefix: str, violations: list[str]) -> None:
             violations.append(f"id {item.id}: expected {expected} (ids must be contiguous)")
 
 
-def _check_ground(items, kind: str, violations: list[str]) -> None:
-    for item in items:
-        if item.literal.is_variable():
-            violations.append(f"{item.id}: {kind} literal must be ground")
+# Each kind of token: the parser's check and the token as a sentence writes it.
+_TOKEN_FORMS = (("entity", _entity_token, _entity_text),
+                ("attribute", _predicate_token, str),
+                ("relation verb", _base_verb, lambda verb: verb + "s"))
 
 
-def _check_antecedents(rules, violations: list[str]) -> None:
-    for r in rules:
-        if not r.antecedents:
-            violations.append(f"{r.id}: rule has no antecedents")
+def _reads_back(read, written, token) -> bool:
+    try:
+        return read(written(token), None) == token
+    except (TheoryParseError, TypeError, AttributeError):  # not a string
+        return False
 
 
 def validate_theory(t: Theory) -> list[str]:
@@ -407,10 +411,20 @@ def validate_theory(t: Theory) -> list[str]:
         (relation_preds if lit.is_relation() else attribute_preds).add(lit.predicate)
     for pred in sorted(attribute_preds & relation_preds):
         violations.append(f"predicate {pred!r} used both with and without an object")
+    # with every text equal to its rendering, readable tokens make it parse back
+    for (kind, read, written), tokens in zip(_TOKEN_FORMS,
+                                             (t.entities(), attribute_preds, relation_preds)):
+        for token in sorted(tokens):
+            if not _reads_back(read, written, token):
+                violations.append(f"{kind} {token!r} does not round-trip through the grammar")
 
-    _check_ground(t.facts, "fact", violations)
-    _check_ground(t.questions, "question", violations)
-    _check_antecedents(t.rules, violations)
+    for item in (*t.facts, *t.questions):
+        if item.literal.is_variable():
+            kind = "fact" if isinstance(item, Fact) else "question"
+            violations.append(f"{item.id}: {kind} literal must be ground")
+    for r in t.rules:
+        if not r.antecedents:
+            violations.append(f"{r.id}: rule has no antecedents")
     seen_literals = {}
     for f in t.facts:
         if f.literal in seen_literals:
@@ -454,29 +468,19 @@ def validate_theory(t: Theory) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON records and sentence-text blocks
+# Serialization: JSON records, one text per sentence
 # ---------------------------------------------------------------------------
 
 def theory_to_record(t: Theory) -> dict:
     """JSON-ready dict with a fixed field order for byte-stable output."""
     record = {
         "id": t.id,
-        "facts": [
-            {"id": f.id, "text": f.text, "literal": f.literal.to_dict()} for f in t.facts
-        ],
-        "rules": [
-            {
-                "id": r.id,
-                "text": r.text,
-                "antecedents": [a.to_dict() for a in r.antecedents],
-                "consequent": r.consequent.to_dict(),
-            }
-            for r in t.rules
-        ],
+        "facts": [{"id": f.id, "text": f.text} for f in t.facts],
+        "rules": [{"id": r.id, "text": r.text} for r in t.rules],
         "questions": [],
     }
     for q in t.questions:
-        entry = {"id": q.id, "text": q.text, "literal": q.literal.to_dict()}
+        entry = {"id": q.id, "text": q.text}
         if q.gold_answer is not None:
             entry["answer"] = q.gold_answer
         if q.gold_depth is not None:
@@ -493,49 +497,35 @@ def _string(value, field: str) -> str:
     return value
 
 
-def _question_from_dict(q: dict, read_literal: Callable[[dict], Literal]) -> Question:
+def _parse(item: dict, parse, line: Optional[int], clauses: Clauses):
+    """``parse`` of an item's text; a text that does not parse is an error
+    naming the item."""
+    try:
+        return parse(_string(item["text"], "text"), None, clauses)
+    except TheoryParseError as exc:
+        raise TheoryParseError(f"{item['id']}: {exc}", line) from None
+
+
+def _question_from_dict(q: dict, line: Optional[int], clauses: Clauses) -> Question:
     answer, depth = q.get("answer"), q.get("depth")
     if not (answer is None or type(answer) is bool):
         raise TypeError(f"answer must be a JSON boolean, got {answer!r}")
     if not (depth is None or type(depth) is int):
         raise TypeError(f"depth must be an integer, got {depth!r}")
     proofs = tuple(ProofGraph.from_dict(p) for p in q["proofs"]) if "proofs" in q else None
-    return Question(q["id"], read_literal(q["literal"]), _string(q["text"], "text"),
+    return Question(q["id"], _parse(q, parse_fact_sentence, line, clauses), q["text"],
                     answer, proofs, depth)
-
-
-def _literal_table() -> Callable[[dict], Literal]:
-    """``Literal.from_dict`` that builds each distinct literal of one read
-    once. A key carries the type of ``positive``, so ``"positive": 1`` never
-    finds the literal read for ``true``; the other fields can only equal a
-    string or null, which the literal read under that key had."""
-    built: dict[tuple, Literal] = {}
-
-    def read(d: dict) -> Literal:
-        try:
-            positive = d.get("positive", True)
-            return built[d["subject"], d["predicate"], d.get("object"), positive, type(positive)]
-        except (AttributeError, KeyError, TypeError):  # not built yet, or malformed
-            pass
-        literal = Literal.from_dict(d)
-        built[literal.subject, literal.predicate, literal.obj, literal.positive, bool] = literal
-        return literal
-
-    return read
 
 
 def _check_read(t: Theory, line: Optional[int]) -> None:
     """Ids F1..Fn, R1..Rm, Q1..Qk in order, and gold proofs over the
     theory's sentences and NAF only: the layout that labels, potentials
-    and evaluation index by. Also ground facts and questions, and rules
-    with antecedents, which the reasoner assumes."""
+    and evaluation index by. The parser already gives ground facts and
+    questions, and rules with antecedents, which the reasoner assumes."""
     violations: list[str] = []
     _check_ids(t.facts, "F", violations)
     _check_ids(t.rules, "R", violations)
     _check_ids(t.questions, "Q", violations)
-    _check_ground(t.facts, "fact", violations)
-    _check_ground(t.questions, "question", violations)
-    _check_antecedents(t.rules, violations)
     if not violations:
         named: set[str] = set()
         for q in t.questions:
@@ -547,30 +537,20 @@ def _check_read(t: Theory, line: Optional[int]) -> None:
         raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations), line)
 
 
-def record_to_theory(record: dict, line: Optional[int],
-                     read_literal: Callable[[dict], Literal]) -> Theory:
-    """Read a ``theory_to_record`` dict; raises TheoryParseError, naming
-    ``line``, for a malformed record or one that ``_check_read`` rejects.
-    ``read_literal`` reads each literal dict: ``Literal.from_dict``, or the
-    ``_literal_table`` of a read of many records."""
+def record_to_theory(record: dict, line: Optional[int], clauses: Clauses) -> Theory:
+    """Read a ``theory_to_record`` dict, parsing each literal from its
+    text; raises TheoryParseError, naming ``line``, for a malformed record,
+    a text that does not parse, or a theory that ``_check_read`` rejects.
+    ``clauses`` is the parsed-clause table shared by a read of many records."""
     if not isinstance(record, dict):
         raise TheoryParseError(
             f"theory record must be a JSON object, got {type(record).__name__}", line)
     try:
-        facts = tuple(
-            Fact(f["id"], read_literal(f["literal"]), _string(f["text"], "text"))
-            for f in record.get("facts", ())
-        )
-        rules = tuple(
-            Rule(
-                r["id"],
-                tuple(map(read_literal, r["antecedents"])),
-                read_literal(r["consequent"]),
-                _string(r["text"], "text"),
-            )
-            for r in record.get("rules", ())
-        )
-        questions = tuple(_question_from_dict(q, read_literal)
+        facts = tuple(Fact(f["id"], _parse(f, parse_fact_sentence, line, clauses), f["text"])
+                      for f in record.get("facts", ()))
+        rules = tuple(Rule(r["id"], *_parse(r, parse_rule_sentence, line, clauses), r["text"])
+                      for r in record.get("rules", ()))
+        questions = tuple(_question_from_dict(q, line, clauses)
                           for q in record.get("questions", ()))
         t = Theory(_string(record["id"], "theory id"), facts, rules, questions)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -579,57 +559,15 @@ def record_to_theory(record: dict, line: Optional[int],
     return t
 
 
-def theory_to_text(t: Theory) -> str:
-    """Sentence-text block: ids and sentences only (no gold annotations)."""
-    lines = [f"theory: {t.id}"]
-    for item in (*t.facts, *t.rules, *t.questions):
-        lines.append(f"{item.id}: {item.text}")
-    return "\n".join(lines) + "\n"
-
-
-def _theory_from_text(text: str, first_line: int = 1) -> Theory:
-    theory_id = None
-    facts, rules, questions = [], [], []
-    for offset, raw in enumerate(text.splitlines()):
-        line_no = first_line + offset
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("theory:"):
-            theory_id = line.split(":", 1)[1].strip()
-            continue
-        if ":" not in line:
-            raise TheoryParseError(f"expected '<id>: <sentence>', got {line!r}", line_no)
-        item_id, sentence = (part.strip() for part in line.split(":", 1))
-        if not item_id or item_id[0] not in "FRQ" or not item_id[1:].isdigit():
-            raise TheoryParseError(f"bad sentence id {item_id!r}", line_no)
-        if item_id[0] == "R":
-            rules.append(make_rule(item_id, *parse_rule_sentence(sentence, line_no)))
-        else:
-            literal = parse_fact_sentence(sentence, line_no)
-            if item_id[0] == "F":
-                facts.append(make_fact(item_id, literal))
-            else:
-                questions.append(make_question(item_id, literal))
-    if theory_id is None:
-        raise TheoryParseError("missing 'theory: <id>' header", first_line)
-    return Theory(theory_id, tuple(facts), tuple(rules), tuple(questions))
-
-
-def parse_theory(data: Union[bytes, str], format: str = "structured-json") -> Theory:
-    """Parse one theory from raw bytes/text in the given format and validate it."""
+def parse_theory(data: Union[bytes, str]) -> Theory:
+    """Parse one theory record from raw bytes/text and validate it."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    if format == "structured-json":
-        try:
-            record = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise TheoryParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-        t = record_to_theory(record, None, Literal.from_dict)
-    elif format == "sentence-text":
-        t = _theory_from_text(data)
-    else:
-        raise ValueError(f"unknown format {format!r}")
+    try:
+        record = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise TheoryParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    t = record_to_theory(record, None, {})
     violations = validate_theory(t)
     if violations:
         raise TheoryParseError(f"invalid theory {t.id!r}: " + "; ".join(violations))
@@ -642,8 +580,8 @@ def write_theories(fp: IO[str], theories: Iterable[Theory]) -> None:
 
 
 def read_theories(fp: IO[str]) -> Iterator[Theory]:
-    """One theory per JSONL line; the lines share one literal table."""
-    read_literal = _literal_table()
+    """One theory per JSONL line; the lines share one table of parsed clauses."""
+    clauses: Clauses = {}
     for line_no, line in enumerate(fp, start=1):
         if not line.strip():
             continue
@@ -651,7 +589,7 @@ def read_theories(fp: IO[str]) -> Iterator[Theory]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TheoryParseError(f"invalid JSON: {exc.msg}", line_no, exc.colno) from exc
-        yield record_to_theory(record, line_no, read_literal)
+        yield record_to_theory(record, line_no, clauses)
 
 
 def make_fact(fact_id: str, literal: Literal) -> Fact:

@@ -26,6 +26,7 @@ from ruleproofs.potentials import (
     oracle_potentials,
 )
 from ruleproofs.proofgraph import is_connected
+from ruleproofs.theory import layout_ids
 
 
 def report(number, ok, detail):
@@ -229,10 +230,8 @@ def test_criterion_7_mask_correctness(du5_bundle):
         rules = sum(1 for n in gold.nodes if n.startswith("R"))
         has_naf = "NAF" in gold.nodes
         expected = facts * rules + int(has_naf) * rules + rules * (rules - 1)
-        ones = {
-            (t.id_for_index(m), t.id_for_index(n))
-            for m, n in zip(*np.nonzero(mask.label == 1))
-        }
+        ids = layout_ids(len(t.facts), t.num_sentences + 1)
+        ones = {(ids[m], ids[n]) for m, n in zip(*np.nonzero(mask.label == 1))}
         ok += int(len(mask.unmasked_cells()) == expected and ones == set(gold.edges))
     report(7, ok == len(pairs),
            f"closed-form unmasked count and gold-edge reconstruction on "

@@ -161,19 +161,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("case, message", [
         ("swapped_ids", "id F2: expected F1"),
         ("unknown_proof_node", "gold proof names unknown node 'F99'"),
-        ("string_positive", "positive must be a JSON boolean, got 'false'"),
-        ("int_object", "subject, predicate and object must be strings"),
+        ("nonsense", "F1: cannot parse clause 'nonsense'"),
         ("string_answer", "answer must be a JSON boolean, got 'yes'"),
         ("float_depth", "depth must be an integer, got 2.0"),
-        ("no_antecedents", "R1: rule has no antecedents"),
-        ("variable_fact", "F1: fact literal must be ground"),
-        ("variable_question", "Q1: question literal must be ground"),
+        ("no_antecedents", "R1: rule sentence needs exactly one 'then'"),
+        ("variable_fact", "F1: entity token 'Someone' is a reserved word"),
+        ("variable_question", "Q1: entity token 'Something' is a reserved word"),
         ("int_theory_id", "theory id must be a string, got 5"),
         ("int_text", "text must be a string, got 5"),
-        ("int_positive", "positive must be a JSON boolean, got 1"),
-    ], ids=["swapped_ids", "unknown_proof_node", "string_positive", "int_object",
-            "string_answer", "float_depth", "no_antecedents", "variable_fact",
-            "variable_question", "int_theory_id", "int_text", "int_positive"])
+        ("third_person_verb", "Q1: relation verb 'likes' must be in base form"),
+    ], ids=["swapped_ids", "unknown_proof_node", "nonsense", "string_answer", "float_depth",
+            "no_antecedents", "variable_fact", "variable_question", "int_theory_id",
+            "int_text", "third_person_verb"])
     def test_theory_record_checked_at_read(self, workspace, tmp_path, capsys, case, message):
         test_file = workspace / "data" / "test.theories.jsonl"
         records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
@@ -183,25 +182,22 @@ class TestExitCodes:
             bad["facts"][0]["id"], bad["facts"][1]["id"] = "F2", "F1"
         elif case == "unknown_proof_node":
             question["proofs"][-1]["nodes"].append("F99")
-        elif case == "string_positive":
-            bad["facts"][0]["literal"]["positive"] = "false"
-        elif case == "int_object":
-            question["literal"]["object"] = 5
+        elif case == "nonsense":
+            bad["facts"][0]["text"] = "Nonsense."
         elif case == "string_answer":
             question["answer"] = "yes"
         elif case == "float_depth":
             question["depth"] = 2.0
         elif case == "no_antecedents":
-            bad["rules"][0]["antecedents"] = []
+            bad["rules"][0]["text"] = "If then Alan is blue."
         elif case == "variable_fact":
-            bad["facts"][0]["literal"]["subject"] = "someone"
+            bad["facts"][0]["text"] = "Someone is blue."
         elif case == "variable_question":
-            question["literal"]["subject"] = "something"
+            question["text"] = "Something is blue."
         elif case == "int_theory_id":
             bad["id"] = 5
-        elif case == "int_positive":  # a literal read on line 1, but for the type of positive
-            literal = next(f["literal"] for f in records[0]["facts"] if f["literal"]["positive"])
-            bad["facts"][0]["literal"] = {**literal, "positive": 1}
+        elif case == "third_person_verb":
+            question["text"] = "Alan likess Bob."
         else:
             bad["rules"][0]["text"] = 5
         theories = tmp_path / "theories.jsonl"
@@ -258,6 +254,35 @@ class TestExitCodes:
         assert run_command(["generate", "--config", str(tmp_path), "--seed", "1",
                             "-o", str(tmp_path / "data")]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_undecodable_input_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff{}\n")
+        assert run_command(["answer", str(bad)]) == 2
+        assert "error: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_empty_training_set_is_a_data_error(self, tmp_path, capsys):
+        theories = tmp_path / "theories.jsonl"
+        with open(theories, "w", encoding="utf-8") as fp:
+            write_theories(fp, [Theory("T1", (make_fact("F1", Literal("alan", "blue")),), (), ())])
+        out = tmp_path / "scorer.json"
+        assert run_command(["train-baseline", str(theories), "-o", str(out)]) == 2
+        assert "error: empty training set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [KeyError, ValueError])
+    def test_internal_key_or_value_error_is_three(self, workspace, tmp_path, capsys,
+                                                  monkeypatch, error):
+        def broken_closure(t):
+            raise error("broken invariant")
+
+        monkeypatch.setattr(cli.reasoner, "closure", broken_closure)
+        out = tmp_path / "answers.jsonl"
+        code = run_command(["answer", str(workspace / "data" / "test.theories.jsonl"),
+                            "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal error:" in err and "broken invariant" in err
+        assert not out.exists()
 
     def test_broken_pipe_exits_zero(self, monkeypatch):
         def closed_pipe(args):

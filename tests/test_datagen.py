@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ruleproofs import reasoner
 from ruleproofs.cli import run_command
 from ruleproofs.datagen import (
+    ConfigError,
     GenConfig,
     GenerationError,
     PROFILES,
@@ -38,26 +39,26 @@ class TestConfig:
         assert GenConfig.from_dict(raw, seed=9).to_dict() == {**raw, "seed": 9}
 
     def test_rejects_rules_below_depth(self):
-        with pytest.raises(ValueError, match="below max_depth"):
+        with pytest.raises(ConfigError, match="below max_depth"):
             GenConfig(seed=1, num_theories=1, max_depth=4,
                       rules_per_theory=(1, 3)).validate()
 
     def test_rejects_oversized_context(self):
-        with pytest.raises(ValueError, match="limit is 25"):
+        with pytest.raises(ConfigError, match="limit is 25"):
             GenConfig(seed=1, num_theories=1, facts_per_theory=(3, 15),
                       rules_per_theory=(3, 15)).validate()
 
     def test_rejects_too_few_questions(self):
-        with pytest.raises(ValueError, match="questions_per_theory"):
+        with pytest.raises(ConfigError, match="questions_per_theory"):
             GenConfig(seed=1, num_theories=1, max_depth=3,
                       questions_per_theory=2).validate()
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
             GenConfig.from_dict({"seed": -1, "num_theories": 1})
 
     def test_rejects_depth_beyond_five(self):
-        with pytest.raises(ValueError, match="0..5"):
+        with pytest.raises(ConfigError, match="0..5"):
             GenConfig(seed=1, num_theories=1, max_depth=6,
                       rules_per_theory=(3, 9), questions_per_theory=8).validate()
 
@@ -182,7 +183,7 @@ def test_profiles_have_the_vocabulary_drafts_assume():
     # and head-only thirds of the rest are each non-empty; two relations
     # feed the chain and at least one other serves as a support
     deepest = 5
-    with pytest.raises(ValueError, match="max_depth must be in 0..5"):
+    with pytest.raises(ConfigError, match="max_depth must be in 0..5"):
         GenConfig(seed=0, num_theories=1, max_depth=deepest + 1, rules_per_theory=(3, 7),
                   questions_per_theory=7).validate()
     for name, profile in PROFILES.items():
@@ -202,43 +203,43 @@ def test_twin_rule_keeps_the_rule_bound():
 GENERATED_SHA256 = {
     "circuits_shift": {
         "dev.theories.jsonl":
-            "15ea01dc8778914184e89e20a47b99a5464179dbb12368da016f83c5ec03726d",
+            "bf55d4fa5253db3761cc414e8da2dfc8910d15c98a124c7dad54a2d2845c8480",
         "manifest.json":
             "e0b902f8dc74c35f4029c7df2f1190990e8f8f31183c71345ea7cce17382bf07",
         "test.theories.jsonl":
-            "1ae58c36626faeec7b79f863dad2b896dd3117234e3f15a95f7c0b851be0a273",
+            "688d20bfa40340353078d8d7a04d6b133cdbd54036bd5dc731adfd9501ca1ece",
         "train.theories.jsonl":
-            "39c5dd207a4a6a2fc7cbdd9cc303f6c83e2707be51e693563f73ebd7368dd0e2",
+            "df785bd6e3bd6aba4b2e8d9561f3c259d34df02a5c16e4c65d61399744050a33",
     },
     "du0": {
         "dev.theories.jsonl":
-            "76c8e750cb2796c1c0dcb0337278d311f07fd26730eb72e731a71cf7b67fb11d",
+            "88f5656a3f8f93a9ac6d3adb7918c9c0621e6acc5b2aefcc12141cc4031f17d0",
         "manifest.json":
             "c7709db1cc157819375ef62093f7cbb51e6f6ef7366ab6c9f420ada5afa96278",
         "test.theories.jsonl":
-            "79ae4b75afceec0c46b1a9cafd9755f9652b31a90b1c61e5d5420bf60fa22b6f",
+            "4835982e3ee6470fe8fac64c395a6eb08030003d749263b7be0c7ee4b9678cbb",
         "train.theories.jsonl":
-            "8664495577f9c45b2ac779b2cd4b0d5a38833df8e86496c7cba16c3daf50c8b7",
+            "b036c50de9900a65148265f42fc6a837955978c2570bf75436f6ac2a9752da87",
     },
     "du3": {
         "dev.theories.jsonl":
-            "526e8de23d8aee12044eb865c3ad5474bc77bae3ae58f04f891a03f75f71eb93",
+            "f333594d48f37defe656ad0ac8a22f7b4a08c35a7eae0b660d0e453eafffbca8",
         "manifest.json":
             "04ee72f0fb3e48967477c63c18e152fd9dd309f668242a6130316642ca3bdc4c",
         "test.theories.jsonl":
-            "d76e8c65457d932b65deb9e1740b5f3bcf66ff1284d3162be1622cb4801690e5",
+            "58134d6006e5a49ca1d0908ea97af5f6d413eec2a8988b07076988453ae9b8c3",
         "train.theories.jsonl":
-            "7d4a208bca3e68060681ec78a1e227234447bf25e800fc44c36e0f2a77e40af6",
+            "acddbd02943627b2bff89b8b8a10989b964ff5b39693a1edeaf6eb9997f92db6",
     },
     "du5": {
         "dev.theories.jsonl":
-            "1ca3c7aa8ea43ad0973bab573b9b4bd770f7c0e86cc3bf9b2d8adca3b3769f4c",
+            "c1bc7d790f9c65b8b7424efe53c2e2882ea12f9f71ac0730f349d8149e22fb34",
         "manifest.json":
             "a78901bceebf06a4a3d6a04c021914d0a7c5b16c13fb4c961aeae9cb13dd3ac0",
         "test.theories.jsonl":
-            "77a7bd7c699906ae59455e484dfa05261134ff0dd075350e54b17695d366fa5f",
+            "38beadda71cbb9b673a6b115c12267ef9f63530843f196aa0aa49269d1a1d164",
         "train.theories.jsonl":
-            "07fcd478dc2b2f2337845aafea4361138fedf61422bf7c46f290efa0c7902653",
+            "941343ba1101f69613e5323f2b05485890bbb308e16a754a0125b435e9beef57",
     },
 }
 

@@ -51,13 +51,13 @@ PIPELINE_SHA256 = {
     "critical.jsonl":
         "af046b58119cdb2f6ab0ca493d99eefcf2b870399cefcf87e157de90a3626cca",
     "data/dev.theories.jsonl":
-        "526e8de23d8aee12044eb865c3ad5474bc77bae3ae58f04f891a03f75f71eb93",
+        "f333594d48f37defe656ad0ac8a22f7b4a08c35a7eae0b660d0e453eafffbca8",
     "data/manifest.json":
         "04ee72f0fb3e48967477c63c18e152fd9dd309f668242a6130316642ca3bdc4c",
     "data/test.theories.jsonl":
-        "d76e8c65457d932b65deb9e1740b5f3bcf66ff1284d3162be1622cb4801690e5",
+        "58134d6006e5a49ca1d0908ea97af5f6d413eec2a8988b07076988453ae9b8c3",
     "data/train.theories.jsonl":
-        "7d4a208bca3e68060681ec78a1e227234447bf25e800fc44c36e0f2a77e40af6",
+        "acddbd02943627b2bff89b8b8a10989b964ff5b39693a1edeaf6eb9997f92db6",
     "labels.jsonl":
         "f68db3ce5b6300ea4dfa87a4428fac5861d5680a11a3d2ae34edb2815f0bf10e",
     "noisy.pots.jsonl":

@@ -9,6 +9,7 @@ from ruleproofs.potentials import (
     FeatureVector,
     LinearScorer,
     ScorerConfig,
+    ScorerError,
     allowed_pairs,
     build_edge_mask,
     edge_training_pairs,
@@ -99,10 +100,8 @@ class TestEdgeMask:
     def test_ones_reproduce_gold_edges(self):
         for t, gold in generated_golds(8):
             mask = build_edge_mask(t, gold)
-            ones = {
-                (t.id_for_index(m), t.id_for_index(n))
-                for m, n in zip(*np.nonzero(mask.label == 1))
-            }
+            ids = layout_ids(len(t.facts), t.num_sentences + 1)
+            ones = {(ids[m], ids[n]) for m, n in zip(*np.nonzero(mask.label == 1))}
             assert ones == set(gold.edges)
 
     def test_counting_formula_on_generated_proofs(self):
@@ -246,7 +245,7 @@ class TestLinearScorer:
         assert scorer.score(train[0][0]) == 0.5
 
     def test_empty_training_set_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScorerError, match="empty training set"):
             fit_linear_scorer([])
 
     def test_loss_decreases_on_separable_data(self):

@@ -6,7 +6,8 @@ antecedents whose entity is mentioned by a single fact, and rules that
 may form cycles through negation. Failure selection also runs on layered
 chains, where failure depth decides between an atom's concluders. Proof
 search runs on both, and on theories whose rules form positive cycles,
-against an enumeration without tables."""
+against an enumeration without tables. Closure, critical sentences and
+proof checking also draw theories with positive cycles."""
 
 import functools
 from dataclasses import replace
@@ -136,6 +137,7 @@ def layered_chains(draw):
 # One entity whose attributes in LOOPED are stated or concluded and read
 # each other, so positive cycles through derived atoms are common. Rules
 # negate only "big", which nothing concludes, so every theory is stratified.
+# Questions ask for the entity's atoms in both signs.
 LOOPED = ("cold", "kind", "round")
 LOOP_FACTS = st.lists(st.sampled_from([Literal(ENTITIES[0], p) for p in ("blue",) + LOOPED[:2]]
                                       + [Literal(ENTITIES[0], "big", None, False)]),
@@ -144,6 +146,10 @@ LOOP_BODY = st.tuples(st.sampled_from(("someone", ENTITIES[0])),
                       st.lists(st.sampled_from(("blue",) + LOOPED), min_size=1, max_size=2,
                                unique=True),
                       st.booleans(), st.sampled_from(LOOPED))
+LOOP_QUESTIONS = st.lists(st.sampled_from([Literal(ENTITIES[0], p, None, positive)
+                                           for p in ("blue", "big") + LOOPED
+                                           for positive in (True, False)]),
+                          min_size=1, max_size=4)
 
 
 @st.composite
@@ -155,7 +161,7 @@ def looped_theories(draw):
         "T",
         tuple(make_fact(f"F{i + 1}", lit) for i, lit in enumerate(draw(LOOP_FACTS))),
         tuple(make_rule(f"R{i + 1}", a, c) for i, (a, c) in enumerate(bodies)),
-        (),
+        tuple(make_question(f"Q{i + 1}", lit) for i, lit in enumerate(draw(LOOP_QUESTIONS))),
     )
 
 
@@ -169,8 +175,12 @@ def derived_atoms(program: GroundProgram, removed=None) -> set:
     return {atom for atom, i in program.atom_ids.items() if flags[i]}
 
 
+# Drawn theories with and without positive cycles through derived atoms.
+ANY_THEORY = st.one_of(theories(), looped_theories())
+
+
 @settings(max_examples=150, deadline=None)
-@given(theories())
+@given(ANY_THEORY)
 def test_program_matches_oracle_on_every_ablation(t):
     program = closure(t)
     assert derived_atoms(program) == oracles.naive_closure(t) == set(program.derived)
@@ -188,7 +198,7 @@ def test_program_matches_oracle_on_every_ablation(t):
 
 
 @settings(max_examples=150, deadline=None)
-@given(theories())
+@given(ANY_THEORY)
 def test_critical_sentences_match_per_question_oracle(t):
     expected = []
     for q in t.questions:
@@ -199,7 +209,7 @@ def test_critical_sentences_match_per_question_oracle(t):
 
 
 @settings(max_examples=150, deadline=None)
-@given(theories())
+@given(ANY_THEORY)
 def test_check_proof_accepts_every_emitted_proof(t):
     program = closure(t)
     for q in t.questions:

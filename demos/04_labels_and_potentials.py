@@ -11,6 +11,7 @@ import numpy as np
 
 from ruleproofs.datagen import GenConfig, generate_dataset
 from ruleproofs.potentials import (
+    MASKED,
     LinearScorer,
     ScorerConfig,
     build_edge_mask,
@@ -27,13 +28,14 @@ question = next(q for q in theory.questions if q.gold_depth and q.gold_depth >= 
 gold = question.gold_proofs[0]
 
 print(f"Gold proof for {question.text!r}: {gold.to_dict()}")
-mask = build_edge_mask(theory, gold)
+label = build_edge_mask(theory, gold)  # the rows that mask-export writes
 print("Edge label matrix (-100 = masked):")
-print(mask.label)
-print("Unmasked cells:", len(mask.unmasked_cells()))
+for row in label:
+    print(" ".join(f"{cell:>4}" for cell in row))
+print("Unmasked cells:", sum(cell != MASKED for row in label for cell in row))
 
 pot = oracle_potentials(theory, gold, noise=0.2, seed=3)
-print("\nNode probabilities at noise 0.2:", np.round(pot.node_prob, 3))
+print("\nNode probabilities at noise 0.2:", [round(p, 3) for p in pot.node_prob])
 
 tokens = sentence_tokens(theory)  # each sentence tokenized once per theory
 fv = lexical_edge_features(tokens, "F1", "R1")

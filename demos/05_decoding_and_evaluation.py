@@ -7,20 +7,17 @@ the augmented graph certifies connectivity. The harness then reports
 answer, node, edge, proof, and full exact-match accuracy by depth.
 """
 
-import numpy as np
-
 from ruleproofs.datagen import GenConfig, generate_dataset
 from ruleproofs.decoder import decode_proof, decode_with_fallback, flow_certificate, verify_flow
 from ruleproofs.evalharness import PredictionRecord, aggregate_report
 from ruleproofs.potentials import Potentials, adversarial_potentials, oracle_potentials
 
 # a hand-made instance where thresholding alone is disconnected
-node_prob = np.array([0.9, 0.9, 0.9, 0.1])          # F1, R1, R2 selected
-edge_prob = np.zeros((4, 4))
-edge_prob[0, 1] = 0.9                                # F1 -> R1 preferred
-edge_prob[0, 2] = 0.2                                # weak F1 -> R2
-edge_prob[1, 2] = 0.15
-edge_prob[2, 1] = 0.1
+node_prob = [0.9, 0.9, 0.9, 0.1]                    # F1, R1, R2 selected
+edge_prob = [[0.0, 0.9, 0.2, 0.0],                   # F1 -> R1 preferred, weak F1 -> R2
+             [0.0, 0.0, 0.15, 0.0],
+             [0.0, 0.1, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 0.0]]
 instance = Potentials(node_prob, edge_prob, num_facts=1)
 
 ablated = decode_proof(instance, connectivity=False)

@@ -30,7 +30,6 @@ from .reasoner import (
     prove,
 )
 from .potentials import (
-    EdgeMask,
     FeatureVector,
     LinearScorer,
     MASKED,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConnectivityInfeasible",
     "DecodeResult",
-    "EdgeMask",
     "Fact",
     "FeatureVector",
     "GenConfig",

@@ -225,13 +225,12 @@ def _cmd_mask_export(args) -> int:
             for q in t.questions:
                 _require_gold(t, q)
                 gold = q.gold_proofs[0]
-                mask = potentials.build_edge_mask(t, gold)
                 yield {
                     "theory_id": t.id,
                     "question_id": q.id,
                     "qa_label": int(bool(q.gold_answer)),
-                    "node_labels": potentials.node_labels(t, gold).tolist(),
-                    "edge_labels": mask.label.tolist(),
+                    "node_labels": potentials.node_labels(t, gold),
+                    "edge_labels": potentials.build_edge_mask(t, gold),
                 }
 
     _write_rows(args.output, rows())
@@ -302,58 +301,48 @@ def _cmd_score_edges(args) -> int:
     return 0
 
 
-def _read_potentials(path, theories_by_id):
-    """(theory, question id, potentials) per line, checked against the theory;
-    a second record for the same question is a data error."""
-    seen = set()
-    with _open_input(path) as fp:
+def _cmd_decode(args) -> int:
+    """Read, check, answer and decode one potentials record at a time,
+    keeping only its output row; a second record for the same question is
+    a data error, and nothing is written before the last record."""
+    theories = {t.id: t for t in _load_theories(args.theories)}
+    answers: dict[str, dict[str, bool]] = {}
+    rows: dict[tuple[str, str], dict] = {}
+    with _open_input(args.input) as fp:
         for line_no, line in enumerate(fp, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                t = theories_by_id[record["theory_id"]]
+                t = theories[record["theory_id"]]
                 pot = potentials.Potentials.from_record(record, t)
-                key = (t.id, record["question_id"])
-                if key in seen:
-                    raise ValueError(f"second record for question {t.id}/{key[1]}")
-                seen.add(key)
+                question_id = record["question_id"]
+                if (t.id, question_id) in rows:
+                    raise ValueError(f"second record for question {t.id}/{question_id}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise evalharness.EvaluationError(
                     f"bad potentials record on line {line_no}: {exc}") from exc
-            yield t, record["question_id"], pot
-
-
-def _cmd_decode(args) -> int:
-    theories = {t.id: t for t in _load_theories(args.theories)}
-    records = list(_read_potentials(args.input, theories))
-
-    answers: dict[str, dict[str, bool]] = {}
-    for t, question_id, _pot in records:
-        if question_id not in {q.id for q in t.questions}:
-            raise evalharness.EvaluationError(
-                f"potentials reference unknown question {t.id}/{question_id}")
-        if t.id not in answers:
-            program = reasoner.closure(t)
-            answers[t.id] = {q.id: program.holds(q.literal) for q in t.questions}
-
-    rows = []
-    for t, question_id, pot in records:
-        if args.unconstrained:
-            result = decoder.decode_unconstrained(pot)
-        else:
-            result = decoder.decode_with_fallback(pot, connectivity=not args.no_connectivity)
-        d = result.proof.to_dict()
-        rows.append({
-            "theory_id": t.id,
-            "question_id": question_id,
-            "answer": answers[t.id][question_id],
-            "nodes": d["nodes"],
-            "edges": d["edges"],
-            "objective": result.objective,
-            "connectivity_relaxed": result.connectivity_relaxed,
-        })
-    _write_rows(args.output, rows)
+            if t.id not in answers:
+                program = reasoner.closure(t)
+                answers[t.id] = {q.id: program.holds(q.literal) for q in t.questions}
+            if question_id not in answers[t.id]:
+                raise evalharness.EvaluationError(
+                    f"potentials reference unknown question {t.id}/{question_id}")
+            if args.unconstrained:
+                result = decoder.decode_unconstrained(pot)
+            else:
+                result = decoder.decode_with_fallback(pot, connectivity=not args.no_connectivity)
+            d = result.proof.to_dict()
+            rows[t.id, question_id] = {
+                "theory_id": t.id,
+                "question_id": question_id,
+                "answer": answers[t.id][question_id],
+                "nodes": d["nodes"],
+                "edges": d["edges"],
+                "objective": result.objective,
+                "connectivity_relaxed": result.connectivity_relaxed,
+            }
+    _write_rows(args.output, rows.values())
     return 0
 
 

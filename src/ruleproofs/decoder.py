@@ -1,17 +1,20 @@
 """Exact edge decoding under typing, node-consistency, and connectivity.
 
-Nodes are fixed first by thresholding the node probabilities. Over the
-selected nodes, the score of an assignment is the sum of
-``phi*e + (1-phi)*(1-e)`` across the pairs that ``potentials.allowed_pairs``
-allows (both endpoints selected, target a rule, no self-loops); the edge
-mask and the lexical scorer take their cells from the same function. The
-unconstrained optimum keeps exactly the pairs with phi > 0.5. When the
-result must be connected in the undirected sense, the cheapest repair is
-one Kruskal pass: a union-find seeded with the thresholded edges takes
-the leftover pairs in order of flip cost (1 - 2*phi), ties toward the
-smallest ordered pair, and keeps each pair that joins two components.
-Extra edges can only help connectivity and never improve the separable
-objective, so the repaired assignment is provably optimal.
+The decoder reads a ``Potentials`` as the JSON lists it was read from:
+node probabilities and rows of edge probabilities phi, indexed by the
+layout of ``theory.layout_ids``. Nodes are fixed first by thresholding
+the node probabilities. Over the selected nodes, the score of an
+assignment is the sum of ``phi*e + (1-phi)*(1-e)`` across the pairs that
+``potentials.allowed_pairs`` allows (both endpoints selected, target a
+rule, no self-loops); the edge mask and the lexical scorer take their
+cells from the same function. The unconstrained optimum keeps exactly
+the pairs with phi > 0.5. When the result must be connected in the
+undirected sense, the cheapest repair is one Kruskal pass: a union-find
+seeded with the thresholded edges takes the leftover pairs in order of
+flip cost (1 - 2*phi), ties toward the smallest ordered pair, and keeps
+each pair that joins two components. Extra edges can only help
+connectivity and never improve the separable objective, so the repaired
+assignment is provably optimal.
 
 The global constraints that an integer program would enforce are thus
 met exactly without a solver. Connectivity is witnessed by an explicit
@@ -25,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from .potentials import Potentials, allowed_pairs
 from .proofgraph import ProofGraph
@@ -53,12 +54,13 @@ class DecodeResult:
     stats: SolverStats
 
 
-def select_nodes(node_prob: np.ndarray) -> list[int]:
-    """Indices at or above 0.5; falls back to the argmax when none qualify."""
-    selected = [i for i, p in enumerate(node_prob.tolist()) if p >= 0.5]
+def select_nodes(node_prob: list[float]) -> list[int]:
+    """Indices at or above 0.5; falls back to the index of the first
+    maximum when none qualify."""
+    selected = [i for i, p in enumerate(node_prob) if p >= 0.5]
     if selected:
         return selected
-    return [int(np.argmax(node_prob))]
+    return [node_prob.index(max(node_prob))]
 
 
 class _UnionFind:
@@ -83,7 +85,7 @@ def _result(p: Potentials, phi: list[list[float]], selected: list[int],
             pairs: list[tuple[int, int]], chosen: set[tuple[int, int]],
             relaxed: bool, repairs: int) -> DecodeResult:
     """The proof over ``selected`` with edges ``chosen``, scored on ``pairs``
-    of the edge probabilities ``phi`` (``p.edge_prob.tolist()``)."""
+    of the edge probabilities ``phi`` (``p.edge_prob``)."""
     objective = 0.0
     for m, n in pairs:
         objective += phi[m][n] if (m, n) in chosen else 1.0 - phi[m][n]
@@ -102,7 +104,7 @@ def decode_proof(p: Potentials, connectivity: bool = True) -> DecodeResult:
     """
     selected = select_nodes(p.node_prob)
     pairs = allowed_pairs(selected, p.num_facts, p.size)
-    phi = p.edge_prob.tolist()
+    phi = p.edge_prob
     chosen = {(m, n) for m, n in pairs if phi[m][n] > 0.5}
     repair = _repair_edges(selected, pairs, chosen, phi) if connectivity else set()
     return _result(p, phi, selected, pairs, chosen | repair, not connectivity, len(repair))
@@ -147,7 +149,7 @@ def decode_unconstrained(p: Potentials) -> DecodeResult:
     """
     selected = select_nodes(p.node_prob)
     pairs = [(m, n) for m in range(p.size) for n in range(p.size) if m != n]
-    phi = p.edge_prob.tolist()
+    phi = p.edge_prob
     chosen = {(m, n) for m, n in pairs if phi[m][n] > 0.5}
     return _result(p, phi, selected, pairs, chosen, True, 0)
 

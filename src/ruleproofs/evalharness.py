@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .proofgraph import NAF, ProofGraph, match_proofs, proof_depth
+from .proofgraph import ProofGraph, match_proofs, proof_depth
 from .theory import Question, Theory
 
 
@@ -177,14 +177,9 @@ def aggregate_report(
         if key not in by_key:
             raise EvaluationError(f"missing prediction for {key}")
         pred = by_key.pop(key)
-        for node in pred.proof.nodes:
-            if node == NAF:
-                continue
-            try:
-                t.sentence_index(node)
-            except KeyError:
-                raise EvaluationError(
-                    f"prediction for {key} references unknown sentence {node}")
+        unknown = t.unknown_ids(pred.proof.nodes)
+        if unknown:
+            raise EvaluationError(f"prediction for {key} references unknown sentence {unknown[0]}")
         score = score_example(q, pred)
         if q.gold_depth is not None:
             depth = q.gold_depth

@@ -5,6 +5,12 @@ external trainers (masked cells serialized as -100), noisy oracle
 potentials used to exercise the decoder, and a small lexical edge scorer
 trained by logistic regression on surface features of sentence pairs.
 
+Labels and potentials are the JSON lists they are written as: integer
+rows of labels, and float lists of node and edge probabilities that
+``Potentials.from_record`` checks and the decoder reads as they are.
+numpy is used only where it fixes output bytes: the oracle's noise draws
+and arithmetic, and the scorer.
+
 Sentence index layout is fixed everywhere: facts in id order, then rules
 in id order, then one trailing slot for the NAF node (``theory.layout_ids``).
 Which cells of that layout may carry an edge is decided once, by
@@ -30,18 +36,6 @@ _NUMBER, _LIST = frozenset({int, float}), frozenset({list})
 
 
 @dataclass(frozen=True)
-class EdgeMask:
-    """(k+1) x (k+1) training labels over {0, 1, MASKED}."""
-
-    size: int
-    label: np.ndarray
-
-    def unmasked_cells(self) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(self.label != MASKED)
-        return list(zip(rows.tolist(), cols.tolist()))
-
-
-@dataclass(frozen=True)
 class Potentials:
     """Per-node presence probabilities and an edge probability matrix.
 
@@ -49,8 +43,8 @@ class Potentials:
     decidable from the potentials alone; the last index is always NAF.
     """
 
-    node_prob: np.ndarray
-    edge_prob: np.ndarray
+    node_prob: list[float]
+    edge_prob: list[list[float]]
     num_facts: int
 
     @property
@@ -62,8 +56,8 @@ class Potentials:
         return {
             "theory_id": theory_id,
             "question_id": question_id,
-            "node_prob": self.node_prob.tolist(),
-            "edge_prob": self.edge_prob.tolist(),
+            "node_prob": self.node_prob,
+            "edge_prob": self.edge_prob,
         }
 
     @classmethod
@@ -73,29 +67,24 @@ class Potentials:
         Raises ValueError unless every value is a JSON number (not a
         string or a boolean), ``node_prob`` has k+1 entries and
         ``edge_prob`` is (k+1) x (k+1), k being the theory's sentence
-        count, and every value lies in [0, 1] (NaN does not).
+        count, and every value lies in [0, 1] (NaN, infinities and
+        integers beyond the float range do not).
         """
         size = t.num_sentences + 1
-        node_values, edge_rows = record["node_prob"], record["edge_prob"]
-        if not (type(node_values) is list and _NUMBER.issuperset(map(type, node_values))):
+        node_prob, edge_prob = record["node_prob"], record["edge_prob"]
+        if not (type(node_prob) is list and _NUMBER.issuperset(map(type, node_prob))):
             raise ValueError("node_prob must be a list of JSON numbers")
-        if not (type(edge_rows) is list and _LIST.issuperset(map(type, edge_rows))
-                and _NUMBER.issuperset(map(type, chain.from_iterable(edge_rows)))):
+        if not (type(edge_prob) is list and _LIST.issuperset(map(type, edge_prob))
+                and _NUMBER.issuperset(map(type, chain.from_iterable(edge_prob)))):
             raise ValueError("edge_prob must be a list of lists of JSON numbers")
-        try:
-            node_prob = np.asarray(node_values, dtype=float)
-            edge_prob = np.asarray(edge_rows, dtype=float)
-        except OverflowError:
-            raise ValueError("a probability is an integer beyond the float range") from None
-        if node_prob.shape != (size,):
-            raise ValueError(f"node_prob has shape {node_prob.shape}, "
-                             f"theory {t.id} needs ({size},)")
-        if edge_prob.shape != (size, size):
-            raise ValueError(f"edge_prob has shape {edge_prob.shape}, "
-                             f"theory {t.id} needs ({size}, {size})")
-        for name, values in (("node_prob", node_prob), ("edge_prob", edge_prob)):
-            # min and max propagate NaN, which then fails both comparisons
-            if not (0.0 <= values.min() and values.max() <= 1.0):
+        if len(node_prob) != size:
+            raise ValueError(f"node_prob has {len(node_prob)} entries, "
+                             f"theory {t.id} needs {size}")
+        if len(edge_prob) != size or any(len(row) != size for row in edge_prob):
+            raise ValueError(f"edge_prob is not {size} x {size}, as theory {t.id} needs")
+        for name, values in (("node_prob", node_prob),
+                             ("edge_prob", chain.from_iterable(edge_prob))):
+            if not all(0.0 <= v <= 1.0 for v in values):
                 raise ValueError(f"{name} has a value outside [0, 1]")
         return cls(node_prob, edge_prob, len(t.facts))
 
@@ -114,22 +103,22 @@ def _gold_indices(t: Theory, gold: ProofGraph) -> tuple[set[int], set[tuple[int,
     return nodes, edges
 
 
-def build_edge_mask(t: Theory, gold: ProofGraph) -> EdgeMask:
-    """Labels for one gold proof: 0/1 on the ``allowed_pairs`` of the gold
-    nodes, MASKED elsewhere (self-loops, absent nodes, edges into facts or
-    into NAF).
+def build_edge_mask(t: Theory, gold: ProofGraph) -> list[list[int]]:
+    """(k+1) x (k+1) labels for one gold proof: 0/1 on the ``allowed_pairs``
+    of the gold nodes, MASKED elsewhere (self-loops, absent nodes, edges
+    into facts or into NAF).
     """
     size = t.num_sentences + 1
     gold_nodes, gold_edges = _gold_indices(t, gold)
-    label = np.full((size, size), MASKED, dtype=np.int64)
+    label = [[MASKED] * size for _ in range(size)]
     for m, n in allowed_pairs(sorted(gold_nodes), len(t.facts), size):
-        label[m, n] = (m, n) in gold_edges
-    return EdgeMask(size, label)
+        label[m][n] = int((m, n) in gold_edges)
+    return label
 
 
-def node_labels(t: Theory, gold: ProofGraph) -> np.ndarray:
-    size = t.num_sentences + 1
-    labels = np.zeros(size, dtype=np.int64)
+def node_labels(t: Theory, gold: ProofGraph) -> list[int]:
+    """1 at the index of each gold node, 0 elsewhere."""
+    labels = [0] * (t.num_sentences + 1)
     for node in gold.nodes:
         labels[t.sentence_index(node)] = 1
     return labels
@@ -160,7 +149,7 @@ def oracle_potentials(t: Theory, gold: ProofGraph, noise: float, seed) -> Potent
 
     node_prob = np.abs(node_indicator - 2.0 * noise * node_unit)
     edge_prob = np.abs(edge_indicator - 2.0 * noise * edge_unit)
-    return Potentials(node_prob, edge_prob, len(t.facts))
+    return Potentials(node_prob.tolist(), edge_prob.tolist(), len(t.facts))
 
 
 def adversarial_potentials(t: Theory, gold: ProofGraph, drop_to: float = 0.4) -> Potentials:
@@ -176,7 +165,7 @@ def adversarial_potentials(t: Theory, gold: ProofGraph, drop_to: float = 0.4) ->
     for s, d in gold.canonical_edges():
         remaining = gold.edges - {(s, d)}
         if not is_connected(gold.nodes, remaining):
-            p.edge_prob[t.sentence_index(s), t.sentence_index(d)] = drop_to
+            p.edge_prob[t.sentence_index(s)][t.sentence_index(d)] = drop_to
             break
     return p
 
@@ -389,11 +378,10 @@ def scorer_potentials(t: Theory, scorer: LinearScorer) -> Potentials:
     come from the scorer on the ``allowed_pairs`` of every sentence.
     """
     size = t.num_sentences + 1
-    node_prob = np.full(size, 0.5)
-    node_prob[size - 1] = naf_prior(t)
-    edge_prob = np.zeros((size, size))
+    node_prob = [0.5] * (size - 1) + [naf_prior(t)]
+    edge_prob = [[0.0] * size for _ in range(size)]
     ids = layout_ids(len(t.facts), size)
     tokens = sentence_tokens(t)
     for m, n in allowed_pairs(list(range(size)), len(t.facts), size):
-        edge_prob[m, n] = scorer.score(lexical_edge_features(tokens, ids[m], ids[n]))
+        edge_prob[m][n] = scorer.score(lexical_edge_features(tokens, ids[m], ids[n]))
     return Potentials(node_prob, edge_prob, len(t.facts))

@@ -558,10 +558,9 @@ def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
     """
     if validate_structure(p):
         return False
-    sentence_ids = set(t.sentence_ids())
-    for node in p.nodes:
-        if node != NAF and node not in sentence_ids:
-            raise KeyError(f"unknown node id {node!r}")
+    unknown = t.unknown_ids(p.nodes)
+    if unknown:
+        raise KeyError(f"unknown node id {unknown[0]!r}")
 
     program = closure(t)
     a = program.atom_ids.get(q.literal.atom())

@@ -23,19 +23,21 @@ Every sentence is made of such clauses:
 
 Entities and the variables "someone" and "something" are singular; a
 variable rule's consequent takes the variable's pronoun, plural "they"
-or singular "it". Variables may only appear as the subject; rules use a
-single variable or are fully ground. Only a variable rule's first
-antecedent names its subject, and an attribute antecedent right after an
-attribute drops its "is". The parser accepts any attribute antecedent of
-a variable rule with or without "is", so ``render(parse(s)) == s`` holds
-for rendered sentences only. Relation verbs are stored in base form.
+or singular "it". A rule's consequent is positive. Variables may only
+appear as the subject; rules use a single variable or are fully ground.
+Only a variable rule's first antecedent names its subject, and an
+attribute antecedent right after an attribute drops its "is". The parser
+accepts any attribute antecedent of a variable rule with or without
+"is", so ``render(parse(s)) == s`` holds for rendered sentences only.
+Relation verbs are stored in base form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .proofgraph import NAF, ProofGraph, proof_depth
@@ -111,6 +113,13 @@ def layout_ids(num_facts: int, size: int) -> list[str]:
             + [f"R{i}" for i in range(1, size - num_facts)] + [NAF])
 
 
+@cache
+def _layout_positions(num_facts: int, size: int) -> dict[str, int]:
+    """Each id of ``layout_ids`` to its index: one dict per layout shape,
+    shared by every theory of that shape and never changed."""
+    return {sentence_id: index for index, sentence_id in enumerate(layout_ids(num_facts, size))}
+
+
 @dataclass(frozen=True)
 class Fact:
     id: str
@@ -161,13 +170,17 @@ class Theory:
 
     @cached_property
     def _layout_index(self) -> dict[str, int]:
-        return {sentence_id: index for index, sentence_id
-                in enumerate(layout_ids(len(self.facts), self.num_sentences + 1))}
+        return _layout_positions(len(self.facts), self.num_sentences + 1)
 
     def sentence_index(self, sentence_id: str) -> int:
         """Position in the fixed fact-then-rule ordering; NAF sits at the end.
         Raises KeyError for every other id, including "F0", "F01" and "Fx"."""
         return self._layout_index[sentence_id]
+
+    def unknown_ids(self, ids: Iterable[str]) -> list[str]:
+        """The ``ids`` that name no slot of the layout (no sentence of this
+        theory and not NAF), sorted."""
+        return sorted(set(ids).difference(self._layout_index))
 
     def entities(self) -> list[str]:
         """Ground entity tokens appearing anywhere, in sorted order."""
@@ -346,14 +359,18 @@ def parse_rule_sentence(text: str, line: Optional[int] = None,
     if variable not in VARIABLE_PRONOUNS:
         *antecedents, consequent = (_entity_clause(chunk, line, clauses)
                                     for chunk in (*condition.split(" and "), consequent_text))
-        return tuple(antecedents), consequent
-    antecedents = tuple([_variable_clause(variable, None, chunk, line, clauses)
-                         for chunk in condition[len(variable) + 1:].split(" and ")])
-    pronoun, *rest = consequent_text.split(None, 1) or [""]
-    if pronoun != VARIABLE_PRONOUNS[variable]:
-        raise TheoryParseError(f"consequent must start with {VARIABLE_PRONOUNS[variable]!r} "
-                               f"for variable {variable!r}", line)
-    return antecedents, _variable_clause(variable, pronoun, "".join(rest), line, clauses)
+        antecedents = tuple(antecedents)
+    else:
+        antecedents = tuple([_variable_clause(variable, None, chunk, line, clauses)
+                             for chunk in condition[len(variable) + 1:].split(" and ")])
+        pronoun, *rest = consequent_text.split(None, 1) or [""]
+        if pronoun != VARIABLE_PRONOUNS[variable]:
+            raise TheoryParseError(f"consequent must start with {VARIABLE_PRONOUNS[variable]!r} "
+                                   f"for variable {variable!r}", line)
+        consequent = _variable_clause(variable, pronoun, "".join(rest), line, clauses)
+    if not consequent.positive:
+        raise TheoryParseError("rule consequent must be positive", line)
+    return antecedents, consequent
 
 
 def parse_fact_sentence(text: str, line: Optional[int] = None,
@@ -399,12 +416,6 @@ def validate_theory(t: Theory) -> list[str]:
     _check_ids(t.facts, "F", violations)
     _check_ids(t.rules, "R", violations)
     _check_ids(t.questions, "Q", violations)
-
-    seen_ids = set()
-    for item in (*t.facts, *t.rules, *t.questions):
-        if item.id in seen_ids:
-            violations.append(f"duplicate id {item.id}")
-        seen_ids.add(item.id)
 
     attribute_preds, relation_preds = set(), set()
     for lit in t._all_literals():
@@ -518,10 +529,11 @@ def _question_from_dict(q: dict, line: Optional[int], clauses: Clauses) -> Quest
 
 
 def _check_read(t: Theory, line: Optional[int]) -> None:
-    """Ids F1..Fn, R1..Rm, Q1..Qk in order, and gold proofs over the
-    theory's sentences and NAF only: the layout that labels, potentials
-    and evaluation index by. The parser already gives ground facts and
-    questions, and rules with antecedents, which the reasoner assumes."""
+    """Ids F1..Fn, R1..Rm, Q1..Qk in order, and gold proofs that are graphs
+    over their own nodes, which are the theory's sentences and NAF only:
+    the layout that labels, potentials and evaluation index by. The parser
+    already gives ground facts and questions, and rules with antecedents
+    and a positive consequent, which the reasoner assumes."""
     violations: list[str] = []
     _check_ids(t.facts, "F", violations)
     _check_ids(t.rules, "R", violations)
@@ -530,9 +542,15 @@ def _check_read(t: Theory, line: Optional[int]) -> None:
         named: set[str] = set()
         for q in t.questions:
             for proof in q.gold_proofs or ():
-                named.update(proof.nodes, *proof.edges)
-        named.difference_update(layout_ids(len(t.facts), t.num_sentences + 1))
-        violations = [f"a gold proof names unknown node {node!r}" for node in sorted(named)]
+                ends = set(chain.from_iterable(proof.edges))
+                if not proof.nodes:
+                    violations.append(f"{q.id}: a gold proof has no nodes")
+                elif not ends <= proof.nodes:
+                    violations.append(f"{q.id}: a gold proof's edges name "
+                                      f"{sorted(ends - proof.nodes)} outside its nodes")
+                named.update(proof.nodes)
+        violations += [f"a gold proof names unknown node {node!r}"
+                       for node in t.unknown_ids(named)]
     if violations:
         raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations), line)
 

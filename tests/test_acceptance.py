@@ -15,6 +15,7 @@ from ruleproofs.cli import run_command
 from ruleproofs.datagen import GenConfig, generate_dataset, generate_theory
 from ruleproofs.evalharness import PredictionRecord, aggregate_report
 from ruleproofs.potentials import (
+    MASKED,
     LinearScorer,
     Potentials,
     ScorerConfig,
@@ -109,7 +110,7 @@ def test_criterion_2_ilp_exactness():
         while (node_prob >= 0.5).sum() > 6:
             high = np.flatnonzero(node_prob >= 0.5)
             node_prob[high[-1]] = 0.25
-        p = Potentials(node_prob, rng.random((size, size)), num_facts)
+        p = Potentials(node_prob.tolist(), rng.random((size, size)).tolist(), num_facts)
         oracle = oracles.brute_force_decode(p.node_prob, p.edge_prob, p.num_facts)
         total += 1
         try:
@@ -225,14 +226,16 @@ def test_criterion_7_mask_correctness(du5_bundle):
     ok = 0
     for t, q in pairs:
         gold = q.gold_proofs[0]
-        mask = build_edge_mask(t, gold)
+        label = build_edge_mask(t, gold)
         facts = sum(1 for n in gold.nodes if n.startswith("F"))
         rules = sum(1 for n in gold.nodes if n.startswith("R"))
         has_naf = "NAF" in gold.nodes
         expected = facts * rules + int(has_naf) * rules + rules * (rules - 1)
         ids = layout_ids(len(t.facts), t.num_sentences + 1)
-        ones = {(ids[m], ids[n]) for m, n in zip(*np.nonzero(mask.label == 1))}
-        ok += int(len(mask.unmasked_cells()) == expected and ones == set(gold.edges))
+        cells = [(m, n) for m, row in enumerate(label) for n, cell in enumerate(row)
+                 if cell != MASKED]
+        ones = {(ids[m], ids[n]) for m, n in cells if label[m][n] == 1}
+        ok += int(len(cells) == expected and ones == set(gold.edges))
     report(7, ok == len(pairs),
            f"closed-form unmasked count and gold-edge reconstruction on "
            f"{ok}/{len(pairs)} proofs")

@@ -170,9 +170,11 @@ class TestExitCodes:
         ("int_theory_id", "theory id must be a string, got 5"),
         ("int_text", "text must be a string, got 5"),
         ("third_person_verb", "Q1: relation verb 'likes' must be in base form"),
+        ("empty_proof", "Q1: a gold proof has no nodes"),
+        ("edge_end_not_a_node", "Q1: a gold proof's edges name ['NAF'] outside its nodes"),
     ], ids=["swapped_ids", "unknown_proof_node", "nonsense", "string_answer", "float_depth",
             "no_antecedents", "variable_fact", "variable_question", "int_theory_id",
-            "int_text", "third_person_verb"])
+            "int_text", "third_person_verb", "empty_proof", "edge_end_not_a_node"])
     def test_theory_record_checked_at_read(self, workspace, tmp_path, capsys, case, message):
         test_file = workspace / "data" / "test.theories.jsonl"
         records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
@@ -198,6 +200,10 @@ class TestExitCodes:
             bad["id"] = 5
         elif case == "third_person_verb":
             question["text"] = "Alan likess Bob."
+        elif case == "empty_proof":
+            question["proofs"][-1] = {"nodes": [], "edges": []}
+        elif case == "edge_end_not_a_node":
+            question["proofs"][-1] = {"nodes": ["F1"], "edges": [["F1", "NAF"]]}
         else:
             bad["rules"][0]["text"] = 5
         theories = tmp_path / "theories.jsonl"
@@ -309,7 +315,8 @@ class TestExitCodes:
                 "references unknown sentence Fx") in err
 
     @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
-                                      "duplicate", "string", "bool", "huge_int"])
+                                      "duplicate", "string", "bool", "huge_int", "short_row",
+                                      "infinity", "negative", "nested_node"])
     def test_malformed_potentials_are_data_errors(self, workspace, tmp_path, capsys, case):
         test_file = workspace / "data" / "test.theories.jsonl"
         pots = tmp_path / "pots.jsonl"
@@ -336,6 +343,14 @@ class TestExitCodes:
             bad["edge_prob"] = [[x > 0.5 for x in row] for row in bad["edge_prob"]]
         elif case == "huge_int":  # a JSON integer that no float can hold
             bad["edge_prob"][0][0] = 10 ** 400
+        elif case == "short_row":
+            bad["edge_prob"][-1] = bad["edge_prob"][-1][:-1]
+        elif case == "infinity":  # written as the JSON extension Infinity
+            bad["node_prob"][0] = float("inf")
+        elif case == "negative":
+            bad["edge_prob"][0][1] = -0.25
+        elif case == "nested_node":
+            bad["node_prob"][0] = [bad["node_prob"][0]]
         else:
             bad["edge_prob"] = [row[:2] for row in bad["edge_prob"]]
         pots.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -346,6 +361,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "bad potentials record on line 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_last_potentials_record_leaves_no_output(self, workspace, tmp_path, capsys):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        pots = tmp_path / "pots.jsonl"
+        run_ok(["oracle-potentials", "--seed", 1, "--noise", 0, test_file, "-o", pots])
+        records = [json.loads(line) for line in pots.read_text().splitlines()]
+        records[-1]["node_prob"][0] = 2.0
+        pots.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+
+        out = tmp_path / "decoded.jsonl"
+        code = run_command(["decode", "--theories", str(test_file), str(pots), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"bad potentials record on line {len(records)}: node_prob" in err
+        assert not out.exists()
+
+    def test_negative_rule_consequent_is_rejected_at_read(self, tmp_path, capsys):
+        theories = tmp_path / "theories.jsonl"
+        with open(theories, "w", encoding="utf-8") as fp:
+            write_theories(fp, [Theory(
+                "T1", (make_fact("F1", Literal("alan", "blue")),),
+                (make_rule("R1", [Literal("alan", "blue")],
+                           Literal("alan", "kind", positive=False)),),
+                (make_question("Q1", Literal("alan", "kind")),))])
+        assert "If Alan is blue then Alan is not kind." in theories.read_text()
+        out = tmp_path / "answers.jsonl"
+        capsys.readouterr()
+        code = run_command(["answer", str(theories), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "R1: rule consequent must be positive (line 1)" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -431,6 +480,24 @@ class TestPipelines:
 
         assert proof_accuracy(full) > proof_accuracy(ablated)
 
+    def test_integer_potentials_decode_like_floats(self, workspace, tmp_path):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        pots = tmp_path / "pots.jsonl"
+        run_ok(["oracle-potentials", "--seed", 1, "--noise", 0, test_file, "-o", pots])
+        records = [json.loads(line) for line in pots.read_text().splitlines()]
+        for r in records:
+            assert set(r["node_prob"]) <= {0.0, 1.0}
+            r["node_prob"] = [int(v) for v in r["node_prob"]]
+            r["edge_prob"] = [[int(v) for v in row] for row in r["edge_prob"]]
+        ints = tmp_path / "ints.jsonl"
+        ints.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert "1.0" not in ints.read_text() and "0.0" not in ints.read_text()
+        for flags in ([], ["--no-connectivity"], ["--unconstrained"]):
+            from_floats, from_ints = tmp_path / "floats.out", tmp_path / "ints.out"
+            run_ok(["decode", "--theories", test_file, pots, "-o", from_floats, *flags])
+            run_ok(["decode", "--theories", test_file, ints, "-o", from_ints, *flags])
+            assert from_ints.read_bytes() == from_floats.read_bytes()
+
     def test_unconstrained_can_emit_illegal_edges(self, workspace, tmp_path):
         test_file = workspace / "data" / "test.theories.jsonl"
         pots = tmp_path / "p.jsonl"
@@ -455,6 +522,7 @@ class TestPipelines:
         flat = [cell for line in row["edge_labels"] for cell in line]
         assert set(flat) <= {-100, 0, 1}
         assert -100 in flat
+        assert "true" not in labels.read_text()  # label cells are integers, not booleans
 
     def test_baseline_training_and_scoring(self, workspace, tmp_path):
         train_file = workspace / "data" / "train.theories.jsonl"

@@ -17,25 +17,27 @@ from ruleproofs.potentials import Potentials, adversarial_potentials, oracle_pot
 from ruleproofs.proofgraph import ProofGraph, is_connected
 
 
+def zeros(size):
+    return [[0.0] * size for _ in range(size)]
+
+
 def example_two():
     # nodes F1, R1, R2 selected; NAF off
-    node_prob = np.array([0.9, 0.9, 0.9, 0.1])
-    edge_prob = np.zeros((4, 4))
-    edge_prob[0, 1] = 0.9   # F1 -> R1
-    edge_prob[1, 2] = 0.9   # R1 -> R2
-    edge_prob[0, 2] = 0.4   # F1 -> R2
-    edge_prob[2, 1] = 0.1   # R2 -> R1
-    return Potentials(node_prob, edge_prob, 1)
+    edge_prob = zeros(4)
+    edge_prob[0][1] = 0.9   # F1 -> R1
+    edge_prob[1][2] = 0.9   # R1 -> R2
+    edge_prob[0][2] = 0.4   # F1 -> R2
+    edge_prob[2][1] = 0.1   # R2 -> R1
+    return Potentials([0.9, 0.9, 0.9, 0.1], edge_prob, 1)
 
 
 def example_three():
-    node_prob = np.array([0.9, 0.9, 0.9, 0.1])
-    edge_prob = np.zeros((4, 4))
-    edge_prob[0, 1] = 0.9
-    edge_prob[0, 2] = 0.2
-    edge_prob[1, 2] = 0.15
-    edge_prob[2, 1] = 0.1
-    return Potentials(node_prob, edge_prob, 1)
+    edge_prob = zeros(4)
+    edge_prob[0][1] = 0.9
+    edge_prob[0][2] = 0.2
+    edge_prob[1][2] = 0.15
+    edge_prob[2][1] = 0.1
+    return Potentials([0.9, 0.9, 0.9, 0.1], edge_prob, 1)
 
 
 def random_instance(rng, max_rules=3):
@@ -45,21 +47,21 @@ def random_instance(rng, max_rules=3):
     node_prob = rng.random(size)
     if not (node_prob >= 0.5).any():
         node_prob[int(rng.integers(size))] = 0.9
-    return Potentials(node_prob, rng.random((size, size)), num_facts)
+    return Potentials(node_prob.tolist(), rng.random((size, size)).tolist(), num_facts)
 
 
 class TestSelectNodes:
     def test_all_above_threshold(self):
-        assert select_nodes(np.array([0.9, 0.9, 0.9])) == [0, 1, 2]
+        assert select_nodes([0.9, 0.9, 0.9]) == [0, 1, 2]
 
     def test_exactly_half_is_selected(self):
-        assert select_nodes(np.array([0.5, 0.2])) == [0]
+        assert select_nodes([0.5, 0.2]) == [0]
 
     def test_empty_falls_back_to_argmax(self):
-        assert select_nodes(np.array([0.1, 0.3, 0.2])) == [1]
+        assert select_nodes([0.1, 0.3, 0.2]) == [1]
 
     def test_argmax_tie_takes_lowest_index(self):
-        assert select_nodes(np.array([0.1, 0.3, 0.3])) == [1]
+        assert select_nodes([0.1, 0.3, 0.3]) == [1]
 
 
 class TestAllowedPairs:
@@ -70,7 +72,7 @@ class TestAllowedPairs:
 
 class TestDecodeProof:
     def test_single_node_is_a_valid_singleton(self):
-        p = Potentials(np.array([0.9, 0.1, 0.1]), np.zeros((3, 3)), 1)
+        p = Potentials([0.9, 0.1, 0.1], zeros(3), 1)
         result = decode_proof(p)
         assert result.proof == ProofGraph.of(["F1"])
         assert result.objective == 0.0
@@ -97,7 +99,7 @@ class TestDecodeProof:
         assert result.connectivity_relaxed is True
 
     def test_two_selected_facts_are_infeasible(self):
-        p = Potentials(np.array([0.9, 0.9, 0.1]), np.zeros((3, 3)), 2)
+        p = Potentials([0.9, 0.9, 0.1], zeros(3), 2)
         with pytest.raises(ConnectivityInfeasible):
             decode_proof(p)
         fallback = decode_with_fallback(p)
@@ -151,7 +153,7 @@ class TestDecodeProof:
             if not (node_prob >= 0.5).any():
                 node_prob[0] = 0.9
             edge_prob = rng.choice(grid, size=(size, size))
-            p = Potentials(node_prob, edge_prob, num_facts)
+            p = Potentials(node_prob.tolist(), edge_prob.tolist(), num_facts)
             oracle = oracles.brute_force_decode(p.node_prob, p.edge_prob, p.num_facts)
             try:
                 result = decode_proof(p)
@@ -189,14 +191,14 @@ def p_id(index, num_facts, size):
 
 class TestDecodeUnconstrained:
     def test_fact_to_fact_edge_emitted(self):
-        p = Potentials(np.array([0.9, 0.9, 0.1]), np.zeros((3, 3)), 2)
-        p.edge_prob[0, 1] = 0.9
+        p = Potentials([0.9, 0.9, 0.1], zeros(3), 2)
+        p.edge_prob[0][1] = 0.9
         result = decode_unconstrained(p)
         assert ("F1", "F2") in result.proof.edges
         assert result.connectivity_relaxed is True
 
     def test_all_below_threshold_is_empty(self):
-        p = Potentials(np.array([0.9, 0.9, 0.1]), np.full((3, 3), 0.4), 1)
+        p = Potentials([0.9, 0.9, 0.1], [[0.4] * 3 for _ in range(3)], 1)
         assert decode_unconstrained(p).proof.edges == frozenset()
 
     def test_matches_constrained_when_constraints_inactive(self):

@@ -128,6 +128,14 @@ class TestAggregateReport:
         with pytest.raises(EvaluationError, match="unknown"):
             aggregate_report(bundle.test, preds)
 
+    def test_unknown_prediction_node_named_in_sorted_order(self, bundle):
+        preds = perfect_predictions(bundle.test)
+        first = preds[0]
+        preds[0] = PredictionRecord(first.theory_id, first.question_id, True,
+                                    ProofGraph.of(["Fz", "NAF", "Fy", "R99", "F1"]))
+        with pytest.raises(EvaluationError, match="references unknown sentence Fy$"):
+            aggregate_report(bundle.test, preds)
+
     def test_questions_without_gold_are_skipped_and_counted(self):
         t = Theory(
             "t",

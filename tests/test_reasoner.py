@@ -452,6 +452,11 @@ class TestCheckFailureDemonstration:
                                [("F1", "R1"), ("R1", "R2"), ("NAF", "R2"), ("F2", "R3"),
                                 ("R3", "R2")])
 
+    def test_unknown_node_raises_key_error_naming_the_first_sorted(self):
+        t = self._theory()
+        with pytest.raises(KeyError, match="unknown node id 'F9'"):
+            self._check(t, ["F1", "F9", "R1", "R9"], [("F1", "R1"), ("F9", "R9"), ("R1", "R9")])
+
     def test_extra_nodes_next_to_bare_naf(self):
         # nothing concludes "alan is quiet"
         t = self._theory()

@@ -247,7 +247,8 @@ class TestParseTheory:
 
     @pytest.mark.parametrize("field, value", [
         ("nodes", [1]), ("nodes", "F1"), ("edges", [["F1", "R1", "R2"]]),
-    ], ids=["int_node", "string_nodes", "three_element_edge"])
+        ("nodes", []), ("edges", [["F1", "NAF"]]),
+    ], ids=["int_node", "string_nodes", "three_element_edge", "no_nodes", "edge_end_not_a_node"])
     def test_malformed_gold_proof_is_a_parse_error(self, field, value):
         record = theory_to_record(small_theory())
         record["questions"][0]["proofs"] = [{"nodes": ["F1", "R1"], "edges": [["F1", "R1"]]}]
@@ -263,6 +264,12 @@ class TestParseTheory:
                         "Q1", "naf", "NAF1"):
             with pytest.raises(KeyError):
                 t.sentence_index(outside)
+
+    def test_unknown_ids_are_the_ids_outside_the_layout_sorted(self):
+        t = small_theory()
+        assert t.unknown_ids(["R9", "F1", "NAF", "Fx", "F3", "R2", "F3"]) == ["F3", "Fx", "R9"]
+        assert t.unknown_ids(["F1", "F2", "R1", "R2", "NAF"]) == []
+        assert t.unknown_ids([]) == []
 
     @settings(max_examples=300)
     @given(st.integers(0, 4), st.integers(0, 4),
@@ -400,14 +407,21 @@ class TestGeneratedCorpora:
         positives = ([Literal(e, words.attributes[0]) for e in words.entities]
                      + [Literal(subject, a) for a in words.attributes]
                      + [Literal(subject, r, e) for r in words.relations for e in words.entities])
-        for lit in (lit for positive in positives for lit in (positive, positive.negated())):
-            assert parse_fact_sentence(render_literal(lit)) == lit
-            ground = ((lit, lit), lit)
-            assert parse_rule_sentence(render_rule(*ground)) == ground
-            for variable in ("someone", "something"):
-                bound = replace(lit, subject=variable)
-                rule = ((bound, bound), bound)  # the second antecedent may drop its "is"
-                assert parse_rule_sentence(render_rule(*rule)) == rule
+        for positive in positives:
+            for lit in (positive, positive.negated()):
+                assert parse_fact_sentence(render_literal(lit)) == lit
+                ground = ((lit, lit), positive)
+                assert parse_rule_sentence(render_rule(*ground)) == ground
+                for variable in ("someone", "something"):
+                    bound = replace(lit, subject=variable)
+                    # the second antecedent may drop its "is"
+                    rule = ((bound, bound), replace(positive, subject=variable))
+                    assert parse_rule_sentence(render_rule(*rule)) == rule
+            for subject in (positive.subject, "someone", "something"):
+                negative = replace(positive, subject=subject, positive=False)
+                with pytest.raises(TheoryParseError, match="consequent must be positive"):
+                    parse_rule_sentence(render_rule([replace(positive, subject=subject)],
+                                                    negative))
 
 
 ENTITIES = st.sampled_from(["alan", "bob", "carol", "dave"])
@@ -434,7 +448,7 @@ def rule_literal_sets(draw):
         return Literal(subject, draw(VERBS), draw(ENTITIES), draw(st.booleans()))
 
     antecedents = [lit() for _ in range(draw(st.integers(1, 3)))]
-    consequent = lit()
+    consequent = replace(lit(), positive=True)  # the grammar has no negative consequent
     return antecedents, consequent
 
 
@@ -452,6 +466,8 @@ class TestRoundTripProperties:
         got_ants, got_cons = parse_rule_sentence(rule.text)
         assert got_ants == tuple(antecedents)
         assert got_cons == consequent
+        with pytest.raises(TheoryParseError, match="consequent must be positive"):
+            parse_rule_sentence(render_rule(antecedents, consequent.negated()))
 
     @given(st.text(max_size=60))
     @settings(max_examples=300)

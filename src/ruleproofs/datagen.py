@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -459,11 +460,14 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
         theory = _assemble(rng, draft, f"T{index:05d}")
         program = reasoner.closure(theory)
 
+        # A negated candidate shares its proofs with its positive form
+        # (through the program's proof table): measure each proof once.
+        depth_of = cache(proof_depth)
         pool: dict[tuple[int, bool], list] = {}
         for lit in _candidate_literals(theory, context, cfg.negation_rate > 0):
             answer = program.holds(lit)
             proofs = reasoner.prove_literal(program, lit)
-            depth = max(proof_depth(p) for p in proofs)
+            depth = max(map(depth_of, proofs))
             if depth > cfg.max_depth:
                 continue
             pool.setdefault((depth, answer), []).append((lit, answer, proofs, depth))

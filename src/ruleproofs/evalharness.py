@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
 from .proofgraph import ProofGraph, match_proofs, proof_depth
@@ -177,9 +178,13 @@ def aggregate_report(
         if key not in by_key:
             raise EvaluationError(f"missing prediction for {key}")
         pred = by_key.pop(key)
-        unknown = t.unknown_ids(pred.proof.nodes)
+        ends = set(chain.from_iterable(pred.proof.edges))
+        unknown = t.unknown_ids(pred.proof.nodes | ends)
         if unknown:
             raise EvaluationError(f"prediction for {key} references unknown sentence {unknown[0]}")
+        if not ends <= pred.proof.nodes:
+            raise EvaluationError(f"prediction for {key} has an edge naming "
+                                  f"{sorted(ends - pred.proof.nodes)} outside its nodes")
         score = score_example(q, pred)
         if q.gold_depth is not None:
             depth = q.gold_depth

@@ -14,6 +14,7 @@ for a question depends on the theory and is checked by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
@@ -28,6 +29,14 @@ NAF_KIND = "naf"
 _STRING, _LIST, _PAIR = frozenset({str}), frozenset({list}), frozenset({2})
 
 
+# Every theory uses the same few dozen node ids (F1, R3, NAF, ...), and
+# sorting and measuring proofs ask about them again and again, so each is
+# classified once per process. An id that raises is not cached, so it
+# raises on every call.
+_ID_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_ID_CACHE_SIZE)
 def node_kind(node_id: str) -> str:
     """Classify a node id as 'fact', 'rule', or 'naf'. A fact or rule id is
     "F" or "R" and a number in ASCII digits without a leading zero."""
@@ -39,6 +48,7 @@ def node_kind(node_id: str) -> str:
     raise ValueError(f"malformed proof node id: {node_id!r}")
 
 
+@lru_cache(maxsize=_ID_CACHE_SIZE)
 def node_sort_key(node_id: str) -> tuple[int, int]:
     """Canonical order: facts by index, then rules by index, then NAF."""
     kind = node_kind(node_id)
@@ -137,19 +147,48 @@ def validate_structure(p: ProofGraph) -> list[str]:
 
 
 def proof_depth(p: ProofGraph) -> int:
-    """Largest number of rule nodes on any simple directed path."""
-    is_rule = {n: int(node_kind(n) == RULE) for n in p.nodes}
-    adjacency = {n: [] for n in p.nodes}
-    for s, d in p.edges:
-        adjacency[s].append(d)
+    """Largest number of rule nodes on any simple directed path.
 
+    One pass in Kahn's topological order: each node keeps the most rule
+    nodes on any path ending at it, its own rule flag plus the best over
+    its predecessors, and the answer is the largest of these. In a DAG
+    every path is simple, so this is exact. A pass that leaves nodes
+    unreached has met a directed cycle (a self-loop counts); then every
+    simple path is enumerated instead. Raises ValueError for a malformed
+    node id and KeyError for an edge end outside ``p.nodes``.
+    """
+    is_rule = {n: int(node_kind(n) == RULE) for n in p.nodes}
+    successors: dict[str, list[str]] = {n: [] for n in p.nodes}
+    indegree = dict.fromkeys(p.nodes, 0)
+    for s, d in p.edges:
+        successors[s].append(d)
+        indegree[d] += 1
+
+    ready = [n for n, k in indegree.items() if not k]
+    ending_at = dict.fromkeys(p.nodes, 0)  # best over the predecessors seen so far
+    for node in ready:  # grows while it is read, in topological order
+        rules = ending_at[node] = ending_at[node] + is_rule[node]
+        for nxt in successors[node]:
+            if rules > ending_at[nxt]:
+                ending_at[nxt] = rules
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                ready.append(nxt)
+    if len(ready) < len(is_rule):
+        return _simple_path_depth(is_rule, successors)
+    return max(ending_at.values(), default=0)
+
+
+def _simple_path_depth(is_rule: dict[str, int], successors: dict[str, list[str]]) -> int:
+    """``proof_depth`` of a graph with a directed cycle: the most rule nodes
+    on any simple path, found by enumerating every one of them."""
     best = 0
-    for start in p.nodes:
+    for start in is_rule:
         stack = [(start, {start}, is_rule[start])]
         while stack:
             node, seen, rules = stack.pop()
             best = max(best, rules)
-            for nxt in adjacency[node]:
+            for nxt in successors[node]:
                 if nxt not in seen:
                     stack.append((nxt, seen | {nxt}, rules + is_rule[nxt]))
     return best

@@ -7,6 +7,7 @@ import pytest
 from ruleproofs import cli, datagen
 from ruleproofs.cli import run_command
 from ruleproofs.potentials import FEATURE_NAMES, LinearScorer
+from ruleproofs.proofgraph import ProofGraph
 from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule, write_theories
 
 
@@ -313,6 +314,26 @@ class TestExitCodes:
         assert code == 2
         assert (f"prediction for ('{theory['id']}', '{theory['questions'][0]['id']}') "
                 "references unknown sentence Fx") in err
+
+    @pytest.mark.parametrize("edges, message", [
+        ([["F1", "R99"]], "references unknown sentence R99"),
+        ([["F7", "F8"]], "references unknown sentence F7"),
+        ([["F1", "R1"]], "has an edge naming ['R1'] outside its nodes"),
+    ], ids=["unknown_rule", "unknown_facts", "outside_nodes"])
+    def test_prediction_edge_outside_its_nodes_names_the_prediction(
+            self, tmp_path, capsys, edges, message):
+        t = Theory("T1", (make_fact("F1", Literal("alan", "blue")),),
+                   (make_rule("R1", [Literal("someone", "blue")], Literal("someone", "cold")),),
+                   (make_question("Q1", Literal("alan", "blue"), gold_answer=True,
+                                  gold_proofs=(ProofGraph.of(["F1"]),), gold_depth=0),))
+        theories, preds = tmp_path / "t.jsonl", tmp_path / "preds.jsonl"
+        with theories.open("w", encoding="utf-8") as fp:
+            write_theories(fp, [t])
+        preds.write_text(json.dumps({"theory_id": "T1", "question_id": "Q1", "answer": True,
+                                     "nodes": ["F1"], "edges": edges}) + "\n")
+        capsys.readouterr()
+        assert run_command(["eval", "--theories", str(theories), str(preds)]) == 2
+        assert f"prediction for ('T1', 'Q1') {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
                                       "duplicate", "string", "bool", "huge_int", "short_row",

@@ -25,6 +25,18 @@ class TestNodeKinds:
             with pytest.raises(ValueError):
                 node_kind(bad)
 
+    def test_malformed_raises_again_through_the_cache(self):
+        for bad in ("F0", "F01", "Fx", "R"):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    node_kind(bad)
+                with pytest.raises(ValueError):
+                    node_sort_key(bad)
+
+    def test_id_caches_are_bounded(self):
+        assert node_kind.cache_info().maxsize is not None
+        assert node_sort_key.cache_info().maxsize is not None
+
     def test_canonical_order(self):
         nodes = ["NAF", "R2", "F10", "R1", "F2"]
         assert sorted(nodes, key=node_sort_key) == ["F2", "F10", "R1", "R2", "NAF"]

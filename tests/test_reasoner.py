@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from ruleproofs.datagen import GenConfig, generate_theory
@@ -478,6 +479,26 @@ class TestProofDepth:
         )
         assert proof_depth(p) == 3
         assert oracles.exhaustive_depth(p) == 3
+
+    def test_rule_cycle_counts_each_rule_once(self):
+        p = ProofGraph.of(["F1", "R1", "R2"], [("F1", "R1"), ("R1", "R2"), ("R2", "R1")])
+        assert proof_depth(p) == 2
+
+    @pytest.mark.parametrize("edge", [("F1", "R1"), ("R1", "F1")])
+    def test_edge_end_outside_nodes_raises_key_error(self, edge):
+        with pytest.raises(KeyError):
+            proof_depth(ProofGraph.of(["F1"], [edge]))
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_exhaustive_oracle_on_arbitrary_graphs(self, data):
+        # any directed graph over a few ids: cycles, self-loops, rule edges
+        # both ways and edges out of rules into facts or NAF
+        nodes = data.draw(st.lists(st.sampled_from(
+            ["F1", "F2", "R1", "R2", "R3", "R4", "NAF"]), min_size=1, unique=True))
+        edges = data.draw(st.sets(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))))
+        p = ProofGraph.of(nodes, edges)
+        assert proof_depth(p) == oracles.exhaustive_depth(p)
 
     def test_matches_exhaustive_oracle_on_generated_proofs(self):
         for t in random_theories(40):

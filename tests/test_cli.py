@@ -315,13 +315,12 @@ class TestExitCodes:
         assert (f"prediction for ('{theory['id']}', '{theory['questions'][0]['id']}') "
                 "references unknown sentence Fx") in err
 
-    @pytest.mark.parametrize("edges, message", [
-        ([["F1", "R99"]], "references unknown sentence R99"),
-        ([["F7", "F8"]], "references unknown sentence F7"),
-        ([["F1", "R1"]], "has an edge naming ['R1'] outside its nodes"),
-    ], ids=["unknown_rule", "unknown_facts", "outside_nodes"])
-    def test_prediction_edge_outside_its_nodes_names_the_prediction(
-            self, tmp_path, capsys, edges, message):
+    @pytest.mark.parametrize("edges, unknown", [
+        ([["F1", "R99"]], "R99"),
+        ([["F7", "F8"]], "F7"),
+    ], ids=["unknown_rule", "unknown_facts"])
+    def test_prediction_edge_to_unknown_sentence_names_the_prediction(
+            self, tmp_path, capsys, edges, unknown):
         t = Theory("T1", (make_fact("F1", Literal("alan", "blue")),),
                    (make_rule("R1", [Literal("someone", "blue")], Literal("someone", "cold")),),
                    (make_question("Q1", Literal("alan", "blue"), gold_answer=True,
@@ -333,7 +332,8 @@ class TestExitCodes:
                                      "nodes": ["F1"], "edges": edges}) + "\n")
         capsys.readouterr()
         assert run_command(["eval", "--theories", str(theories), str(preds)]) == 2
-        assert f"prediction for ('T1', 'Q1') {message}" in capsys.readouterr().err
+        assert (f"prediction for ('T1', 'Q1') references unknown sentence {unknown}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
                                       "duplicate", "string", "bool", "huge_int", "short_row",
@@ -532,6 +532,18 @@ class TestPipelines:
         run_ok(["decode", "--theories", test_file, pots, "-o", out, "--unconstrained"])
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert any(["F1", "F2"] in r["edges"] for r in rows)
+
+    def test_unconstrained_predictions_from_noisy_potentials_are_scored(
+            self, workspace, tmp_path):
+        # The ablation thresholds edges between every pair, so an edge may
+        # leave the selected nodes; eval scores it like any wrong edge.
+        test_file = workspace / "data" / "test.theories.jsonl"
+        pots, preds = tmp_path / "p.jsonl", tmp_path / "u.jsonl"
+        run_ok(["oracle-potentials", "--seed", 1, "--noise", 0.3, test_file, "-o", pots])
+        run_ok(["decode", "--theories", test_file, pots, "-o", preds, "--unconstrained"])
+        rows = [json.loads(line) for line in preds.read_text().splitlines()]
+        assert any(not set(e) <= set(r["nodes"]) for r in rows for e in r["edges"])
+        run_ok(["eval", "--theories", test_file, preds, "-o", tmp_path / "r.txt"])
 
     def test_mask_export_schema(self, workspace, tmp_path):
         test_file = workspace / "data" / "test.theories.jsonl"

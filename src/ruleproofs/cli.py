@@ -133,11 +133,11 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=_int_at_least(1), default=300)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("score-edges", help="score unmasked edge cells with a scorer")
-    _add_io(p, input_help="theories with gold proofs (default: stdin)")
+    p = sub.add_parser("score-edges", help="potentials from a trained lexical scorer")
+    _add_io(p, input_help="theories to score (default: stdin)")
     p.add_argument("--scorer", required=True, help="scorer JSON from train-baseline")
     p.add_argument("--emit-potentials", action="store_true",
-                   help="emit decodable potentials instead of per-cell scores")
+                   help="accepted for compatibility; potentials are the only output")
 
     p = sub.add_parser("decode", help="decode proofs from potentials")
     _add_io(p, input_help="potentials file (default: stdin)")
@@ -272,32 +272,14 @@ def _cmd_score_edges(args) -> int:
     with open(args.scorer, "r", encoding="utf-8") as fp:
         scorer = potentials.LinearScorer.from_dict(json.load(fp))
     theories = _load_theories(args.input)
-    hits: list[bool] = []
 
-    def potential_rows():
+    def rows():
         for t in theories:
             pot = potentials.scorer_potentials(t, scorer)
             for q in t.questions:
                 yield pot.to_record(t.id, q.id)
 
-    def cell_rows():
-        for t in theories:
-            tokens = potentials.sentence_tokens(t)
-            for q in t.questions:
-                _require_gold(t, q)
-                cells = []
-                for src, dst, label in potentials.edge_training_pairs(t, q):
-                    prob = scorer.score(potentials.lexical_edge_features(tokens, src, dst))
-                    hits.append(int(prob >= 0.5) == label)
-                    cells.append({"src": src, "dst": dst, "prob": round(prob, 6),
-                                  "label": label})
-                yield {"theory_id": t.id, "question_id": q.id, "cells": cells}
-
-    _write_rows(args.output, potential_rows() if args.emit_potentials else cell_rows())
-    if hits:
-        correct, total = sum(hits), len(hits)
-        print(f"edge-label accuracy: {correct / total:.4f} ({correct}/{total})",
-              file=sys.stderr)
+    _write_rows(args.output, rows())
     return 0
 
 

@@ -42,7 +42,7 @@ class ConnectivityInfeasible(ValueError):
 
 
 @dataclass(frozen=True)
-class SolverStats:
+class RepairStats:
     repair_edges_added: int
 
 
@@ -51,7 +51,7 @@ class DecodeResult:
     proof: ProofGraph
     objective: float
     connectivity_relaxed: bool
-    stats: SolverStats
+    stats: RepairStats
 
 
 def select_nodes(node_prob: list[float]) -> list[int]:
@@ -92,7 +92,7 @@ def _result(p: Potentials, phi: list[list[float]], selected: list[int],
     ids = layout_ids(p.num_facts, p.size)
     proof = ProofGraph(frozenset([ids[n] for n in selected]),
                        frozenset([(ids[m], ids[n]) for m, n in chosen]))
-    return DecodeResult(proof, objective, relaxed, SolverStats(repairs))
+    return DecodeResult(proof, objective, relaxed, RepairStats(repairs))
 
 
 def decode_proof(p: Potentials, connectivity: bool = True) -> DecodeResult:

@@ -5,6 +5,8 @@ every item carries both a structured literal form and a rendered
 English-like sentence from a fixed synthetic grammar:
 ``parse(render(x)) == x``, and rendering is byte-deterministic. On disk
 an item is its text only; reading a theory parses each literal from it.
+The parser is a function of the text alone, so each clause is parsed
+once per process; ``read_theories`` adds the line number to any error.
 
 The grammar is one clause table, the words after a subject (``_phrase``
 renders it, ``_parse_phrase`` inverts it):
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import chain
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -252,135 +254,123 @@ def render_sentence(item: Union[Fact, Rule, Question]) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _check_token(token: str, role: str, line: Optional[int]) -> str:
+def _check_token(token: str, role: str) -> str:
     lowered = token.lower()
     if not token.isalpha():
-        raise TheoryParseError(f"{role} token {token!r} is not alphabetic", line)
+        raise TheoryParseError(f"{role} token {token!r} is not alphabetic")
     if lowered in RESERVED_TOKENS:
-        raise TheoryParseError(f"{role} token {token!r} is a reserved word", line)
+        raise TheoryParseError(f"{role} token {token!r} is a reserved word")
     return lowered
 
 
-def _entity_token(token: str, line: Optional[int]) -> str:
+def _entity_token(token: str) -> str:
     if not token[:1].isupper():
-        raise TheoryParseError(f"entity token {token!r} must be capitalized", line)
-    return _check_token(token, "entity", line)
+        raise TheoryParseError(f"entity token {token!r} must be capitalized")
+    return _check_token(token, "entity")
 
 
-def _predicate_token(token: str, line: Optional[int]) -> str:
+def _predicate_token(token: str) -> str:
     if not token[:1].islower():
-        raise TheoryParseError(f"predicate token {token!r} must be lower-case", line)
-    return _check_token(token, "predicate", line)
+        raise TheoryParseError(f"predicate token {token!r} must be lower-case")
+    return _check_token(token, "predicate")
 
 
-def _verb_token(token: str, line: Optional[int]) -> str:
-    verb = _predicate_token(token, line)
+def _verb_token(token: str) -> str:
+    verb = _predicate_token(token)
     if verb.endswith("s"):
-        raise TheoryParseError(f"relation verb {token!r} must be in base form", line)
+        raise TheoryParseError(f"relation verb {token!r} must be in base form")
     return verb
 
 
-def _base_verb(token: str, line: Optional[int]) -> str:
+def _base_verb(token: str) -> str:
     if not token.endswith("s") or len(token) < 2:
-        raise TheoryParseError(f"expected a third-person verb, got {token!r}", line)
+        raise TheoryParseError(f"expected a third-person verb, got {token!r}")
     # a reserved word ("does") is rejected before its "s" is stripped
-    return _verb_token(_predicate_token(token, line)[:-1], line)
+    return _verb_token(_predicate_token(token)[:-1])
 
 
-def _parse_phrase(subject: str, words: list[str], plural: bool, line: Optional[int]) -> Literal:
+def _parse_phrase(subject: str, words: list[str], plural: bool) -> Literal:
     """Invert ``_phrase``: the literal whose words after ``subject`` are ``words``."""
     copula, negator = ("are", "do") if plural else ("is", "does")
     if words[:1] == [copula] and (len(words) == 2 or len(words) == 3 and words[1] == "not"):
-        return Literal(subject, _predicate_token(words[-1], line), positive=len(words) == 2)
+        return Literal(subject, _predicate_token(words[-1]), positive=len(words) == 2)
     if len(words) == 2:
-        verb = _verb_token(words[0], line) if plural else _base_verb(words[0], line)
-        return Literal(subject, verb, _entity_token(words[1], line))
+        verb = _verb_token(words[0]) if plural else _base_verb(words[0])
+        return Literal(subject, verb, _entity_token(words[1]))
     if len(words) == 4 and words[:2] == [negator, "not"]:
-        return Literal(subject, _verb_token(words[2], line),
-                       _entity_token(words[3], line), positive=False)
-    raise TheoryParseError(f"cannot parse clause {' '.join([subject, *words])!r}", line)
+        return Literal(subject, _verb_token(words[2]), _entity_token(words[3]), positive=False)
+    raise TheoryParseError(f"cannot parse clause {' '.join([subject, *words])!r}")
 
 
-# A read's parsed clauses, each keyed on its subject and its words as
-# written: an entity's clause on its text ("Alan is blue"), a variable
-# rule's clause on (variable, consequent pronoun or None, words).
-Clauses = dict[Union[str, tuple[str, Optional[str], str]], Literal]
+# Corpora reuse a few hundred clauses across thousands of sentences, so
+# each clause is parsed once per process. A clause that raises is not
+# cached, so it raises on every call.
+_CLAUSE_CACHE_SIZE = 4096
 
 
-def _entity_clause(text: str, line: Optional[int], clauses: Clauses) -> Literal:
-    """The literal of a clause led by an entity, parsed once per table."""
-    literal = clauses.get(text)
-    if literal is None:
-        subject, *words = text.split() or [""]
-        literal = clauses[text] = _parse_phrase(_entity_token(subject, line), words, False, line)
-    return literal
+@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
+def _entity_clause(text: str) -> Literal:
+    """The literal of a clause led by an entity."""
+    subject, *words = text.split() or [""]
+    return _parse_phrase(_entity_token(subject), words, False)
 
 
-def _variable_clause(variable: str, pronoun: Optional[str], text: str, line: Optional[int],
-                     clauses: Clauses) -> Literal:
-    """The literal of a variable rule's clause, parsed once per table:
-    ``text`` follows the consequent's ``pronoun``, or is an antecedent
-    (no pronoun), whose attribute may carry or drop its "is"."""
-    key = (variable, pronoun, text)
-    literal = clauses.get(key)
-    if literal is None:
-        words = text.split()
-        if pronoun is None and (len(words) == 1 or words[:1] == ["not"]):
-            words = ["is", *words]
-        literal = clauses[key] = _parse_phrase(variable, words, pronoun == "they", line)
-    return literal
+@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
+def _variable_clause(variable: str, pronoun: Optional[str], text: str) -> Literal:
+    """The literal of a variable rule's clause: ``text`` follows the
+    consequent's ``pronoun``, or is an antecedent (no pronoun), whose
+    attribute may carry or drop its "is"."""
+    words = text.split()
+    if pronoun is None and (len(words) == 1 or words[:1] == ["not"]):
+        words = ["is", *words]
+    return _parse_phrase(variable, words, pronoun == "they")
 
 
-def _strip_period(text: str, line=None) -> str:
+def _strip_period(text: str) -> str:
     stripped = text.strip()
     if not stripped.endswith("."):
-        raise TheoryParseError(f"sentence must end with a period: {text!r}", line)
+        raise TheoryParseError(f"sentence must end with a period: {text!r}")
     body = stripped[:-1].strip()
     if not body or "." in body:
-        raise TheoryParseError(f"sentence has a stray period: {text!r}", line)
+        raise TheoryParseError(f"sentence has a stray period: {text!r}")
     return body
 
 
-def parse_rule_sentence(text: str, line: Optional[int] = None,
-                        clauses: Optional[Clauses] = None) -> tuple[tuple[Literal, ...], Literal]:
+def parse_rule_sentence(text: str) -> tuple[tuple[Literal, ...], Literal]:
     """Parse an "If ... then ...." sentence into antecedents and consequent.
     A variable rule's attribute antecedent may carry or drop its "is"
-    wherever it stands; the renderer drops it only after an attribute.
-    ``clauses`` is a table of parsed clauses shared between calls."""
-    clauses = {} if clauses is None else clauses
-    body = _strip_period(text, line)
+    wherever it stands; the renderer drops it only after an attribute."""
+    body = _strip_period(text)
     if not body.startswith("If "):
-        raise TheoryParseError(f"rule sentence must start with 'If': {text!r}", line)
+        raise TheoryParseError(f"rule sentence must start with 'If': {text!r}")
     body = body[3:]
     if body.count(" then ") != 1:
-        raise TheoryParseError("rule sentence needs exactly one 'then'", line)
+        raise TheoryParseError("rule sentence needs exactly one 'then'")
     condition, consequent_text = body.split(" then ")
     variable = condition.split(" ", 1)[0]
     if variable not in VARIABLE_PRONOUNS:
-        *antecedents, consequent = (_entity_clause(chunk, line, clauses)
-                                    for chunk in (*condition.split(" and "), consequent_text))
+        *antecedents, consequent = map(_entity_clause,
+                                       (*condition.split(" and "), consequent_text))
         antecedents = tuple(antecedents)
     else:
-        antecedents = tuple([_variable_clause(variable, None, chunk, line, clauses)
+        antecedents = tuple([_variable_clause(variable, None, chunk)
                              for chunk in condition[len(variable) + 1:].split(" and ")])
         pronoun, *rest = consequent_text.split(None, 1) or [""]
         if pronoun != VARIABLE_PRONOUNS[variable]:
             raise TheoryParseError(f"consequent must start with {VARIABLE_PRONOUNS[variable]!r} "
-                                   f"for variable {variable!r}", line)
-        consequent = _variable_clause(variable, pronoun, "".join(rest), line, clauses)
+                                   f"for variable {variable!r}")
+        consequent = _variable_clause(variable, pronoun, "".join(rest))
     if not consequent.positive:
-        raise TheoryParseError("rule consequent must be positive", line)
+        raise TheoryParseError("rule consequent must be positive")
     return antecedents, consequent
 
 
-def parse_fact_sentence(text: str, line: Optional[int] = None,
-                        clauses: Optional[Clauses] = None) -> Literal:
-    """Parse a declarative sentence (fact or question) into its literal.
-    ``clauses`` is a table of parsed clauses shared between calls."""
-    body = _strip_period(text, line)
+def parse_fact_sentence(text: str) -> Literal:
+    """Parse a declarative sentence (fact or question) into its literal."""
+    body = _strip_period(text)
     if body.startswith("If "):
-        raise TheoryParseError("expected a declarative sentence, got a rule", line)
-    return _entity_clause(body, line, {} if clauses is None else clauses)
+        raise TheoryParseError("expected a declarative sentence, got a rule")
+    return _entity_clause(body)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +384,15 @@ def _check_ids(items, prefix: str, violations: list[str]) -> None:
             violations.append(f"id {item.id}: expected {expected} (ids must be contiguous)")
 
 
+def _check_duplicate_facts(facts, violations: list[str]) -> None:
+    first: dict[Literal, str] = {}
+    for f in facts:
+        if f.literal in first:
+            violations.append(f"{f.id}: duplicate of {first[f.literal]}")
+        else:
+            first[f.literal] = f.id
+
+
 # Each kind of token: the parser's check and the token as a sentence writes it.
 _TOKEN_FORMS = (("entity", _entity_token, _entity_text),
                 ("attribute", _predicate_token, str),
@@ -402,7 +401,7 @@ _TOKEN_FORMS = (("entity", _entity_token, _entity_text),
 
 def _reads_back(read, written, token) -> bool:
     try:
-        return read(written(token), None) == token
+        return read(written(token)) == token
     except (TheoryParseError, TypeError, AttributeError):  # not a string
         return False
 
@@ -436,11 +435,7 @@ def validate_theory(t: Theory) -> list[str]:
     for r in t.rules:
         if not r.antecedents:
             violations.append(f"{r.id}: rule has no antecedents")
-    seen_literals = {}
-    for f in t.facts:
-        if f.literal in seen_literals:
-            violations.append(f"{f.id}: duplicate of {seen_literals[f.literal]}")
-        seen_literals.setdefault(f.literal, f.id)
+    _check_duplicate_facts(t.facts, violations)
 
     seen_rules = {}
     for r in t.rules:
@@ -451,8 +446,6 @@ def validate_theory(t: Theory) -> list[str]:
             for lit in (*r.antecedents, r.consequent):
                 if lit.subject != variable:
                     violations.append(f"{r.id}: all subjects must be the variable {variable!r}")
-                if lit.obj is not None and lit.obj in VARIABLE_PRONOUNS:
-                    violations.append(f"{r.id}: variables may only appear as subjects")
             if not any(a.positive for a in r.antecedents):
                 violations.append(f"{r.id}: variable rule needs a positive antecedent")
         body = (tuple(sorted(r.antecedents, key=literal_sort_key)), r.consequent)
@@ -508,36 +501,37 @@ def _string(value, field: str) -> str:
     return value
 
 
-def _parse(item: dict, parse, line: Optional[int], clauses: Clauses):
+def _parse(item: dict, parse):
     """``parse`` of an item's text; a text that does not parse is an error
     naming the item."""
     try:
-        return parse(_string(item["text"], "text"), None, clauses)
+        return parse(_string(item["text"], "text"))
     except TheoryParseError as exc:
-        raise TheoryParseError(f"{item['id']}: {exc}", line) from None
+        raise TheoryParseError(f"{item['id']}: {exc}") from None
 
 
-def _question_from_dict(q: dict, line: Optional[int], clauses: Clauses) -> Question:
+def _question_from_dict(q: dict) -> Question:
     answer, depth = q.get("answer"), q.get("depth")
     if not (answer is None or type(answer) is bool):
         raise TypeError(f"answer must be a JSON boolean, got {answer!r}")
     if not (depth is None or type(depth) is int):
         raise TypeError(f"depth must be an integer, got {depth!r}")
     proofs = tuple(ProofGraph.from_dict(p) for p in q["proofs"]) if "proofs" in q else None
-    return Question(q["id"], _parse(q, parse_fact_sentence, line, clauses), q["text"],
-                    answer, proofs, depth)
+    return Question(q["id"], _parse(q, parse_fact_sentence), q["text"], answer, proofs, depth)
 
 
-def _check_read(t: Theory, line: Optional[int]) -> None:
-    """Ids F1..Fn, R1..Rm, Q1..Qk in order, and gold proofs that are graphs
-    over their own nodes, which are the theory's sentences and NAF only:
-    the layout that labels, potentials and evaluation index by. The parser
-    already gives ground facts and questions, and rules with antecedents
-    and a positive consequent, which the reasoner assumes."""
+def _check_read(t: Theory) -> None:
+    """Ids F1..Fn, R1..Rm, Q1..Qk in order, no fact stated twice, and gold
+    proofs that are graphs over their own nodes, which are the theory's
+    sentences and NAF only: the layout that labels, potentials and
+    evaluation index by. The parser already gives ground facts and
+    questions, and rules with antecedents and a positive consequent,
+    which the reasoner assumes."""
     violations: list[str] = []
     _check_ids(t.facts, "F", violations)
     _check_ids(t.rules, "R", violations)
     _check_ids(t.questions, "Q", violations)
+    _check_duplicate_facts(t.facts, violations)
     if not violations:
         named: set[str] = set()
         for q in t.questions:
@@ -552,28 +546,27 @@ def _check_read(t: Theory, line: Optional[int]) -> None:
         violations += [f"a gold proof names unknown node {node!r}"
                        for node in t.unknown_ids(named)]
     if violations:
-        raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations), line)
+        raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations))
 
 
-def record_to_theory(record: dict, line: Optional[int], clauses: Clauses) -> Theory:
+def record_to_theory(record: dict) -> Theory:
     """Read a ``theory_to_record`` dict, parsing each literal from its
-    text; raises TheoryParseError, naming ``line``, for a malformed record,
-    a text that does not parse, or a theory that ``_check_read`` rejects.
-    ``clauses`` is the parsed-clause table shared by a read of many records."""
+    text; raises TheoryParseError for a malformed record, a text that does
+    not parse, or a theory that ``_check_read`` rejects. The error names
+    no line: ``read_theories`` adds it."""
     if not isinstance(record, dict):
         raise TheoryParseError(
-            f"theory record must be a JSON object, got {type(record).__name__}", line)
+            f"theory record must be a JSON object, got {type(record).__name__}")
     try:
-        facts = tuple(Fact(f["id"], _parse(f, parse_fact_sentence, line, clauses), f["text"])
+        facts = tuple(Fact(f["id"], _parse(f, parse_fact_sentence), f["text"])
                       for f in record.get("facts", ()))
-        rules = tuple(Rule(r["id"], *_parse(r, parse_rule_sentence, line, clauses), r["text"])
+        rules = tuple(Rule(r["id"], *_parse(r, parse_rule_sentence), r["text"])
                       for r in record.get("rules", ()))
-        questions = tuple(_question_from_dict(q, line, clauses)
-                          for q in record.get("questions", ()))
+        questions = tuple(map(_question_from_dict, record.get("questions", ())))
         t = Theory(_string(record["id"], "theory id"), facts, rules, questions)
     except (KeyError, TypeError, AttributeError) as exc:
-        raise TheoryParseError(f"malformed theory record: {exc}", line) from exc
-    _check_read(t, line)
+        raise TheoryParseError(f"malformed theory record: {exc}") from exc
+    _check_read(t)
     return t
 
 
@@ -585,7 +578,7 @@ def parse_theory(data: Union[bytes, str]) -> Theory:
         record = json.loads(data)
     except json.JSONDecodeError as exc:
         raise TheoryParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    t = record_to_theory(record, None, {})
+    t = record_to_theory(record)
     violations = validate_theory(t)
     if violations:
         raise TheoryParseError(f"invalid theory {t.id!r}: " + "; ".join(violations))
@@ -598,16 +591,18 @@ def write_theories(fp: IO[str], theories: Iterable[Theory]) -> None:
 
 
 def read_theories(fp: IO[str]) -> Iterator[Theory]:
-    """One theory per JSONL line; the lines share one table of parsed clauses."""
-    clauses: Clauses = {}
+    """One theory per JSONL line; blank lines are skipped. Every error
+    names the line it was read from."""
     for line_no, line in enumerate(fp, start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            t = record_to_theory(json.loads(line))
         except json.JSONDecodeError as exc:
             raise TheoryParseError(f"invalid JSON: {exc.msg}", line_no, exc.colno) from exc
-        yield record_to_theory(record, line_no, clauses)
+        except TheoryParseError as exc:
+            raise TheoryParseError(str(exc), line_no) from exc
+        yield t
 
 
 def make_fact(fact_id: str, literal: Literal) -> Fact:

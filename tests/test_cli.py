@@ -419,6 +419,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["answer", "mask-export", "eval"])
+    def test_duplicate_fact_is_rejected_at_read(self, workspace, tmp_path, capsys, command):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
+        facts = records[1]["facts"]
+        facts.append({"id": f"F{len(facts) + 1}", "text": facts[0]["text"]})
+        theories = tmp_path / "theories.jsonl"
+        theories.write_text("".join(json.dumps(r) + "\n" for r in records))
+        argv = [command, theories]
+        if command == "eval":
+            pots, preds = tmp_path / "p.jsonl", tmp_path / "d.jsonl"
+            run_ok(["oracle-potentials", "--seed", 0, test_file, "-o", pots])
+            run_ok(["decode", "--theories", test_file, pots, "-o", preds])
+            argv = [command, "--theories", theories, preds]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_command([str(a) for a in argv] + ["-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"F{len(facts)}: duplicate of F1 (line 2)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_critical_rejects_non_stratified_theory_with_questions(self, tmp_path):
         cycle = (
             make_fact("F1", Literal("alan", "blue")),
@@ -564,13 +587,12 @@ class TestPipelines:
         run_ok(["train-baseline", train_file, "-o", scorer])
         payload = json.loads(scorer.read_text())
         assert len(payload["weights"]) == len(payload["features"]) + 1
-        scores = tmp_path / "scores.jsonl"
-        run_ok(["score-edges", "--scorer", scorer, dev_file, "-o", scores])
-        row = json.loads(scores.read_text().splitlines()[0])
-        assert {"src", "dst", "prob", "label"} == set(row["cells"][0])
         pots = tmp_path / "baseline_pots.jsonl"
-        run_ok(["score-edges", "--scorer", scorer, dev_file, "-o", pots,
+        run_ok(["score-edges", "--scorer", scorer, dev_file, "-o", pots])
+        flagged = tmp_path / "flagged_pots.jsonl"
+        run_ok(["score-edges", "--scorer", scorer, dev_file, "-o", flagged,
                 "--emit-potentials"])
+        assert pots.read_bytes() == flagged.read_bytes()
         preds = tmp_path / "baseline_preds.jsonl"
         run_ok(["decode", "--theories", dev_file, pots, "-o", preds])
 

@@ -31,7 +31,6 @@ STAGES = (
     ("report.txt", ["eval", "--theories", "{test}", "--json", "{out}/report.json",
                     "{out}/noisy.preds.jsonl"]),
     ("scorer.json", ["train-baseline", "{out}/data/train.theories.jsonl"]),
-    ("cells.jsonl", ["score-edges", "--scorer", "{out}/scorer.json", "{test}"]),
     ("scorer.pots.jsonl", ["score-edges", "--scorer", "{out}/scorer.json", "--emit-potentials",
                            "{test}"]),
     ("scorer.preds.jsonl", ["decode", "--theories", "{test}", "{out}/scorer.pots.jsonl"]),
@@ -46,8 +45,6 @@ PIPELINE_SHA256 = {
         "3834d33a979a4e6484ba01b3151fcbc08383c314f4d4b96c060dd7230191351c",
     "answers.jsonl":
         "e93a624163cf67a2351060b5438856449f5966fc3ac0ba656c146804b836f250",
-    "cells.jsonl":
-        "5aeade55d41951188bfb7e2842cf00f9bf252139f3fd278de8335851dea80dde",
     "critical.jsonl":
         "af046b58119cdb2f6ab0ca493d99eefcf2b870399cefcf87e157de90a3626cca",
     "data/dev.theories.jsonl":

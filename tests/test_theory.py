@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from ruleproofs import theory
 from ruleproofs.datagen import PROFILES, GenConfig, generate_theory
 from ruleproofs.theory import (
     Fact,
@@ -175,8 +176,26 @@ class TestParsing:
 
     def test_error_carries_line(self):
         with pytest.raises(TheoryParseError) as exc:
-            parse_fact_sentence("Alan is blue", line=12)
+            parse_fact_sentence("Alan is blue")
+        assert exc.value.line is None  # the grammar reads text only
+        record = theory_to_record(small_theory())
+        record["facts"][0]["text"] = "Alan is blue"
+        lines = "\n" * 11 + json.dumps(record) + "\n"
+        with pytest.raises(TheoryParseError) as exc:
+            list(read_theories(io.StringIO(lines)))
         assert exc.value.line == 12
+        assert str(exc.value) == "F1: sentence must end with a period: 'Alan is blue' (line 12)"
+
+    def test_failed_clause_raises_on_every_parse(self):
+        for _ in range(2):
+            with pytest.raises(TheoryParseError, match="reserved word"):
+                parse_fact_sentence("Alan likes Someone.")
+            with pytest.raises(TheoryParseError, match="base form"):
+                parse_rule_sentence("If someone is blue then they likes Bob.")
+
+    def test_clause_cache_bound_is_the_constant(self):
+        for clause in (theory._entity_clause, theory._variable_clause):
+            assert clause.cache_info().maxsize == theory._CLAUSE_CACHE_SIZE
 
 
 class TestParseTheory:
@@ -221,6 +240,18 @@ class TestParseTheory:
         first, second = buffer.getvalue().splitlines()
         assert list(read_theories(io.StringIO(f"\n{first}\n  \n{second}\n"))) \
             == [small_theory(), small_theory()]
+
+    def test_reading_a_file_twice_gives_equal_theories(self, tmp_path):
+        cfg = GenConfig(seed=3, num_theories=3)
+        written = [small_theory(), *(generate_theory(cfg, i) for i in range(3))]
+        path = tmp_path / "t.jsonl"
+        with path.open("w") as fp:
+            write_theories(fp, written)
+        reads = []
+        for _ in range(2):
+            with path.open() as fp:
+                reads.append(list(read_theories(fp)))
+        assert reads == [written, written]
 
     def test_read_shares_parsed_clauses_across_lines(self):
         buffer = io.StringIO()
@@ -339,6 +370,16 @@ class TestValidateTheory:
         )
         t = Theory("t", (make_fact("F1", Literal("alan", "blue")),), (r,), ())
         assert any("must be positive" in v for v in validate_theory(t))
+
+    def test_variable_object_rejected(self):
+        for variable in ("someone", "something"):
+            rule = make_rule("R1", [Literal(variable, "blue"), Literal(variable, "like", variable)],
+                             Literal(variable, "young"))
+            t = Theory("t", (make_fact("F1", Literal("alan", "blue")),), (rule,), ())
+            assert f"entity {variable!r} does not round-trip through the grammar" \
+                in validate_theory(t)
+            with pytest.raises(TheoryParseError, match="reserved word"):
+                parse_theory(json.dumps(theory_to_record(t)))
 
     def test_predicate_cannot_be_attribute_and_relation(self):
         t = Theory(

@@ -14,7 +14,9 @@ and no negative fact contradicts a derivation; fact and rule counts stay
 within the config's ranges, whose sum the config caps at the context
 limit. A draft is redrafted only when it has too few facts or rules or
 its questions cannot cover every depth at the answer balance. The
-finished theory is validated once, and a violation is an internal error.
+finished theory is validated once, against the draft's own depth table
+(each distinct proof is measured once per draft), and a violation is an
+internal error.
 """
 
 from __future__ import annotations
@@ -461,7 +463,8 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
         program = reasoner.closure(theory)
 
         # A negated candidate shares its proofs with its positive form
-        # (through the program's proof table): measure each proof once.
+        # (through the program's proof table), and the final check reads
+        # the same proofs again: measure each proof once.
         depth_of = cache(proof_depth)
         pool: dict[tuple[int, bool], list] = {}
         for lit in _candidate_literals(theory, context, cfg.negation_rate > 0):
@@ -485,7 +488,7 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
             for i, (lit, answer, proofs, depth) in enumerate(chosen)
         )
         theory = Theory(theory.id, theory.facts, theory.rules, questions)
-        violations = validate_theory(theory)
+        violations = validate_theory(theory, depth=depth_of)
         if violations:  # an explicit raise, so python -O keeps the check
             raise AssertionError(
                 f"generated theory {theory.id} is invalid: " + "; ".join(violations))

@@ -131,25 +131,26 @@ def oracle_potentials(t: Theory, gold: ProofGraph, noise: float, seed) -> Potent
     indicator by a uniform draw from [0, 2*noise), so probabilities stay
     in [0, 1] for noise < 0.5 and noise = 0 reproduces the indicators
     exactly. The unit draws depend only on the seed, which makes decoding
-    accuracy monotone in the noise level for a fixed seed.
+    accuracy monotone in the noise level for a fixed seed. At noise 0
+    nothing is drawn and the seed is unused.
     """
     if not 0.0 <= noise < 0.5:
         raise ValueError(f"noise must be in [0, 0.5), got {noise}")
     size = t.num_sentences + 1
-    rng = np.random.default_rng(seed)
-    node_unit = rng.random(size)
-    edge_unit = rng.random((size, size))
-
     gold_nodes, gold_edges = _gold_indices(t, gold)
-    node_indicator = np.zeros(size)
-    node_indicator[sorted(gold_nodes)] = 1.0
-    edge_indicator = np.zeros((size, size))
+    node_prob = [0.0] * size
+    edge_prob = [[0.0] * size for _ in range(size)]
+    for n in gold_nodes:
+        node_prob[n] = 1.0
     for m, n in gold_edges:
-        edge_indicator[m, n] = 1.0
-
-    node_prob = np.abs(node_indicator - 2.0 * noise * node_unit)
-    edge_prob = np.abs(edge_indicator - 2.0 * noise * edge_unit)
-    return Potentials(node_prob.tolist(), edge_prob.tolist(), len(t.facts))
+        edge_prob[m][n] = 1.0
+    if noise:  # at noise 0, |x - 0.0 * u| == x: the indicators as they are
+        rng = np.random.default_rng(seed)
+        node_unit = rng.random(size)
+        edge_unit = rng.random((size, size))
+        node_prob = np.abs(np.array(node_prob) - 2.0 * noise * node_unit).tolist()
+        edge_prob = np.abs(np.array(edge_prob) - 2.0 * noise * edge_unit).tolist()
+    return Potentials(node_prob, edge_prob, len(t.facts))
 
 
 def adversarial_potentials(t: Theory, gold: ProofGraph, drop_to: float = 0.4) -> Potentials:

@@ -68,6 +68,10 @@ class ProofGraph:
 
     @classmethod
     def of(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> "ProofGraph":
+        """A graph from any iterables of ids and edge pairs, such as the
+        lists of tests and demos. Code that already holds the two frozen
+        sets, as the reasoner does, passes them to ``ProofGraph`` as they
+        are."""
         return cls(frozenset(nodes), frozenset((s, d) for s, d in edges))
 
     def canonical_nodes(self) -> list[str]:

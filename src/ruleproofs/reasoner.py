@@ -454,7 +454,7 @@ def _proved(program: GroundProgram,
         minimal = tuple(f for f in fragments if not any(
             (g.nodes, g.edges) != (f.nodes, f.edges) and g.nodes <= f.nodes and g.edges <= f.edges
             for g in fragments))
-        proofs = [ProofGraph.of(f.nodes, f.edges) for f in minimal]
+        proofs = [ProofGraph(f.nodes, f.edges) for f in minimal]  # the fragment's own sets
         if len(proofs) > 1:
             proofs.sort(key=ProofGraph.canonical_key)
         entry = program._proof_table[a] = (minimal, tuple(proofs))
@@ -485,7 +485,7 @@ def select_failed_instance(program: GroundProgram, atom: Atom) -> Optional[int]:
 def _failed_proof(program: GroundProgram, i: Optional[int]) -> ProofGraph:
     """The failure demonstration around the picked instance ``i``."""
     if i is None:
-        return ProofGraph.of([NAF])
+        return ProofGraph(frozenset([NAF]), frozenset())
     # an instance concluding an underived atom has a failing antecedent for NAF to cover
     rule_id = program.rule_ids[i]
     nodes = {rule_id, NAF}
@@ -496,7 +496,7 @@ def _failed_proof(program: GroundProgram, i: Optional[int]) -> ProofGraph:
         nodes |= fragment.nodes
         edges |= fragment.edges
         edges.add((fragment.root, rule_id))
-    return ProofGraph.of(nodes, edges)
+    return ProofGraph(frozenset(nodes), frozenset(edges))
 
 
 def prove_literal(program: GroundProgram, lit: Literal,

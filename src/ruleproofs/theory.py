@@ -37,10 +37,10 @@ Relation verbs are stored in base form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import chain
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 from .proofgraph import NAF, ProofGraph, proof_depth
 
@@ -100,7 +100,7 @@ class Literal:
         return subject + (() if self.obj is None else (self.obj,))
 
     def negated(self) -> "Literal":
-        return replace(self, positive=not self.positive)
+        return Literal(self.subject, self.predicate, self.obj, not self.positive)
 
     def bind(self, entity: str) -> "Literal":
         if not self.is_variable():
@@ -393,12 +393,30 @@ def _check_duplicate_facts(facts, violations: list[str]) -> None:
             first[f.literal] = f.id
 
 
+def _check_duplicate_rules(rules, violations: list[str]) -> None:
+    """A rule that states another's antecedents, in any order, and its
+    consequent."""
+    # Most theories have no two rules with one consequent, and then no
+    # duplicate; the sorted body keys would cost a read about 7%.
+    if len({r.consequent for r in rules}) == len(rules):
+        return
+    first: dict[tuple, str] = {}
+    for r in rules:
+        body = (tuple(sorted(r.antecedents, key=literal_sort_key)), r.consequent)
+        if body in first:
+            violations.append(f"{r.id}: duplicate of {first[body]}")
+        else:
+            first[body] = r.id
+
+
 # Each kind of token: the parser's check and the token as a sentence writes it.
 _TOKEN_FORMS = (("entity", _entity_token, _entity_text),
                 ("attribute", _predicate_token, str),
                 ("relation verb", _base_verb, lambda verb: verb + "s"))
 
 
+# The vocabulary is fixed, so each token is checked once per process.
+@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
 def _reads_back(read, written, token) -> bool:
     try:
         return read(written(token)) == token
@@ -406,8 +424,18 @@ def _reads_back(read, written, token) -> bool:
         return False
 
 
-def validate_theory(t: Theory) -> list[str]:
-    """Return a list of invariant violations; empty means the theory is valid."""
+def validate_theory(t: Theory, *,
+                    depth: Optional[Callable[[ProofGraph], int]] = None) -> list[str]:
+    """Return a list of invariant violations; empty means the theory is valid.
+
+    ``depth`` measures each gold proof for the stored-depth check and
+    defaults to ``proof_depth`` (looked up at call time). A caller that has
+    measured the proofs already, as the generator has, passes its own
+    table; it must agree with ``proof_depth`` on every proof, and it is
+    asked about each proof as the question holds it, so a wrong stored
+    depth or swapped proofs are still caught.
+    """
+    depth = depth or proof_depth
     violations: list[str] = []
     if t.num_sentences > MAX_CONTEXT_SENTENCES:
         violations.append(
@@ -436,8 +464,8 @@ def validate_theory(t: Theory) -> list[str]:
         if not r.antecedents:
             violations.append(f"{r.id}: rule has no antecedents")
     _check_duplicate_facts(t.facts, violations)
+    _check_duplicate_rules(t.rules, violations)
 
-    seen_rules = {}
     for r in t.rules:
         if not r.consequent.positive:
             violations.append(f"{r.id}: rule consequent must be positive")
@@ -448,17 +476,13 @@ def validate_theory(t: Theory) -> list[str]:
                     violations.append(f"{r.id}: all subjects must be the variable {variable!r}")
             if not any(a.positive for a in r.antecedents):
                 violations.append(f"{r.id}: variable rule needs a positive antecedent")
-        body = (tuple(sorted(r.antecedents, key=literal_sort_key)), r.consequent)
-        if body in seen_rules:
-            violations.append(f"{r.id}: duplicate of {seen_rules[body]}")
-        seen_rules.setdefault(body, r.id)
 
     for q in t.questions:
         if q.gold_proofs is not None and q.gold_depth is not None:
-            depth = max(proof_depth(p) for p in q.gold_proofs) if q.gold_proofs else 0
-            if depth != q.gold_depth:
+            measured = max(map(depth, q.gold_proofs), default=0)
+            if measured != q.gold_depth:
                 violations.append(
-                    f"{q.id}: gold depth {q.gold_depth} != max proof depth {depth}")
+                    f"{q.id}: gold depth {q.gold_depth} != max proof depth {measured}")
 
     for item in (*t.facts, *t.rules, *t.questions):
         try:
@@ -521,10 +545,10 @@ def _question_from_dict(q: dict) -> Question:
 
 
 def _check_read(t: Theory) -> None:
-    """Ids F1..Fn, R1..Rm, Q1..Qk in order, no fact stated twice, and gold
-    proofs that are graphs over their own nodes, which are the theory's
-    sentences and NAF only: the layout that labels, potentials and
-    evaluation index by. The parser already gives ground facts and
+    """Ids F1..Fn, R1..Rm, Q1..Qk in order, no fact or rule stated twice,
+    and gold proofs that are graphs over their own nodes, which are the
+    theory's sentences and NAF only: the layout that labels, potentials
+    and evaluation index by. The parser already gives ground facts and
     questions, and rules with antecedents and a positive consequent,
     which the reasoner assumes."""
     violations: list[str] = []
@@ -532,6 +556,7 @@ def _check_read(t: Theory) -> None:
     _check_ids(t.rules, "R", violations)
     _check_ids(t.questions, "Q", violations)
     _check_duplicate_facts(t.facts, violations)
+    _check_duplicate_rules(t.rules, violations)
     if not violations:
         named: set[str] = set()
         for q in t.questions:

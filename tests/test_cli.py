@@ -442,6 +442,30 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reordered", [False, True])
+    @pytest.mark.parametrize("command", ["answer", "prove", "critical", "mask-export"])
+    def test_duplicate_rule_is_rejected_at_read(self, tmp_path, capsys, command, reordered):
+        blue, rough = Literal("someone", "blue"), Literal("someone", "rough")
+        kind = Literal("someone", "kind")
+        theories = tmp_path / "theories.jsonl"
+        with open(theories, "w", encoding="utf-8") as fp:
+            write_theories(fp, [Theory(
+                "T1", (make_fact("F1", Literal("alan", "blue")),
+                       make_fact("F2", Literal("alan", "rough"))),
+                (make_rule("R1", [blue, rough], kind),
+                 make_rule("R2", [rough, blue] if reordered else [blue, rough], kind)),
+                (make_question("Q1", Literal("alan", "kind"), gold_answer=True),))])
+        second = "If someone is rough and blue" if reordered else "If someone is blue and rough"
+        assert second + " then they are kind." in theories.read_text()
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        code = run_command([command, str(theories), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "R2: duplicate of R1 (line 1)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_critical_rejects_non_stratified_theory_with_questions(self, tmp_path):
         cycle = (
             make_fact("F1", Literal("alan", "blue")),

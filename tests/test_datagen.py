@@ -1,11 +1,14 @@
 import hashlib
 import json
+from collections import Counter
+from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ruleproofs import reasoner
+from ruleproofs import datagen, reasoner, theory
 from ruleproofs.cli import run_command
 from ruleproofs.datagen import (
     ConfigError,
@@ -197,6 +200,71 @@ def test_twin_rule_keeps_the_rule_bound():
     # chain atom used to give these theories a fourth rule
     cfg = GenConfig(seed=0, num_theories=1, rules_per_theory=(3, 3), max_depth=3)
     assert [len(generate_theory(cfg, i).rules) for i in (0, 8, 10)] == [3, 3, 3]
+
+
+DU5 = GenConfig.from_dict(json.loads((ROOT / "configs" / "du5.json").read_text()), seed=11)
+
+
+def with_one_fault(t):
+    """The theory with one fault each that the generator's final check
+    must catch: a stored depth one too high, the gold proofs of two
+    questions of different depths swapped, a text that is not its
+    rendering, and a fact stated twice."""
+    qs = t.questions
+    i, j = next((i, j) for i in range(len(qs)) for j in range(i)
+                if qs[i].gold_depth != qs[j].gold_depth)
+
+    def with_questions(changes):
+        return replace(t, questions=tuple(replace(q, **changes.get(k, {}))
+                                          for k, q in enumerate(qs)))
+
+    first = t.facts[0]
+    return {
+        "depth_plus_one": with_questions({0: {"gold_depth": qs[0].gold_depth + 1}}),
+        "proofs_swapped": with_questions({i: {"gold_proofs": qs[j].gold_proofs},
+                                          j: {"gold_proofs": qs[i].gold_proofs}}),
+        "text_not_rendering": replace(t, facts=(replace(first, text=first.text[:-1] + "!"),
+                                                *t.facts[1:])),
+        "duplicate_fact": replace(t, facts=(*t.facts, replace(first, id=f"F{len(t.facts) + 1}"))),
+    }
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_check_against_the_depth_table_keeps_its_teeth(index):
+    # the table the generator hands to validate_theory: one depth per
+    # distinct proof, filled while the questions were picked
+    t = generate_theory(DU5, index)
+    depth_of = cache(proof_depth)
+    for q in t.questions:
+        for p in q.gold_proofs:
+            depth_of(p)
+    assert validate_theory(t, depth=depth_of) == validate_theory(t) == []
+    for name, bad in with_one_fault(t).items():
+        expected = validate_theory(bad)
+        assert expected, name
+        assert validate_theory(bad, depth=depth_of) == expected, name
+
+
+def test_each_distinct_proof_is_measured_once_per_draft(monkeypatch):
+    drafts: list[Counter] = []
+    closure, measure = reasoner.closure, proof_depth
+
+    def counted_closure(t):
+        drafts.append(Counter())
+        return closure(t)
+
+    def counted_depth(p):
+        drafts[-1][p] += 1
+        return measure(p)
+
+    monkeypatch.setattr(reasoner, "closure", counted_closure)
+    monkeypatch.setattr(datagen, "proof_depth", counted_depth)
+    monkeypatch.setattr(theory, "proof_depth", counted_depth)
+    for index in range(10):
+        drafts.clear()
+        t = generate_theory(DU5, index)
+        assert all(n == 1 for counts in drafts for n in counts.values())
+        assert {p for q in t.questions for p in q.gold_proofs} <= set(drafts[-1])
 
 
 # sha256 of every file ``generate`` writes for configs/<name>.json at seed 0

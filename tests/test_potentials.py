@@ -150,6 +150,14 @@ class TestOraclePotentials:
             result = decoder.decode_proof(p)
             assert result.proof == gold
 
+    def test_zero_noise_ignores_the_seed(self):
+        for t, gold in generated_golds(5):
+            reference = oracle_potentials(t, gold, 0.0, seed=0)
+            for seed in (1, [9, 4], 2**40):
+                p = oracle_potentials(t, gold, 0.0, seed=seed)
+                assert p.node_prob == reference.node_prob
+                assert p.edge_prob == reference.edge_prob
+
     def test_fixed_seed_is_deterministic(self):
         t, gold = labeled_theory()
         a = oracle_potentials(t, gold, 0.3, seed=7)

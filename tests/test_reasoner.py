@@ -212,6 +212,27 @@ class TestProve:
         assert ProofGraph.of(["F1"]) in proofs
         assert ProofGraph.of(["F2", "R1"], [("F2", "R1")]) in proofs
 
+    def test_derivation_holding_another_is_not_a_proof(self):
+        # Bob is red through R1 from "Alan is kind", stated (F2) or derived
+        # (R3 from F1); Bob is kind through R3 from that. Mixing the two
+        # supports gives a derivation of "Bob is blue" that properly holds
+        # each unmixed one.
+        t = theory_of(
+            [Literal("alan", "red"), Literal("alan", "kind")],
+            [([Literal("alan", "kind")], Literal("bob", "red")),
+             ([Literal("someone", "kind"), Literal("someone", "red")], Literal("someone", "blue")),
+             ([Literal("someone", "red")], Literal("someone", "kind"))],
+            [Literal("bob", "blue")],
+        )
+        proofs = prove(t, t.questions[0])
+        assert proofs == [
+            ProofGraph.of(["F1", "R1", "R2", "R3"],
+                          [("F1", "R3"), ("R1", "R2"), ("R1", "R3"), ("R3", "R1"), ("R3", "R2")]),
+            ProofGraph.of(["F2", "R1", "R2", "R3"],
+                          [("F2", "R1"), ("R1", "R2"), ("R1", "R3"), ("R3", "R2")]),
+        ]
+        assert proofs == oracles.naive_proofs(t, t.questions[0].literal)
+
     def test_negative_fact_lookup(self):
         t = theory_of([Literal("alan", "kind", None, False)], [],
                       [Literal("alan", "kind", None, False)])

@@ -211,24 +211,31 @@ def _cmd_prove(args) -> int:
     return 0
 
 
-def _require_gold(t, q):
-    if not q.gold_proofs:
-        raise evalharness.EvaluationError(
-            f"question {t.id}/{q.id} has no gold proofs; run prove or regenerate")
+def _require_gold(theories, answers: bool = False) -> None:
+    """A data error, before anything is written, on a question without gold
+    proofs or, with ``answers``, without a gold answer."""
+    for t in theories:
+        for q in t.questions:
+            if answers and q.gold_answer is None:
+                raise evalharness.EvaluationError(
+                    f"question {t.id}/{q.id} has no gold answer to label")
+            if not q.gold_proofs:
+                raise evalharness.EvaluationError(
+                    f"question {t.id}/{q.id} has no gold proofs; run prove or regenerate")
 
 
 def _cmd_mask_export(args) -> int:
     theories = _load_theories(args.input)
+    _require_gold(theories, answers=True)
 
     def rows():
         for t in theories:
             for q in t.questions:
-                _require_gold(t, q)
                 gold = q.gold_proofs[0]
                 yield {
                     "theory_id": t.id,
                     "question_id": q.id,
-                    "qa_label": int(bool(q.gold_answer)),
+                    "qa_label": int(q.gold_answer),
                     "node_labels": potentials.node_labels(t, gold),
                     "edge_labels": potentials.build_edge_mask(t, gold),
                 }
@@ -239,12 +246,12 @@ def _cmd_mask_export(args) -> int:
 
 def _cmd_oracle_potentials(args) -> int:
     theories = _load_theories(args.input)
+    _require_gold(theories)
 
     def rows():
         question_counter = 0
         for t in theories:
             for q in t.questions:
-                _require_gold(t, q)
                 gold = q.gold_proofs[0]
                 if args.adversarial:
                     pot = potentials.adversarial_potentials(t, gold)
@@ -355,11 +362,11 @@ def _cmd_critical(args) -> int:
 
 def _cmd_render_dot(args) -> int:
     theories = _load_theories(args.input)
+    _require_gold(theories)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for t in theories:
         for q in t.questions:
-            _require_gold(t, q)
             for i, proof in enumerate(q.gold_proofs, start=1):
                 name = f"{t.id}_{q.id}_p{i}.dot"
                 (out / name).write_text(

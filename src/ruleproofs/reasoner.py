@@ -6,10 +6,14 @@ underivable ones, and identifies the sentences whose removal flips an
 answer.
 
 Each theory is compiled once, by ``closure``, into a ``GroundProgram``,
-the reasoner's only per-theory object. The compile runs on integer ids
-only: atoms are interned, each rule is grounded straight to atom ids over
-the theory's entities, and an instance is kept as its rule index and
-binding, its head id and its positive and negative antecedent ids. Atoms
+the reasoner's only per-theory object. ``closure`` keeps the last program
+it compiled and returns it again for the same theory object, so
+``answer_question``, ``prove``, ``critical_sentences`` and
+``check_proof`` called in turn on one theory share one program; at most
+one program is kept. The compile runs on integer ids only: atoms are
+interned, each rule is grounded straight to atom ids over the theory's
+entities, and an instance is kept as its rule index and binding, its head
+id and its positive and negative antecedent ids. Atoms
 are partitioned into strata so that no atom depends negatively on its
 own stratum (a theory with a dependency cycle through negation is
 rejected). A negated atom that no instance concludes is set by the facts
@@ -176,7 +180,10 @@ class GroundProgram:
     (``_cone``) is every atom whose presence on the path the enumeration
     can test, so the key is exact. ``_proof_table`` maps a derived atom id
     to its minimal fragments and its canonically sorted proofs. Entries
-    are tuples, shared by every caller.
+    are tuples, shared by every caller. Each table is exact and the same
+    whatever order its entries are asked for in, and so are the lazily
+    built rows above (``failure_depths``, ``supplies``), so ``closure``
+    may hand one program to every call on its theory.
     """
 
     def __init__(self, t: Theory):
@@ -353,9 +360,30 @@ class GroundProgram:
         return not present or any(f != removed for f in self.stated_by.get((a, False), ()))
 
 
+# The last program ``closure`` compiled; one slot, so at most one is held.
+_last: Optional[GroundProgram] = None
+
+
 def closure(t: Theory) -> GroundProgram:
-    """The theory's ground program, with its least fixpoint derived."""
-    return GroundProgram(t)
+    """The theory's ground program, with its least fixpoint derived.
+
+    The last program compiled is kept and returned again while the same
+    theory object is asked for, so a caller that loops theory by theory
+    (its questions and proofs inside) compiles each theory once, whichever
+    entry points it calls. Another theory replaces it. The match is on
+    identity: an equal theory is hashed by walking every sentence, which
+    costs about a compile, and the slot holds its theory, so the identity
+    cannot pass to another object. Sharing is safe because every
+    per-program table is exact whatever order fills it, and ``derive``
+    returns fresh arrays. A theory that fails to compile leaves the slot
+    as it was, so it raises on every call. A caller that interleaves
+    theories still gets each one's own program, compiled again.
+    """
+    global _last
+    program = _last
+    if program is None or program.theory is not t:
+        program = _last = GroundProgram(t)
+    return program
 
 
 def answer_question(t: Theory, q: Question) -> bool:

@@ -442,6 +442,28 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,key,message", [
+        (["mask-export"], "answer", "has no gold answer to label"),
+        (["mask-export"], "proofs", "has no gold proofs"),
+        (["oracle-potentials", "--seed", "0"], "proofs", "has no gold proofs"),
+    ])
+    def test_missing_gold_is_rejected_before_any_output(self, workspace, tmp_path, capsys,
+                                                        command, key, message):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
+        question = records[1]["questions"][0]
+        del question[key]
+        theories = tmp_path / "theories.jsonl"
+        theories.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        code = run_command(command + [str(theories), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"question {records[1]['id']}/{question['id']} {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("reordered", [False, True])
     @pytest.mark.parametrize("command", ["answer", "prove", "critical", "mask-export"])
     def test_duplicate_rule_is_rejected_at_read(self, tmp_path, capsys, command, reordered):

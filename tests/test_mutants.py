@@ -81,6 +81,57 @@ def proofs_are_minimal(reasoner) -> bool:
     return reasoner.prove(NON_MINIMAL, q) == oracles.naive_proofs(NON_MINIMAL, q.literal)
 
 
+def answer(reasoner, text, question):
+    t = record_to_theory({"id": "T1", "facts": [{"id": "F1", "text": text}], "rules": [],
+                          "questions": [{"id": "Q1", "text": question}]})
+    return reasoner.answer_question(t, t.questions[0])
+
+
+def each_theory_gets_its_program(reasoner) -> bool:
+    return answer(reasoner, "Alan is blue.", "Alan is blue.") \
+        and not answer(reasoner, "Alan is red.", "Alan is blue.")
+
+
+def theory_of_rules(*rules):
+    return record_to_theory({
+        "id": "T1", "facts": [{"id": "F1", "text": "Alan is blue."}],
+        "rules": [{"id": f"R{i + 1}", "text": text} for i, text in enumerate(rules)],
+        "questions": [{"id": "Q1", "text": "Alan is young."}]})
+
+
+# Young fails through green, which fails through "not blue" (depth 1), and
+# through kind, which fails through round, which nothing concludes (depth
+# 1): R1 and R2 tie, and R1 comes first.
+FAILING_NEGATION = theory_of_rules(
+    "If someone is green then they are young.", "If someone is kind then they are young.",
+    "If someone is not blue then they are green.", "If someone is round then they are kind.")
+
+# Green fails at depth 2 through R3 <- R4, listed before the rule it reads;
+# kind fails at depth 3 through R5 -> R6 -> R7, so R1 is shown.
+CHAINS_LISTED_BACKWARDS = theory_of_rules(
+    "If someone is green then they are young.", "If someone is kind then they are young.",
+    "If someone is cold then they are green.", "If someone is round then they are cold.",
+    "If someone is quiet then they are big.", "If someone is big then they are rough.",
+    "If someone is rough then they are kind.")
+
+
+def failure_is_shallowest(t):
+    def check(reasoner) -> bool:
+        q = t.questions[0]
+        return reasoner.prove(t, q) == oracles.naive_proofs(t, q.literal)
+    return check
+
+
+# A rule cycle, R1 -> R2 -> R1, fed by F1; and a chain F1 -> R1 -> R2.
+DEPTH_GRAPHS = (ProofGraph.of(["F1", "R1", "R2"], [("F1", "R1"), ("R1", "R2"), ("R2", "R1")]),
+                ProofGraph.of(["F1", "R1", "R2"], [("F1", "R1"), ("R1", "R2")]))
+
+
+def depth_counts_rules_on_paths(proofgraph) -> bool:
+    return all(proofgraph.proof_depth(p) == oracles.exhaustive_depth(p) == 2
+               for p in DEPTH_GRAPHS)
+
+
 MUTANTS = {
     "validate_theory_ignores_depth": (
         "theory", "            if measured != q.gold_depth:\n", "            if False:\n",
@@ -100,6 +151,25 @@ MUTANTS = {
         "            for g in fragments))\n",
         "        minimal = fragments\n",
         proofs_are_minimal),
+    "closure_slot_never_refreshed": (
+        "reasoner", "    if program is None or program.theory is not t:\n",
+        "    if program is None:\n",
+        each_theory_gets_its_program),
+    "failing_negation_counts_as_two": (
+        "reasoner", "depth = 1.0 if any(flags[a] for a in neg)",
+        "depth = 2.0 if any(flags[a] for a in neg)",
+        failure_is_shallowest(FAILING_NEGATION)),
+    "failure_depths_one_pass": (
+        "reasoner", "        while changed:\n            changed = False\n            for head,",
+        "        if changed:\n            changed = False\n            for head,",
+        failure_is_shallowest(CHAINS_LISTED_BACKWARDS)),
+    "proof_depth_without_cycle_fallback": (
+        "proofgraph", "    if len(ready) < len(is_rule):\n", "    if False:\n",
+        depth_counts_rules_on_paths),
+    "proof_depth_without_own_rule_flag": (
+        "proofgraph", "ending_at[node] = ending_at[node] + is_rule[node]",
+        "ending_at[node] = ending_at[node]",
+        depth_counts_rules_on_paths),
 }
 
 

@@ -1,12 +1,17 @@
+import gc
 import itertools
+import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from ruleproofs import reasoner
 from ruleproofs.datagen import GenConfig, generate_theory
 from ruleproofs.proofgraph import ProofGraph, proof_depth
 from ruleproofs.reasoner import (
+    GroundProgram,
     NonStratifiedTheory,
     answer_question,
     check_proof,
@@ -137,6 +142,67 @@ class TestClosure:
             for atom in c.derived:
                 if atom not in fact_atoms:
                     assert c.derivation_index.get(c.atom_ids[atom]), (t.id, atom)
+
+
+class TestClosureSlot:
+    """``closure`` keeps the last program it compiled and returns it again
+    for the same theory object."""
+
+    @staticmethod
+    def chain():
+        return theory_of(
+            [Literal("alan", "blue")],
+            [([Literal("someone", "blue")], Literal("someone", "young")),
+             ([Literal("someone", "cold")], Literal("someone", "young"))],
+            [Literal("alan", "young"), Literal("alan", "cold")],
+        )
+
+    def test_entry_points_share_one_program(self, monkeypatch):
+        t = self.chain()
+        program = closure(t)
+        assert closure(t) is program
+        grounded = []
+        ground = reasoner.ground_instances
+        monkeypatch.setattr(reasoner, "ground_instances", lambda t: grounded.append(t) or ground(t))
+        for q in t.questions:
+            assert answer_question(t, q) == program.holds(q.literal)
+            assert all(check_proof(t, q, p) for p in prove(t, q))
+        assert critical_sentences(t) == [{"F1", "R1"}, set()]
+        assert closure(t) is program
+        assert grounded == []
+
+    def test_equal_theory_gets_its_own_program(self):
+        t = self.chain()
+        twin = replace(t)
+        assert twin == t and twin is not t
+        program = closure(t)
+        assert closure(twin) is not program
+        assert closure(twin).theory is twin
+        assert closure(t) is not program  # the twin replaced it
+        assert closure(t).theory is t
+
+    def test_rejected_theory_leaves_the_slot(self):
+        t = self.chain()
+        program = closure(t)
+        cycle = theory_of(
+            [Literal("alan", "blue")],
+            [([Literal("alan", "happy", None, False)], Literal("alan", "quiet")),
+             ([Literal("alan", "quiet")], Literal("alan", "happy"))],
+            [Literal("alan", "quiet")],
+        )
+        for _ in range(2):
+            with pytest.raises(NonStratifiedTheory):
+                closure(cycle)
+            with pytest.raises(NonStratifiedTheory):
+                answer_question(cycle, cycle.questions[0])
+        assert closure(t) is program
+
+    def test_at_most_one_program_is_held(self):
+        first = weakref.ref(closure(self.chain()))
+        assert first() is not None
+        closure(self.chain())
+        gc.collect()
+        assert first() is None
 
 
 class TestAnswer:
@@ -390,7 +456,7 @@ class TestProve:
                    ProofGraph.of(["F2", "R2"], [("F2", "R2")])],
         }
         for order in ((cold, kind), (kind, cold)):
-            program = closure(t)  # one program, so the second reads the first's entries
+            program = GroundProgram(t)  # fresh per order; the second reads the first's entries
             for lit in order:
                 assert prove_literal(program, lit) == expected[lit] == \
                     oracles.naive_proofs(t, lit, 10), (order, lit)
@@ -406,7 +472,7 @@ class TestProve:
             + [([Literal("someone", ring[k - 1])], Literal("someone", ring[k])) for k in range(3)],
         )
         for order in itertools.permutations([Literal("alan", attr) for attr in ring]):
-            program = closure(t)
+            program = GroundProgram(t)  # every order starts from empty tables
             for lit in order:
                 assert prove_literal(program, lit) == oracles.naive_proofs(t, lit, 10), order
 

@@ -3,10 +3,13 @@
 A theory is a tiny rule-base: named facts, if-then rules, and questions.
 In memory every item keeps a structured literal form plus a rendered
 sentence; a theory record stores only the sentence, and reading it back
-parses each literal from that text.
+parses each literal from that text. ``validate_theory`` checks that each
+text parses back to its structure, so a valid theory reads back as itself.
 """
 
+import io
 import json
+from dataclasses import replace
 
 from ruleproofs.theory import (
     Literal,
@@ -15,9 +18,10 @@ from ruleproofs.theory import (
     make_question,
     make_rule,
     parse_rule_sentence,
-    parse_theory,
+    read_theories,
     theory_to_record,
     validate_theory,
+    write_theories,
 )
 
 theory = Theory(
@@ -47,10 +51,15 @@ print("\nParsing a sentence back into structure")
 print(" ", parse_rule_sentence("If someone is blue and likes Bob then they are young."))
 
 print("\nValidation violations:", validate_theory(theory) or "none")
+stale = replace(theory, facts=(replace(theory.facts[0], text="Alan is green."),
+                               *theory.facts[1:]))
+print("With F1's text edited to 'Alan is green.':", validate_theory(stale))
 
 record = theory_to_record(theory)
 print("\nTheory record: each sentence is stored once, as its text")
 for key in ("facts", "rules", "questions"):
     print(f"  {key}: {json.dumps(record[key])}")
-again = parse_theory(json.dumps(record))
-print("Record round-trip re-parses every literal exactly:", again == theory)
+buffer = io.StringIO()
+write_theories(buffer, [theory])
+(again,) = read_theories(io.StringIO(buffer.getvalue()))
+print("Reading the JSONL line back re-parses every literal exactly:", again == theory)

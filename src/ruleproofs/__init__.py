@@ -15,7 +15,6 @@ from .theory import (
     Rule,
     Theory,
     TheoryParseError,
-    parse_theory,
     render_sentence,
     validate_theory,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "lexical_edge_features",
     "match_proofs",
     "oracle_potentials",
-    "parse_theory",
     "proof_depth",
     "prove",
     "render_sentence",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,6 +27,9 @@ from . import datagen, decoder, evalharness, potentials, reasoner, proofgraph, t
 USAGE_ERROR = 1
 DATA_ERROR = 2
 INTERNAL_ERROR = 3
+
+
+_FILE_ID = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class _UsageError(Exception):
@@ -363,6 +367,11 @@ def _cmd_critical(args) -> int:
 def _cmd_render_dot(args) -> int:
     theories = _load_theories(args.input)
     _require_gold(theories)
+    for t in theories:  # each id names files and a DOT title
+        if not _FILE_ID.fullmatch(t.id):
+            raise theory_mod.TheoryParseError(
+                f"theory id {t.id!r} cannot name a DOT file: "
+                "use ASCII letters, digits, '_' and '-'")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for t in theories:

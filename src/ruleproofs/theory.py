@@ -32,6 +32,11 @@ attribute antecedent right after an attribute drops its "is". The parser
 accepts any attribute antecedent of a variable rule with or without
 "is", so ``render(parse(s)) == s`` holds for rendered sentences only.
 Relation verbs are stored in base form.
+
+One check says what a theory must satisfy: every read applies
+``_read_violations``, and ``validate_theory`` adds the generator's
+policies and a parse-back of each text to its structure, so a valid
+theory reads back from its record as itself.
 """
 
 from __future__ import annotations
@@ -409,75 +414,87 @@ def _check_duplicate_rules(rules, violations: list[str]) -> None:
             first[body] = r.id
 
 
-# Each kind of token: the parser's check and the token as a sentence writes it.
-_TOKEN_FORMS = (("entity", _entity_token, _entity_text),
-                ("attribute", _predicate_token, str),
-                ("relation verb", _base_verb, lambda verb: verb + "s"))
+def _read_violations(t: Theory) -> list[str]:
+    """What every reader holds a theory to: ids F1..Fn, R1..Rm, Q1..Qk in
+    order, no fact or rule stated twice, and gold proofs that are graphs
+    over their own nodes, which are the theory's sentences and NAF only:
+    the layout that labels, potentials and evaluation index by. The parser
+    already gives ground facts and questions, and rules with antecedents
+    and a positive consequent, which the reasoner assumes."""
+    violations: list[str] = []
+    _check_ids(t.facts, "F", violations)
+    _check_ids(t.rules, "R", violations)
+    _check_ids(t.questions, "Q", violations)
+    _check_duplicate_facts(t.facts, violations)
+    _check_duplicate_rules(t.rules, violations)
+    if not violations:
+        named: set[str] = set()
+        for q in t.questions:
+            for proof in q.gold_proofs or ():
+                ends = set(chain.from_iterable(proof.edges))
+                if not proof.nodes:
+                    violations.append(f"{q.id}: a gold proof has no nodes")
+                elif not ends <= proof.nodes:
+                    violations.append(f"{q.id}: a gold proof's edges name "
+                                      f"{sorted(ends - proof.nodes)} outside its nodes")
+                named.update(proof.nodes)
+        violations += [f"a gold proof names unknown node {node!r}"
+                       for node in t.unknown_ids(named)]
+    return violations
 
 
-# The vocabulary is fixed, so each token is checked once per process.
-@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
-def _reads_back(read, written, token) -> bool:
+def _parse_back_error(item: Union[Fact, Rule, Question]) -> Optional[str]:
+    """Why the item's text does not parse to the item's own structure, or
+    None when it does."""
+    if type(item.text) is not str:
+        return "text is not a string"
     try:
-        return read(written(token)) == token
-    except (TheoryParseError, TypeError, AttributeError):  # not a string
-        return False
+        if isinstance(item, Rule):
+            same = parse_rule_sentence(item.text) == (item.antecedents, item.consequent)
+        else:
+            same = parse_fact_sentence(item.text) == item.literal
+    except TheoryParseError as exc:
+        return str(exc)
+    return None if same else "it reads as another structure"
 
 
 def validate_theory(t: Theory, *,
                     depth: Optional[Callable[[ProofGraph], int]] = None) -> list[str]:
     """Return a list of invariant violations; empty means the theory is valid.
 
+    A valid theory passes the read check (``_read_violations``), fits the
+    context, and meets two generator policies: no predicate is both an
+    attribute and a relation, and a variable rule has a positive
+    antecedent. Each item's text must parse back to its structure, so a
+    valid theory reads back from its record as itself; the parser rejects
+    bad tokens, variable facts, negative consequents and mixed subjects.
+
     ``depth`` measures each gold proof for the stored-depth check and
     defaults to ``proof_depth`` (looked up at call time). A caller that has
     measured the proofs already, as the generator has, passes its own
     table; it must agree with ``proof_depth`` on every proof, and it is
     asked about each proof as the question holds it, so a wrong stored
-    depth or swapped proofs are still caught.
+    depth or swapped proofs are still caught. Proofs are measured only
+    when the read check passes.
     """
     depth = depth or proof_depth
     violations: list[str] = []
     if t.num_sentences > MAX_CONTEXT_SENTENCES:
         violations.append(
             f"context size {t.num_sentences} exceeds {MAX_CONTEXT_SENTENCES} sentences")
-    _check_ids(t.facts, "F", violations)
-    _check_ids(t.rules, "R", violations)
-    _check_ids(t.questions, "Q", violations)
+    read = _read_violations(t)
+    violations += read
 
     attribute_preds, relation_preds = set(), set()
     for lit in t._all_literals():
         (relation_preds if lit.is_relation() else attribute_preds).add(lit.predicate)
     for pred in sorted(attribute_preds & relation_preds):
         violations.append(f"predicate {pred!r} used both with and without an object")
-    # with every text equal to its rendering, readable tokens make it parse back
-    for (kind, read, written), tokens in zip(_TOKEN_FORMS,
-                                             (t.entities(), attribute_preds, relation_preds)):
-        for token in sorted(tokens):
-            if not _reads_back(read, written, token):
-                violations.append(f"{kind} {token!r} does not round-trip through the grammar")
-
-    for item in (*t.facts, *t.questions):
-        if item.literal.is_variable():
-            kind = "fact" if isinstance(item, Fact) else "question"
-            violations.append(f"{item.id}: {kind} literal must be ground")
     for r in t.rules:
-        if not r.antecedents:
-            violations.append(f"{r.id}: rule has no antecedents")
-    _check_duplicate_facts(t.facts, violations)
-    _check_duplicate_rules(t.rules, violations)
+        if r.variable() is not None and not any(a.positive for a in r.antecedents):
+            violations.append(f"{r.id}: variable rule needs a positive antecedent")
 
-    for r in t.rules:
-        if not r.consequent.positive:
-            violations.append(f"{r.id}: rule consequent must be positive")
-        variable = r.variable()
-        if variable is not None:
-            for lit in (*r.antecedents, r.consequent):
-                if lit.subject != variable:
-                    violations.append(f"{r.id}: all subjects must be the variable {variable!r}")
-            if not any(a.positive for a in r.antecedents):
-                violations.append(f"{r.id}: variable rule needs a positive antecedent")
-
-    for q in t.questions:
+    for q in t.questions if not read else ():  # a malformed proof has no depth
         if q.gold_proofs is not None and q.gold_depth is not None:
             measured = max(map(depth, q.gold_proofs), default=0)
             if measured != q.gold_depth:
@@ -485,13 +502,9 @@ def validate_theory(t: Theory, *,
                     f"{q.id}: gold depth {q.gold_depth} != max proof depth {measured}")
 
     for item in (*t.facts, *t.rules, *t.questions):
-        try:
-            expected = render_sentence(item)
-        except Exception:
-            violations.append(f"{item.id}: structure cannot be rendered")
-            continue
-        if item.text != expected:
-            violations.append(f"{item.id}: text does not round-trip through the grammar")
+        error = _parse_back_error(item)
+        if error:
+            violations.append(f"{item.id}: text does not round-trip through the grammar ({error})")
     return violations
 
 
@@ -544,41 +557,11 @@ def _question_from_dict(q: dict) -> Question:
     return Question(q["id"], _parse(q, parse_fact_sentence), q["text"], answer, proofs, depth)
 
 
-def _check_read(t: Theory) -> None:
-    """Ids F1..Fn, R1..Rm, Q1..Qk in order, no fact or rule stated twice,
-    and gold proofs that are graphs over their own nodes, which are the
-    theory's sentences and NAF only: the layout that labels, potentials
-    and evaluation index by. The parser already gives ground facts and
-    questions, and rules with antecedents and a positive consequent,
-    which the reasoner assumes."""
-    violations: list[str] = []
-    _check_ids(t.facts, "F", violations)
-    _check_ids(t.rules, "R", violations)
-    _check_ids(t.questions, "Q", violations)
-    _check_duplicate_facts(t.facts, violations)
-    _check_duplicate_rules(t.rules, violations)
-    if not violations:
-        named: set[str] = set()
-        for q in t.questions:
-            for proof in q.gold_proofs or ():
-                ends = set(chain.from_iterable(proof.edges))
-                if not proof.nodes:
-                    violations.append(f"{q.id}: a gold proof has no nodes")
-                elif not ends <= proof.nodes:
-                    violations.append(f"{q.id}: a gold proof's edges name "
-                                      f"{sorted(ends - proof.nodes)} outside its nodes")
-                named.update(proof.nodes)
-        violations += [f"a gold proof names unknown node {node!r}"
-                       for node in t.unknown_ids(named)]
-    if violations:
-        raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations))
-
-
 def record_to_theory(record: dict) -> Theory:
     """Read a ``theory_to_record`` dict, parsing each literal from its
     text; raises TheoryParseError for a malformed record, a text that does
-    not parse, or a theory that ``_check_read`` rejects. The error names
-    no line: ``read_theories`` adds it."""
+    not parse, or a theory that ``_read_violations`` rejects. The error
+    names no line: ``read_theories`` adds it."""
     if not isinstance(record, dict):
         raise TheoryParseError(
             f"theory record must be a JSON object, got {type(record).__name__}")
@@ -591,22 +574,9 @@ def record_to_theory(record: dict) -> Theory:
         t = Theory(_string(record["id"], "theory id"), facts, rules, questions)
     except (KeyError, TypeError, AttributeError) as exc:
         raise TheoryParseError(f"malformed theory record: {exc}") from exc
-    _check_read(t)
-    return t
-
-
-def parse_theory(data: Union[bytes, str]) -> Theory:
-    """Parse one theory record from raw bytes/text and validate it."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        record = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise TheoryParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    t = record_to_theory(record)
-    violations = validate_theory(t)
+    violations = _read_violations(t)
     if violations:
-        raise TheoryParseError(f"invalid theory {t.id!r}: " + "; ".join(violations))
+        raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations))
     return t
 
 
@@ -616,8 +586,9 @@ def write_theories(fp: IO[str], theories: Iterable[Theory]) -> None:
 
 
 def read_theories(fp: IO[str]) -> Iterator[Theory]:
-    """One theory per JSONL line; blank lines are skipped. Every error
-    names the line it was read from."""
+    """One theory per JSONL line; blank lines are skipped. A theory id is
+    read once per file. Every error names the line it was read from."""
+    lines: dict[str, int] = {}
     for line_no, line in enumerate(fp, start=1):
         if not line.strip():
             continue
@@ -627,6 +598,10 @@ def read_theories(fp: IO[str]) -> Iterator[Theory]:
             raise TheoryParseError(f"invalid JSON: {exc.msg}", line_no, exc.colno) from exc
         except TheoryParseError as exc:
             raise TheoryParseError(str(exc), line_no) from exc
+        if t.id in lines:
+            raise TheoryParseError(f"theory id {t.id!r} already read on line {lines[t.id]}",
+                                   line_no)
+        lines[t.id] = line_no
         yield t
 
 

@@ -442,6 +442,53 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "answer", "prove", "mask-export", "oracle-potentials", "train-baseline",
+        "score-edges", "decode", "eval", "critical", "render-dot"])
+    def test_repeated_theory_id_is_rejected_at_read(self, workspace, tmp_path, capsys,
+                                                   command):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        first = json.loads(test_file.read_text().splitlines()[0])
+        theories = tmp_path / "theories.jsonl"
+        theories.write_text(json.dumps(first) + "\n" + json.dumps(first) + "\n")
+        scorer, empty = tmp_path / "scorer.json", tmp_path / "empty.jsonl"
+        scorer.write_text(json.dumps(LinearScorer.untrained().to_dict()))
+        empty.write_text("")
+        out = tmp_path / "out"
+        argv = {
+            "oracle-potentials": [command, "--seed", "0", theories, "-o", out],
+            "score-edges": [command, "--scorer", scorer, theories, "-o", out],
+            "decode": [command, "--theories", theories, empty, "-o", out],
+            "eval": [command, "--theories", theories, empty, "-o", out],
+            "render-dot": [command, theories, "-o", out],
+        }.get(command, [command, theories, "-o", out])
+        capsys.readouterr()
+        code = run_command([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"theory id {first['id']!r} already read on line 1 (line 2)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theory_id", ["../escaped", 'T"1'], ids=["parent_dir", "quote"])
+    def test_render_dot_rejects_an_id_that_cannot_name_a_file(self, workspace, tmp_path,
+                                                             capsys, theory_id):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        record = json.loads(test_file.read_text().splitlines()[0])
+        record["id"] = theory_id
+        root = tmp_path / "root"
+        root.mkdir()
+        theories = root / "theories.jsonl"
+        theories.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        code = run_command(["render-dot", str(theories), "-o", str(root / "dots")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"theory id {theory_id!r} cannot name a DOT file" in err
+        assert "Traceback" not in err
+        assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) \
+            == ["theories.jsonl"]
+
     @pytest.mark.parametrize("command,key,message", [
         (["mask-export"], "answer", "has no gold answer to label"),
         (["mask-export"], "proofs", "has no gold proofs"),

@@ -361,13 +361,13 @@ class TestGenerateDataset:
         assert max(counts) > 1
 
     def test_proofs_stable_across_serialization(self):
-        import json
-        from ruleproofs import reasoner
-        from ruleproofs.theory import parse_theory, theory_to_record
+        import io
         cfg = GenConfig(seed=14, num_theories=4, max_depth=3)
-        for i in range(4):
-            t = generate_theory(cfg, i)
-            again = parse_theory(json.dumps(theory_to_record(t)))
+        written = [generate_theory(cfg, i) for i in range(4)]
+        buffer = io.StringIO()
+        theory.write_theories(buffer, written)
+        for t, again in zip(written, theory.read_theories(io.StringIO(buffer.getvalue())),
+                            strict=True):
             for q_before, q_after in zip(t.questions, again.questions):
                 assert reasoner.prove(t, q_before) == reasoner.prove(again, q_after)
                 assert q_after.gold_proofs == q_before.gold_proofs

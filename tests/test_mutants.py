@@ -17,8 +17,9 @@ import pytest
 
 import oracles
 import ruleproofs
+from ruleproofs.potentials import Potentials
 from ruleproofs.proofgraph import ProofGraph
-from ruleproofs.theory import record_to_theory
+from ruleproofs.theory import layout_ids, record_to_theory
 
 PACKAGE = Path(ruleproofs.__file__).parent
 
@@ -49,12 +50,22 @@ def stored_depth_is_checked(theory) -> bool:
     return theory.validate_theory(t) == ["Q1: gold depth 1 != max proof depth 0"]
 
 
-def tokens_must_read_back(theory) -> bool:
-    # rendered "Alan likess Bob.", which the parser rejects
-    t = theory.Theory("T1", (theory.make_fact("F1", theory.Literal("alan", "likes", "bob")),),
-                      (), ())
-    return theory.validate_theory(t) == [
-        "relation verb 'likes' does not round-trip through the grammar"]
+def texts_must_parse_back(theory) -> bool:
+    # rendered "Alan likess Bob.", which the parser rejects, and a stale text
+    likess = theory.make_fact("F1", theory.Literal("alan", "likes", "bob"))
+    stale = theory.Fact("F1", theory.Literal("alan", "blue"), "Alan is green.")
+    return [theory.validate_theory(theory.Theory("T1", (fact,), (), ()))
+            for fact in (likess, stale)] == [
+        ["F1: text does not round-trip through the grammar "
+         "(relation verb 'likes' must be in base form)"],
+        ["F1: text does not round-trip through the grammar (it reads as another structure)"]]
+
+
+def gold_proofs_are_read_checked(theory) -> bool:
+    t = theory.Theory("T1", (theory.make_fact("F1", theory.Literal("alan", "blue")),), (), (
+        theory.make_question("Q1", theory.Literal("alan", "blue"), gold_answer=True,
+                             gold_proofs=(ProofGraph.of(["F9"]),)),))
+    return theory.validate_theory(t) == ["a gold proof names unknown node 'F9'"]
 
 
 def negation_flips_the_sign(theory) -> bool:
@@ -115,6 +126,62 @@ CHAINS_LISTED_BACKWARDS = theory_of_rules(
     "If someone is rough then they are kind.")
 
 
+# Red needs "not green" (R1) and green needs red (R2): a cycle through negation.
+NEGATION_CYCLE = theory_of_rules(
+    "If someone is not green then they are red.", "If someone is red then they are green.")
+
+
+def negation_cycles_are_rejected(reasoner) -> bool:
+    try:
+        reasoner.closure(NEGATION_CYCLE)
+        rejected = False
+    except reasoner.NonStratifiedTheory:
+        rejected = True
+    return rejected == (oracles.negation_cycle(NEGATION_CYCLE) is not None)
+
+
+# Green holds through R1, so R2's "not green" fails and young does not hold.
+NEGATION_BLOCKS = theory_of_rules(
+    "If someone is blue then they are green.", "If someone is not green then they are young.")
+
+
+def failed_negation_blocks(reasoner) -> bool:
+    q = NEGATION_BLOCKS.questions[0]
+    return reasoner.answer_question(NEGATION_BLOCKS, q) \
+        == oracles.naive_answer(NEGATION_BLOCKS, q.literal)
+
+
+# Red holds through R3 from F1. NAF cannot supply "Alan is not green", which
+# R1 derives, so a proof that fires R2 from NAF is wrong.
+NAF_FOR_DERIVED = record_to_theory({
+    "id": "T1", "facts": [{"id": "F1", "text": "Alan is blue."}],
+    "rules": [{"id": "R1", "text": "If someone is blue then they are green."},
+              {"id": "R2", "text": "If someone is not green then they are red."},
+              {"id": "R3", "text": "If someone is blue then they are red."}],
+    "questions": [{"id": "Q1", "text": "Alan is red."}]})
+
+
+def naf_supplies_underived_atoms_only(reasoner) -> bool:
+    q = NAF_FOR_DERIVED.questions[0]
+    gold = oracles.naive_proofs(NAF_FOR_DERIVED, q.literal)
+    wrong = ProofGraph.of(["NAF", "R2"], [("NAF", "R2")])
+    return gold == [ProofGraph.of(["F1", "R3"], [("F1", "R3")])] \
+        and reasoner.check_proof(NAF_FOR_DERIVED, q, gold[0]) \
+        and not reasoner.check_proof(NAF_FOR_DERIVED, q, wrong)
+
+
+def repair_ties_toward_the_smallest_pair(decoder) -> bool:
+    # F1 -> R1 is kept; R2 joins over F1 -> R2, R1 -> R2 or R2 -> R1, each
+    # at the same flip cost
+    edge_prob = [[0.0] * 4 for _ in range(4)]
+    edge_prob[0][1] = 0.9
+    edge_prob[0][2] = edge_prob[1][2] = edge_prob[2][1] = 0.4
+    p = Potentials([0.9, 0.9, 0.9, 0.1], edge_prob, 1)
+    _objective, chosen = oracles.brute_force_decode(p.node_prob, p.edge_prob, p.num_facts)
+    ids = layout_ids(1, 4)
+    return decoder.decode_proof(p).proof.edges == {(ids[m], ids[n]) for m, n in chosen}
+
+
 def failure_is_shallowest(t):
     def check(reasoner) -> bool:
         q = t.questions[0]
@@ -136,9 +203,30 @@ MUTANTS = {
     "validate_theory_ignores_depth": (
         "theory", "            if measured != q.gold_depth:\n", "            if False:\n",
         stored_depth_is_checked),
-    "every_token_reads_back": (
-        "theory", "        return read(written(token)) == token\n", "        return True\n",
-        tokens_must_read_back),
+    "every_text_parses_back": (
+        "theory", "    None when it does.\"\"\"\n", "    None when it does.\"\"\"\n    return None\n",
+        texts_must_parse_back),
+    "validate_theory_skips_read_check": (
+        "theory", "    read = _read_violations(t)\n", "    read = []\n",
+        gold_proofs_are_read_checked),
+    "negation_adds_no_stratum": (
+        "reasoner", "[strata[a] + 1 for a in neg if a in concluded]",
+        "[strata[a] for a in neg if a in concluded]",
+        negation_cycles_are_rejected),
+    "derive_ignores_negative_antecedents": (
+        "reasoner", "if i in skip or negatives[i] and any(derived[a] for a in negatives[i]):",
+        "if i in skip:",
+        failed_negation_blocks),
+    "naf_supplies_derived_atoms": (
+        "reasoner", "for neg in self.negatives for a in neg\n"
+        "                                  if not self.flags[a])",
+        "for neg in self.negatives for a in neg)",
+        naf_supplies_underived_atoms_only),
+    "repair_ties_toward_the_largest_pair": (
+        "decoder", "for m, n in pairs if (m, n) not in chosen)\n",
+        "for m, n in pairs if (m, n) not in chosen)\n"
+        "        leftover.sort(key=lambda c: (c[0], [-x for x in c[1]]))\n",
+        repair_ties_toward_the_smallest_pair),
     "negated_keeps_the_sign": (
         "theory", "Literal(self.subject, self.predicate, self.obj, not self.positive)",
         "Literal(self.subject, self.predicate, self.obj, self.positive)",

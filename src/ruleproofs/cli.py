@@ -126,10 +126,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle-potentials", help="noisy indicator potentials from gold proofs")
     _add_io(p)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--noise", type=_noise_level, default=0.0,
-                   help="mean perturbation, in [0, 0.5)")
-    p.add_argument("--adversarial", action="store_true",
-                   help="exact potentials with one bridging gold edge pushed under threshold")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--noise", type=_noise_level, default=0.0,
+                      help="mean perturbation, in [0, 0.5)")
+    kind.add_argument("--adversarial", action="store_true",
+                      help="exact potentials with one bridging gold edge pushed under threshold")
 
     p = sub.add_parser("train-baseline", help="fit the lexical edge scorer")
     _add_io(p, input_help="training theories (default: stdin)")
@@ -147,10 +148,11 @@ def build_parser() -> _Parser:
     _add_io(p, input_help="potentials file (default: stdin)")
     p.add_argument("--theories", required=True,
                    help="dataset the potentials refer to (for answers and sentence layout)")
-    p.add_argument("--no-connectivity", action="store_true",
-                   help="drop the connectivity constraint (ablation)")
-    p.add_argument("--unconstrained", action="store_true",
-                   help="threshold all pairs with no constraints at all (ablation)")
+    ablation = p.add_mutually_exclusive_group()
+    ablation.add_argument("--no-connectivity", action="store_true",
+                          help="drop the connectivity constraint (ablation)")
+    ablation.add_argument("--unconstrained", action="store_true",
+                          help="threshold all pairs with no constraints at all (ablation)")
 
     p = sub.add_parser("eval", help="score predictions and print a report")
     _add_io(p, input_help="predictions file (default: stdin)")
@@ -271,6 +273,7 @@ def _cmd_oracle_potentials(args) -> int:
 
 def _cmd_train_baseline(args) -> int:
     theories = _load_theories(args.input)
+    _require_gold(theories)
     train = potentials.make_edge_training_set(theories)
     config = potentials.ScorerConfig(args.learning_rate, args.epochs, args.seed)
     scorer = potentials.fit_linear_scorer(train, config)
@@ -307,7 +310,9 @@ def _cmd_decode(args) -> int:
                 continue
             try:
                 record = json.loads(line)
-                t = theories[record["theory_id"]]
+                t = theories.get(record["theory_id"])
+                if t is None:
+                    raise ValueError(f"unknown theory {record['theory_id']!r}")
                 pot = potentials.Potentials.from_record(record, t)
                 question_id = record["question_id"]
                 if (t.id, question_id) in rows:
@@ -320,7 +325,8 @@ def _cmd_decode(args) -> int:
                 answers[t.id] = {q.id: program.holds(q.literal) for q in t.questions}
             if question_id not in answers[t.id]:
                 raise evalharness.EvaluationError(
-                    f"potentials reference unknown question {t.id}/{question_id}")
+                    f"bad potentials record on line {line_no}: "
+                    f"unknown question {t.id}/{question_id}")
             if args.unconstrained:
                 result = decoder.decode_unconstrained(pot)
             else:

@@ -8,6 +8,8 @@ are drawn from a candidate pool so that every depth from 0 to the
 configured maximum is covered and answers stay balanced. Answers, proofs
 and depths come from the reasoner, run on the assembled theory.
 
+A ``GenConfig`` checks its settings once, when it is built, so a config
+that exists is well-typed and in range, and nothing checks it again.
 Drafts are valid by construction. Negative antecedents and negative facts
 use only attributes that no rule concludes, so every theory is stratified
 and no negative fact contradicts a derivation; fact and rule counts stay
@@ -22,7 +24,7 @@ internal error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 from typing import Optional
 
@@ -43,7 +45,6 @@ from .theory import (
 
 @dataclass(frozen=True)
 class VocabularyProfile:
-    name: str
     entities: tuple[str, ...]
     attributes: tuple[str, ...]
     relations: tuple[str, ...]
@@ -52,7 +53,6 @@ class VocabularyProfile:
 
 PROFILES = {
     "people": VocabularyProfile(
-        "people",
         ("alan", "bob", "carol", "dave", "erin", "fiona", "gary", "hanna"),
         ("blue", "rough", "young", "kind", "smart", "quiet", "green", "happy",
          "cold", "nice", "red", "big", "calm", "proud", "tall", "busy",
@@ -61,7 +61,6 @@ PROFILES = {
         "someone",
     ),
     "animals": VocabularyProfile(
-        "animals",
         ("cat", "dog", "mouse", "lion", "tiger", "bear", "rabbit", "wolf"),
         ("big", "furry", "fierce", "hungry", "tired", "fast", "gentle", "wild",
          "strong", "sleepy", "small", "loud", "quick", "clever", "heavy",
@@ -70,7 +69,6 @@ PROFILES = {
         "something",
     ),
     "circuits": VocabularyProfile(
-        "circuits",
         ("wire", "bulb", "switch", "battery", "motor", "bell", "relay", "fuse"),
         ("conducting", "powered", "live", "broken", "warm", "bright", "charged",
          "active", "grounded", "humming", "glowing", "stable", "rusty", "loose",
@@ -85,13 +83,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# What a JSON value of a GenConfig field must be, and its check, keyed by
-# the field's annotation text.
+# What a GenConfig field must hold, and its check, keyed by the field's
+# annotation text.
 _FIELD_KINDS = {
     "int": ("an integer", _is_int),
     "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "tuple[int, int]": ("a pair of integers", lambda v: isinstance(v, (list, tuple))
+    "tuple[int, int]": ("a pair of integers", lambda v: isinstance(v, tuple)
                         and len(v) == 2 and all(map(_is_int, v))),
 }
 
@@ -113,8 +111,13 @@ class GenConfig:
     profile: str = "people"
     answer_balance: float = 0.5
 
-    def validate(self) -> None:
-        problems = []
+    def __post_init__(self) -> None:
+        """One ``ConfigError`` naming every mistyped field or, when all are
+        well-typed, every setting out of range."""
+        problems = [f"{f.name} must be {_FIELD_KINDS[f.type][0]}, got {getattr(self, f.name)!r}"
+                    for f in fields(self) if not _FIELD_KINDS[f.type][1](getattr(self, f.name))]
+        if problems:  # the range checks below assume the types
+            raise ConfigError("invalid generator config: " + "; ".join(problems))
         if self.seed < 0:
             problems.append("seed must be non-negative")
         if self.num_theories < 1:
@@ -146,38 +149,25 @@ class GenConfig:
             raise ConfigError("invalid generator config: " + "; ".join(problems))
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "num_theories": self.num_theories,
-            "facts_per_theory": list(self.facts_per_theory),
-            "rules_per_theory": list(self.rules_per_theory),
-            "max_depth": self.max_depth,
-            "negation_rate": self.negation_rate,
-            "questions_per_theory": self.questions_per_theory,
-            "profile": self.profile,
-            "answer_balance": self.answer_balance,
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d, seed: Optional[int] = None) -> "GenConfig":
-        """A validated config from a JSON object, with ``seed`` (if given)
-        replacing its seed. Unknown or missing keys and mistyped values are
-        errors."""
+        """The config of a JSON object, with ``seed`` (if given) replacing
+        its seed. Unknown or missing keys are errors here; the config
+        checks its values when it is built."""
         if not isinstance(d, dict):
             raise ConfigError(f"generator config must be a JSON object, not {type(d).__name__}")
         if seed is not None:
             d = {**d, "seed": seed}
-        kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
-        problems = [f"unknown key {key!r}" for key in d if key not in kinds]
+        names = {f.name for f in fields(cls)}
+        problems = [f"unknown key {key!r}" for key in d if key not in names]
         problems += [f"missing key {f.name!r}" for f in fields(cls)
                      if f.default is MISSING and f.name not in d]
-        problems += [f"{key} must be {kinds[key][0]}, got {value!r}" for key, value in d.items()
-                     if key in kinds and not kinds[key][1](value)]
         if problems:
             raise ConfigError("invalid generator config: " + "; ".join(problems))
-        cfg = cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
-        cfg.validate()
-        return cfg
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
 
 
 class GenerationError(RuntimeError):
@@ -447,7 +437,6 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
     a rejected draft changes no other attempt. When every attempt is
     rejected, the ``GenerationError`` counts the rejections by cause.
     """
-    cfg.validate()
     profile = PROFILES[cfg.profile]
     too_small = no_questions = most_facts = most_rules = 0
     for attempt in range(_MAX_ATTEMPTS):
@@ -531,7 +520,6 @@ def _split_stats(theories: list[Theory]) -> dict:
 
 def generate_dataset(cfg: GenConfig) -> DatasetBundle:
     """All theories plus a deterministic 70/10/20 split by theory."""
-    cfg.validate()
     theories = [generate_theory(cfg, i) for i in range(cfg.num_theories)]
     order = np.random.default_rng([cfg.seed, 7, 1, 0]).permutation(cfg.num_theories)
     n_train = int(cfg.num_theories * 0.7)

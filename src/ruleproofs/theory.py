@@ -284,6 +284,8 @@ def _verb_token(token: str) -> str:
     verb = _predicate_token(token)
     if verb.endswith("s"):
         raise TheoryParseError(f"relation verb {token!r} must be in base form")
+    if verb + "s" in RESERVED_TOKENS:  # its positive form ("does", "is") would not read
+        raise TheoryParseError(f"relation verb {token!r} has a reserved word as its third person")
     return verb
 
 

@@ -29,6 +29,27 @@ def run_ok(argv):
     assert run_command([str(a) for a in argv]) == 0
 
 
+READERS = ["answer", "prove", "mask-export", "oracle-potentials", "train-baseline",
+           "score-edges", "decode", "eval", "critical", "render-dot"]
+
+
+def reader_argv(command, theories, out):
+    """Argv for ``command`` reading the theory file ``theories`` and
+    writing ``out``; a scorer and an empty input file are made beside
+    ``out`` where the command needs them."""
+    scorer, empty = out.parent / "scorer.json", out.parent / "empty.jsonl"
+    scorer.write_text(json.dumps(LinearScorer.untrained().to_dict()))
+    empty.write_text("")
+    argv = {
+        "oracle-potentials": [command, "--seed", "0", theories, "-o", out],
+        "score-edges": [command, "--scorer", scorer, theories, "-o", out],
+        "decode": [command, "--theories", theories, empty, "-o", out],
+        "eval": [command, "--theories", theories, empty, "-o", out],
+        "render-dot": [command, theories, "-o", out],
+    }.get(command, [command, theories, "-o", out])
+    return [str(a) for a in argv]
+
+
 class TestGenerate:
     def test_outputs_exist(self, workspace):
         data = workspace / "data"
@@ -64,6 +85,13 @@ class TestExitCodes:
         assert run_command(["train-baseline", "--epochs", "-5", missing]) == 1
         assert run_command(["train-baseline", "--learning-rate", "0", missing]) == 1
         assert run_command(["train-baseline", "--learning-rate", "nan", missing]) == 1
+        # a flag that the other flag of its pair would make ignored
+        assert run_command(["decode", "--theories", missing, "--no-connectivity",
+                            "--unconstrained", missing]) == 1
+        assert run_command(["oracle-potentials", "--seed", "1", "--noise", "0.3",
+                            "--adversarial", missing]) == 1
+        assert run_command(["oracle-potentials", "--seed", "1", "--adversarial",
+                            "--noise", "0", missing]) == 1
 
     @pytest.mark.parametrize("config, message", [
         ({"seed": 0, "num_theories": 2, "max_dept": 5}, "unknown key 'max_dept'"),
@@ -73,8 +101,9 @@ class TestExitCodes:
         ({"seed": 0, "num_theories": 2, "negation_rate": "0.3"}, "negation_rate must be a number"),
         ({"seed": 0, "max_depth": 2}, "missing key 'num_theories'"),
         ([{"seed": 0, "num_theories": 2}], "must be a JSON object"),
+        ({"seed": 0, "num_theories": 2, "max_depth": 9}, "max_depth must be in 0..5"),
     ], ids=["unknown_key", "string_int", "float_int", "short_pair", "string_number",
-            "missing_key", "list"])
+            "missing_key", "list", "out_of_range"])
     def test_bad_generator_config_is_a_data_error(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -337,7 +366,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
                                       "duplicate", "string", "bool", "huge_int", "short_row",
-                                      "infinity", "negative", "nested_node"])
+                                      "infinity", "negative", "nested_node", "unknown_theory",
+                                      "unknown_question"])
     def test_malformed_potentials_are_data_errors(self, workspace, tmp_path, capsys, case):
         test_file = workspace / "data" / "test.theories.jsonl"
         pots = tmp_path / "pots.jsonl"
@@ -372,6 +402,10 @@ class TestExitCodes:
             bad["edge_prob"][0][1] = -0.25
         elif case == "nested_node":
             bad["node_prob"][0] = [bad["node_prob"][0]]
+        elif case == "unknown_theory":
+            bad["theory_id"] = "T99999"
+        elif case == "unknown_question":
+            bad["question_id"] = "Q99"
         else:
             bad["edge_prob"] = [row[:2] for row in bad["edge_prob"]]
         pots.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -382,6 +416,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "bad potentials record on line 2" in err
+        assert {"unknown_theory": "line 2: unknown theory 'T99999'",
+                "unknown_question": f"line 2: unknown question {bad['theory_id']}/Q99",
+                }.get(case, "") in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -442,31 +479,40 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [
-        "answer", "prove", "mask-export", "oracle-potentials", "train-baseline",
-        "score-edges", "decode", "eval", "critical", "render-dot"])
+    @pytest.mark.parametrize("command", READERS)
     def test_repeated_theory_id_is_rejected_at_read(self, workspace, tmp_path, capsys,
                                                    command):
         test_file = workspace / "data" / "test.theories.jsonl"
         first = json.loads(test_file.read_text().splitlines()[0])
         theories = tmp_path / "theories.jsonl"
         theories.write_text(json.dumps(first) + "\n" + json.dumps(first) + "\n")
-        scorer, empty = tmp_path / "scorer.json", tmp_path / "empty.jsonl"
-        scorer.write_text(json.dumps(LinearScorer.untrained().to_dict()))
-        empty.write_text("")
         out = tmp_path / "out"
-        argv = {
-            "oracle-potentials": [command, "--seed", "0", theories, "-o", out],
-            "score-edges": [command, "--scorer", scorer, theories, "-o", out],
-            "decode": [command, "--theories", theories, empty, "-o", out],
-            "eval": [command, "--theories", theories, empty, "-o", out],
-            "render-dot": [command, theories, "-o", out],
-        }.get(command, [command, theories, "-o", out])
         capsys.readouterr()
-        code = run_command([str(a) for a in argv])
+        code = run_command(reader_argv(command, theories, out))
         err = capsys.readouterr().err
         assert code == 2
         assert f"theory id {first['id']!r} already read on line 1 (line 2)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", READERS)
+    @pytest.mark.parametrize("text", ["Alan does not doe Bob.", "Alan does not i Bob."],
+                             ids=["doe", "i"])
+    def test_verb_with_a_reserved_third_person_is_rejected_at_read(
+            self, workspace, tmp_path, capsys, command, text):
+        # "Alan does Bob." and "Alan is Bob." would not read
+        test_file = workspace / "data" / "test.theories.jsonl"
+        record = json.loads(test_file.read_text().splitlines()[0])
+        fact_id = f"F{len(record['facts']) + 1}"
+        record["facts"].append({"id": fact_id, "text": text})
+        theories = tmp_path / "theories.jsonl"
+        theories.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_command(reader_argv(command, theories, out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{fact_id}: relation verb" in err and "(line 1)" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -493,6 +539,7 @@ class TestExitCodes:
         (["mask-export"], "answer", "has no gold answer to label"),
         (["mask-export"], "proofs", "has no gold proofs"),
         (["oracle-potentials", "--seed", "0"], "proofs", "has no gold proofs"),
+        (["train-baseline"], "proofs", "has no gold proofs"),
     ])
     def test_missing_gold_is_rejected_before_any_output(self, workspace, tmp_path, capsys,
                                                         command, key, message):

@@ -1,7 +1,8 @@
 import hashlib
 import json
+import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -40,21 +41,46 @@ class TestConfig:
     def test_checked_in_configs_load(self, path):
         raw = json.loads((ROOT / path).read_text())
         assert GenConfig.from_dict(raw, seed=9).to_dict() == {**raw, "seed": 9}
+        cfg = GenConfig.from_dict(raw)
+        assert GenConfig.from_dict(cfg.to_dict()) == cfg
+        assert list(cfg.to_dict()) == [f.name for f in fields(GenConfig)]
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"num_theories": "2"}, "num_theories must be an integer, got '2'"),
+        ({"max_depth": True}, "max_depth must be an integer, got True"),
+        ({"facts_per_theory": [3, 7]}, "facts_per_theory must be a pair of integers"),
+        ({"negation_rate": None, "profile": 1},
+         "negation_rate must be a number, got None; profile must be a string, got 1"),
+    ], ids=["string_int", "bool_int", "list_pair", "two_fields"])
+    def test_mistyped_field_is_rejected_when_built(self, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            GenConfig(**{"seed": 0, "num_theories": 1, **changes})
+
+    def test_replace_is_checked(self):
+        cfg = GenConfig(seed=0, num_theories=1)
+        with pytest.raises(ConfigError, match="max_depth must be in 0..5"):
+            replace(cfg, max_depth=9)
+        assert replace(cfg, max_depth=2).max_depth == 2
+
+    def test_every_range_problem_is_named(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative; "
+                           "num_theories must be positive"):
+            GenConfig(seed=-1, num_theories=0)
 
     def test_rejects_rules_below_depth(self):
         with pytest.raises(ConfigError, match="below max_depth"):
             GenConfig(seed=1, num_theories=1, max_depth=4,
-                      rules_per_theory=(1, 3)).validate()
+                      rules_per_theory=(1, 3))
 
     def test_rejects_oversized_context(self):
         with pytest.raises(ConfigError, match="limit is 25"):
             GenConfig(seed=1, num_theories=1, facts_per_theory=(3, 15),
-                      rules_per_theory=(3, 15)).validate()
+                      rules_per_theory=(3, 15))
 
     def test_rejects_too_few_questions(self):
         with pytest.raises(ConfigError, match="questions_per_theory"):
             GenConfig(seed=1, num_theories=1, max_depth=3,
-                      questions_per_theory=2).validate()
+                      questions_per_theory=2)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="seed must be non-negative"):
@@ -63,7 +89,7 @@ class TestConfig:
     def test_rejects_depth_beyond_five(self):
         with pytest.raises(ConfigError, match="0..5"):
             GenConfig(seed=1, num_theories=1, max_depth=6,
-                      rules_per_theory=(3, 9), questions_per_theory=8).validate()
+                      rules_per_theory=(3, 9), questions_per_theory=8)
 
 
 class TestGenerateTheory:
@@ -188,7 +214,7 @@ def test_profiles_have_the_vocabulary_drafts_assume():
     deepest = 5
     with pytest.raises(ConfigError, match="max_depth must be in 0..5"):
         GenConfig(seed=0, num_theories=1, max_depth=deepest + 1, rules_per_theory=(3, 7),
-                  questions_per_theory=7).validate()
+                  questions_per_theory=7)
     for name, profile in PROFILES.items():
         assert len(set(profile.entities)) == len(profile.entities) >= 5, name
         assert len(set(profile.attributes)) == len(profile.attributes) >= 2 * deepest + 1 + 3, name

@@ -19,7 +19,8 @@ import oracles
 import ruleproofs
 from ruleproofs.potentials import Potentials
 from ruleproofs.proofgraph import ProofGraph
-from ruleproofs.theory import layout_ids, record_to_theory
+from ruleproofs.theory import (Literal, Theory, layout_ids, make_fact, make_question,
+                               make_rule, record_to_theory)
 
 PACKAGE = Path(ruleproofs.__file__).parent
 
@@ -182,6 +183,40 @@ def repair_ties_toward_the_smallest_pair(decoder) -> bool:
     return decoder.decode_proof(p).proof.edges == {(ids[m], ids[n]) for m, n in chosen}
 
 
+# F2 and F3 both state "Alan is not young", which R1 would derive: the
+# question's proof is the first stated fact. Built directly, because the
+# reader rejects a fact stated twice.
+STATED_TWICE = Theory("T1", tuple(make_fact(f"F{i + 1}", lit) for i, lit in enumerate(
+    [Literal("alan", "blue"), Literal("alan", "young", positive=False),
+     Literal("alan", "young", positive=False)])),
+    (make_rule("R1", [Literal("someone", "blue")], Literal("someone", "young")),),
+    (make_question("Q1", Literal("alan", "young", positive=False)),))
+
+
+def stated_in_fact_order(reasoner) -> bool:
+    return reasoner.prove(STATED_TWICE, STATED_TWICE.questions[0]) == [ProofGraph.of(["F2"])]
+
+
+# Cold and kind each follow from a fact and from each other: kind's
+# fragments inside cold's derivation avoid cold, and those asked for at
+# the top do not.
+POSITIVE_CYCLE = record_to_theory({
+    "id": "T1", "facts": [{"id": "F1", "text": "Alan is blue."},
+                          {"id": "F2", "text": "Alan is rough."}],
+    "rules": [{"id": "R1", "text": "If someone is blue then they are cold."},
+              {"id": "R2", "text": "If someone is rough then they are kind."},
+              {"id": "R3", "text": "If someone is cold then they are kind."},
+              {"id": "R4", "text": "If someone is kind then they are cold."}],
+    "questions": [{"id": "Q1", "text": "Alan is cold."}, {"id": "Q2", "text": "Alan is kind."}]})
+
+
+def fragments_keyed_on_the_path(reasoner) -> bool:
+    program = reasoner.GroundProgram(POSITIVE_CYCLE)
+    return all(reasoner.prove_literal(program, q.literal)
+               == oracles.naive_proofs(POSITIVE_CYCLE, q.literal, 10)
+               for q in POSITIVE_CYCLE.questions)
+
+
 def failure_is_shallowest(t):
     def check(reasoner) -> bool:
         q = t.questions[0]
@@ -251,6 +286,17 @@ MUTANTS = {
         "reasoner", "        while changed:\n            changed = False\n            for head,",
         "        if changed:\n            changed = False\n            for head,",
         failure_is_shallowest(CHAINS_LISTED_BACKWARDS)),
+    "stated_by_reversed": (
+        "reasoner", "[]).append(f.id)", "[]).insert(0, f.id)",
+        stated_in_fact_order),
+    "fragment_table_keyed_on_the_atom": (
+        "reasoner", "    fragments = program._fragment_table.get(key)\n"
+        "    if fragments is None:\n"
+        "        fragments = program._fragment_table[key] = ",
+        "    fragments = program._fragment_table.get(a)\n"
+        "    if fragments is None:\n"
+        "        fragments = program._fragment_table[a] = ",
+        fragments_keyed_on_the_path),
     "proof_depth_without_cycle_fallback": (
         "proofgraph", "    if len(ready) < len(is_rule):\n", "    if False:\n",
         depth_counts_rules_on_paths),

@@ -140,6 +140,15 @@ class TestParsing:
         with pytest.raises(TheoryParseError):
             parse_rule_sentence("If someone does Bob then they doe Carol.")
 
+    @pytest.mark.parametrize("verb", ["doe", "i"])
+    def test_rejects_verb_whose_third_person_is_reserved(self, verb):
+        # "Carol does Bob." and "Carol is Bob." do not read, so neither may
+        # the negated forms
+        with pytest.raises(TheoryParseError, match="reserved word as its third person"):
+            parse_fact_sentence(f"Carol does not {verb} Bob.")
+        with pytest.raises(TheoryParseError, match="reserved word as its third person"):
+            parse_rule_sentence(f"If someone is blue and does not {verb} Bob then they are red.")
+
     def test_rejects_lowercase_entity(self):
         with pytest.raises(TheoryParseError):
             parse_fact_sentence("alan is blue.")

@@ -318,8 +318,8 @@ def _cmd_decode(args) -> int:
                 if (t.id, question_id) in rows:
                     raise ValueError(f"second record for question {t.id}/{question_id}")
             except (KeyError, TypeError, ValueError) as exc:
-                raise evalharness.EvaluationError(
-                    f"bad potentials record on line {line_no}: {exc}") from exc
+                raise evalharness.EvaluationError(f"bad potentials record on line {line_no}: "
+                                                  f"{theory_mod.record_error(exc)}") from exc
             if t.id not in answers:
                 program = reasoner.closure(t)
                 answers[t.id] = {q.id: program.holds(q.literal) for q in t.questions}

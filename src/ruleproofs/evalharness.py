@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .proofgraph import ProofGraph, match_proofs, proof_depth
-from .theory import Question, Theory
+from .theory import Question, Theory, record_error
 
 
 class EvaluationError(ValueError):
@@ -162,9 +162,9 @@ def aggregate_report(
     for pred in predictions:
         key = (pred.theory_id, pred.question_id)
         if key in by_key:
-            raise EvaluationError(f"duplicate prediction for {key}")
+            raise EvaluationError(f"duplicate prediction for {key[0]}/{key[1]}")
         if key not in question_index:
-            raise EvaluationError(f"prediction for unknown question {key}")
+            raise EvaluationError(f"prediction for unknown question {key[0]}/{key[1]}")
         by_key[key] = pred
 
     skipped = 0
@@ -176,11 +176,12 @@ def aggregate_report(
             skipped += 1
             continue
         if key not in by_key:
-            raise EvaluationError(f"missing prediction for {key}")
+            raise EvaluationError(f"missing prediction for {key[0]}/{key[1]}")
         pred = by_key.pop(key)
         unknown = t.unknown_ids(chain(pred.proof.nodes, *pred.proof.edges))
         if unknown:
-            raise EvaluationError(f"prediction for {key} references unknown sentence {unknown[0]}")
+            raise EvaluationError(
+                f"prediction for {key[0]}/{key[1]} references unknown sentence {unknown[0]}")
         score = score_example(q, pred)
         if q.gold_depth is not None:
             depth = q.gold_depth
@@ -204,5 +205,6 @@ def read_predictions(fp) -> list[PredictionRecord]:
         try:
             records.append(PredictionRecord.from_dict(json.loads(line)))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise EvaluationError(f"bad prediction record on line {line_no}: {exc}") from exc
+            raise EvaluationError(
+                f"bad prediction record on line {line_no}: {record_error(exc)}") from exc
     return records

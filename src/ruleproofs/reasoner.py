@@ -47,8 +47,13 @@ A proof is checked by firing its rules' instances against what its
 other nodes supply, as signed atom ids (atom id, positive): a fact its
 literal, and NAF every negative antecedent whose atom the program leaves
 underived, so an antecedent arrives over an edge exactly when the edge's
-source supplies it. The shallowest failure is read from a per-program
-table of failure depths, one relaxation over the instances.
+source supplies it. A per-program row holds each rule's instances as
+(head, set of signed antecedents); a pass over the proof's rule nodes
+unions what each node's sources supply once, and an instance fires when
+its antecedent set is a subset of that union. Firing is monotone, so the
+fired instances do not depend on the order they are tried in. The
+shallowest failure is read from a per-program table of failure depths,
+one relaxation over the instances.
 
 Proof search reads two more per-program tables, filled entry by entry as
 proofs are asked for, so an atom is enumerated once per program however
@@ -168,11 +173,12 @@ class GroundProgram:
     The rest is built on first read and then kept. ``derived`` is the
     fixpoint as a set of atoms; ``derivation_index`` maps each derived
     head id to the instances that fire for it, in grounding order;
-    ``rule_ids`` names each instance's rule and ``rule_rows`` indexes
-    instances by rule id; ``stated_by`` maps a signed atom id (atom id,
-    positive) to the facts stating it; ``removals[s]`` holds the instances
-    that vanish with sentence ``s``. Proofs and their checks read these
-    rows; no literal is bound.
+    ``rule_ids`` names each instance's rule and ``rule_instances`` holds
+    each rule id's instances as (signed head, signed antecedent set);
+    ``stated_by`` maps a signed atom id (atom id, positive) to the facts
+    stating it; ``removals[s]`` holds the instances that vanish with
+    sentence ``s``. Proofs and their checks read these rows; no literal
+    is bound.
 
     Proof search fills two tables, one entry per first read, and they go
     with the program. ``_fragment_table`` maps (atom id, path ∩ cone) to
@@ -233,11 +239,14 @@ class GroundProgram:
         return [rules[index].id for index, _binding in self.keys]
 
     @cached_property
-    def rule_rows(self) -> dict[str, list[int]]:
-        """Instance indices by rule id."""
-        rows: dict[str, list[int]] = {}
+    def rule_instances(self) -> dict[str, list[tuple[tuple[int, bool],
+                                                     frozenset[tuple[int, bool]]]]]:
+        """Each rule id's instances, in grounding order, as (signed head,
+        signed antecedents): what a proof check fires."""
+        rows: dict[str, list] = {}
         for i, rule_id in enumerate(self.rule_ids):
-            rows.setdefault(rule_id, []).append(i)
+            rows.setdefault(rule_id, []).append(
+                ((self.heads[i], True), frozenset(_antecedents(self, i))))
         return rows
 
     @cached_property
@@ -610,41 +619,43 @@ def check_proof(t: Theory, q: Question, p: ProofGraph) -> bool:
         exempt = (NAF, rule_id)  # an edge needs both ends in p, so the rule node is there
         if exempt not in p.edges or any(src == rule_id for src, _ in p.edges):
             return False
-        sources = [src for src, dst in p.edges if dst == rule_id]
         needs[rule_id] = set(_satisfiable(program, i))
-        if not all(any(ant in supplied[src] for src in sources) for ant in needs[rule_id]):
+        if not needs[rule_id] <= set().union(*(supplied[src] for src, dst in p.edges
+                                               if dst == rule_id)):
             return False
 
-    return all((src, dst) == exempt or any(ant in supplied[src] for ant in needs.get(dst, ()))
+    return all((src, dst) == exempt or not supplied[src].isdisjoint(needs.get(dst, ()))
                for src, dst in p.edges)
 
 
 def _simulate(program: GroundProgram, p: ProofGraph):
     """Fire the proof's rules against what its nodes supply (see
-    ``GroundProgram.supplies``) until nothing changes. Returns the signed
-    atom ids supplied per node and, per fired rule node, the antecedents of
-    its fired instances. A rule may fire under several bindings; an
-    antecedent is satisfied when some incoming edge comes from a node that
-    supplies it.
+    ``GroundProgram.supplies``) until a pass fires nothing. Returns the
+    signed atom ids supplied per node and, per fired rule node, the
+    antecedents of its fired instances. A rule may fire under several
+    bindings. Each pass visits each rule node once: it unions what the
+    node's sources supply, and an instance (``GroundProgram.rule_instances``)
+    fires when its antecedent set is a subset of that union. Firing only
+    adds, so the fired set, and with it ``needs``, is the same whatever
+    order nodes and instances are tried in.
     """
     supplied = {node: set(program.supplies.get(node, ())) for node in p.nodes}
-    instances = {node: [((program.heads[i], True), _antecedents(program, i))
-                        for i in program.rule_rows.get(node, ())]
-                 for node in p.nodes}
-    incoming: dict[str, list[str]] = {n: [] for n in p.nodes}
+    incoming: dict[str, list[str]] = {}
     for s, d in p.edges:
-        incoming[d].append(s)
+        incoming.setdefault(d, []).append(s)
+    rules = [(node, program.rule_instances[node], incoming.get(node, ()))
+             for node in p.nodes if node in program.rule_instances]
 
     needs: dict[str, set[tuple[int, bool]]] = {}
     changed = True
     while changed:
         changed = False
-        for node in p.nodes:
-            for consequent, antecedents in instances[node]:
-                if consequent in supplied[node]:
-                    continue
-                if all(any(a in supplied[s] for s in incoming[node]) for a in antecedents):
-                    supplied[node].add(consequent)
+        for node, instances, sources in rules:
+            arrived = set().union(*(supplied[s] for s in sources))
+            output = supplied[node]
+            for consequent, antecedents in instances:
+                if consequent not in output and antecedents <= arrived:
+                    output.add(consequent)
                     needs.setdefault(node, set()).update(antecedents)
                     changed = True
     return supplied, needs

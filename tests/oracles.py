@@ -7,7 +7,9 @@ edge inside a cycle, the failure-selection oracle recurses over paths that
 never revisit an atom, the proof oracle enumerates every path-restricted
 derivation from scratch for each literal, the decode oracle enumerates every edge assignment,
 the depth oracle enumerates every simple path, the layout oracle parses
-each sentence id, and the feature oracle tokenizes both texts of a cell.
+each sentence id, the feature oracle tokenizes both texts of a cell, and
+the proof-check oracle visits every node of a proof on each pass and
+tests each antecedent against each incoming edge's source.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 import re
 
 from ruleproofs.potentials import FeatureVector
-from ruleproofs.proofgraph import NAF, ProofGraph, node_kind
+from ruleproofs.proofgraph import NAF, ProofGraph, node_kind, validate_structure
 from ruleproofs.theory import Literal, Theory
 
 
@@ -247,6 +249,73 @@ def naive_proofs(t: Theory, lit: Literal, max_proofs: int = 10) -> list:
         nodes |= g[0]
         edges |= g[1] | {(g[2], rule_id)}
     return [ProofGraph.of(nodes, edges)]
+
+
+def naive_check_proof(t: Theory, q, p: ProofGraph) -> bool:
+    """Whether ``p`` is the proof ``naive_proofs`` would accept for
+    question ``q``, checked as ``reasoner.check_proof`` specifies but over
+    the oracle's closure, instances and failure selection.
+
+    A stated negative question needs its first stating fact alone. Else
+    the proof's rules fire against what its nodes supply, as signed atoms:
+    a fact its literal, NAF each negative antecedent whose atom is not
+    derived. Every pass visits every node and fires an instance when each
+    of its antecedents is supplied by some incoming edge's source, until a
+    pass fires nothing. A derivable atom must be supplied by some node. A
+    failure shows the picked instance's rule with an edge from NAF, no
+    out-edge, and each satisfiable antecedent supplied over an edge.
+    Every other edge must carry an antecedent of a fired instance of the
+    rule it enters.
+    """
+    if validate_structure(p):
+        return False
+    unknown = sorted(p.nodes - {f.id for f in t.facts} - {r.id for r in t.rules} - {NAF})
+    if unknown:
+        raise KeyError(f"unknown node id {unknown[0]!r}")
+    derived, stated, rows, failed = _proof_basis(t)
+    atom = q.literal.atom()
+    if not q.literal.positive and (atom, False) in stated:
+        return p.nodes == {stated[atom, False]} and not p.edges
+
+    def antecedents(row):
+        return [(b, True) for b in row[4]] + [(b, False) for b in row[5]]
+
+    supplies = {f.id: {(f.literal.atom(), f.literal.positive)} for f in t.facts}
+    supplies[NAF] = {(b, False) for row in rows for b in row[5] if b not in derived}
+    supplied = {node: set(supplies.get(node, ())) for node in p.nodes}
+    incoming = {node: [s for s, d in p.edges if d == node] for node in p.nodes}
+    needs: dict = {}
+    changed = True
+    while changed:
+        changed = False
+        for node in p.nodes:
+            for row in rows:
+                if row[2] != node or (row[3], True) in supplied[node]:
+                    continue
+                if all(any(a in supplied[s] for s in incoming[node]) for a in antecedents(row)):
+                    supplied[node].add((row[3], True))
+                    needs.setdefault(node, set()).update(antecedents(row))
+                    changed = True
+
+    if atom in derived:
+        exempt = None
+        if not any((atom, True) in signed for signed in supplied.values()):
+            return False
+    else:
+        picked = failed.get(atom)
+        if picked is None:
+            return p.nodes == {NAF} and not p.edges
+        row = next(row for row in rows if row[:2] == picked[:2])
+        rule_id = row[2]
+        exempt = (NAF, rule_id)
+        if exempt not in p.edges or any(s == rule_id for s, _ in p.edges):
+            return False
+        failing = {(a.atom(), a.positive) for a in picked[2]}
+        needs[rule_id] = {a for a in antecedents(row) if a not in failing}
+        if not all(any(a in supplied[s] for s in incoming[rule_id]) for a in needs[rule_id]):
+            return False
+    return all((s, d) == exempt or any(a in supplied[s] for a in needs.get(d, ()))
+               for s, d in p.edges)
 
 
 def brute_force_decode(node_prob, edge_prob, num_facts):

@@ -188,6 +188,16 @@ class TestExitCodes:
         assert "bad prediction record on line 2" in err
         assert "Traceback" not in err
 
+    def test_prediction_without_a_key_names_the_key(self, workspace, tmp_path, capsys):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"theory_id": "T1", "question_id": "Q1",
+                                     "nodes": ["F1"], "edges": []}) + "\n")
+        capsys.readouterr()
+        assert run_command(["eval", "--theories", str(test_file), str(preds)]) == 2
+        assert "bad prediction record on line 1: missing key 'answer'" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("case, message", [
         ("swapped_ids", "id F2: expected F1"),
         ("unknown_proof_node", "gold proof names unknown node 'F99'"),
@@ -202,9 +212,11 @@ class TestExitCodes:
         ("third_person_verb", "Q1: relation verb 'likes' must be in base form"),
         ("empty_proof", "Q1: a gold proof has no nodes"),
         ("edge_end_not_a_node", "Q1: a gold proof's edges name ['NAF'] outside its nodes"),
+        ("missing_fact_id", "malformed theory record: missing key 'id' (line 2)"),
     ], ids=["swapped_ids", "unknown_proof_node", "nonsense", "string_answer", "float_depth",
             "no_antecedents", "variable_fact", "variable_question", "int_theory_id",
-            "int_text", "third_person_verb", "empty_proof", "edge_end_not_a_node"])
+            "int_text", "third_person_verb", "empty_proof", "edge_end_not_a_node",
+            "missing_fact_id"])
     def test_theory_record_checked_at_read(self, workspace, tmp_path, capsys, case, message):
         test_file = workspace / "data" / "test.theories.jsonl"
         records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
@@ -234,6 +246,8 @@ class TestExitCodes:
             question["proofs"][-1] = {"nodes": [], "edges": []}
         elif case == "edge_end_not_a_node":
             question["proofs"][-1] = {"nodes": ["F1"], "edges": [["F1", "NAF"]]}
+        elif case == "missing_fact_id":
+            del bad["facts"][0]["id"]
         else:
             bad["rules"][0]["text"] = 5
         theories = tmp_path / "theories.jsonl"
@@ -341,7 +355,7 @@ class TestExitCodes:
         code = run_command(["eval", "--theories", str(test_file), str(preds)])
         err = capsys.readouterr().err
         assert code == 2
-        assert (f"prediction for ('{theory['id']}', '{theory['questions'][0]['id']}') "
+        assert (f"prediction for {theory['id']}/{theory['questions'][0]['id']} "
                 "references unknown sentence Fx") in err
 
     @pytest.mark.parametrize("edges, unknown", [
@@ -361,13 +375,13 @@ class TestExitCodes:
                                      "nodes": ["F1"], "edges": edges}) + "\n")
         capsys.readouterr()
         assert run_command(["eval", "--theories", str(theories), str(preds)]) == 2
-        assert (f"prediction for ('T1', 'Q1') references unknown sentence {unknown}"
+        assert (f"prediction for T1/Q1 references unknown sentence {unknown}"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
                                       "duplicate", "string", "bool", "huge_int", "short_row",
                                       "infinity", "negative", "nested_node", "unknown_theory",
-                                      "unknown_question"])
+                                      "unknown_question", "missing_question_id"])
     def test_malformed_potentials_are_data_errors(self, workspace, tmp_path, capsys, case):
         test_file = workspace / "data" / "test.theories.jsonl"
         pots = tmp_path / "pots.jsonl"
@@ -406,6 +420,8 @@ class TestExitCodes:
             bad["theory_id"] = "T99999"
         elif case == "unknown_question":
             bad["question_id"] = "Q99"
+        elif case == "missing_question_id":
+            del bad["question_id"]
         else:
             bad["edge_prob"] = [row[:2] for row in bad["edge_prob"]]
         pots.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -418,6 +434,7 @@ class TestExitCodes:
         assert "bad potentials record on line 2" in err
         assert {"unknown_theory": "line 2: unknown theory 'T99999'",
                 "unknown_question": f"line 2: unknown question {bad['theory_id']}/Q99",
+                "missing_question_id": "line 2: missing key 'question_id'",
                 }.get(case, "") in err
         assert "Traceback" not in err
         assert not out.exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -113,19 +115,21 @@ class TestAggregateReport:
         assert fa <= min(qa, pa) and pa <= min(na, ea)
 
     def test_missing_prediction_rejected(self, bundle):
-        preds = perfect_predictions(bundle.test)[:-1]
-        with pytest.raises(EvaluationError, match="missing"):
+        *preds, last = perfect_predictions(bundle.test)
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"missing prediction for {last.theory_id}/{last.question_id}")):
             aggregate_report(bundle.test, preds)
 
     def test_duplicate_prediction_rejected(self, bundle):
         preds = perfect_predictions(bundle.test)
-        with pytest.raises(EvaluationError, match="duplicate"):
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"duplicate prediction for {preds[0].theory_id}/{preds[0].question_id}")):
             aggregate_report(bundle.test, preds + [preds[0]])
 
     def test_unknown_question_rejected(self, bundle):
         preds = perfect_predictions(bundle.test)
         preds[0] = PredictionRecord("nope", "Q1", True, P1)
-        with pytest.raises(EvaluationError, match="unknown"):
+        with pytest.raises(EvaluationError, match="prediction for unknown question nope/Q1$"):
             aggregate_report(bundle.test, preds)
 
     def test_unknown_prediction_node_named_in_sorted_order(self, bundle):

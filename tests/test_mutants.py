@@ -171,6 +171,23 @@ def naf_supplies_underived_atoms_only(reasoner) -> bool:
         and not reasoner.check_proof(NAF_FOR_DERIVED, q, wrong)
 
 
+# Cold needs blue and big, and F1 supplies blue alone: R1 does not fire.
+BOTH_ANTECEDENTS = record_to_theory({
+    "id": "T1", "facts": [{"id": "F1", "text": "Alan is blue."},
+                          {"id": "F2", "text": "Alan is big."}],
+    "rules": [{"id": "R1", "text": "If someone is blue and big then they are cold."}],
+    "questions": [{"id": "Q1", "text": "Alan is cold."}]})
+
+
+def rule_fires_on_all_its_antecedents(reasoner) -> bool:
+    q = BOTH_ANTECEDENTS.questions[0]
+    gold = ProofGraph.of(["F1", "F2", "R1"], [("F1", "R1"), ("F2", "R1")])
+    half = ProofGraph.of(["F1", "R1"], [("F1", "R1")])
+    return all(reasoner.check_proof(BOTH_ANTECEDENTS, q, p)
+               == oracles.naive_check_proof(BOTH_ANTECEDENTS, q, p) == (p == gold)
+               for p in (gold, half))
+
+
 def repair_ties_toward_the_smallest_pair(decoder) -> bool:
     # F1 -> R1 is kept; R2 joins over F1 -> R2, R1 -> R2 or R2 -> R1, each
     # at the same flip cost
@@ -257,6 +274,9 @@ MUTANTS = {
         "                                  if not self.flags[a])",
         "for neg in self.negatives for a in neg)",
         naf_supplies_underived_atoms_only),
+    "instance_fires_on_any_antecedent": (
+        "reasoner", "antecedents <= arrived", "not antecedents.isdisjoint(arrived)",
+        rule_fires_on_all_its_antecedents),
     "repair_ties_toward_the_largest_pair": (
         "decoder", "for m, n in pairs if (m, n) not in chosen)\n",
         "for m, n in pairs if (m, n) not in chosen)\n"

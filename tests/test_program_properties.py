@@ -7,15 +7,19 @@ may form cycles through negation. Failure selection also runs on layered
 chains, where failure depth decides between an atom's concluders. Proof
 search runs on both, and on theories whose rules form positive cycles,
 against an enumeration without tables. Closure, critical sentences and
-proof checking also draw theories with positive cycles."""
+proof checking also draw theories with positive cycles, and proof checks
+of emitted proofs and of their single-edge and single-node mutations are
+compared with a checker that tests antecedents one source at a time."""
 
 import functools
+import itertools
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from ruleproofs.proofgraph import NAF, ProofGraph
 from ruleproofs.reasoner import (
     GroundProgram,
     NonStratifiedTheory,
@@ -246,6 +250,31 @@ def test_check_proof_accepts_every_emitted_proof(t):
     for q in t.questions:
         for p in prove_literal(program, q.literal):
             assert check_proof(t, q, p), (q.text, p.to_dict())
+
+
+def single_mutations(t: Theory, p: ProofGraph):
+    """``p`` with one edge added or removed, one node removed with its
+    edges, or one node of ``t`` added with an edge to or from a node of ``p``."""
+    nodes = sorted(p.nodes)
+    for edge in itertools.permutations(nodes, 2):
+        yield ProofGraph(p.nodes, p.edges ^ {edge})
+    for node in nodes:
+        yield ProofGraph(p.nodes - {node}, frozenset(e for e in p.edges if node not in e))
+    for new in sorted({*t.sentence_ids(), NAF} - p.nodes):
+        for old in nodes:
+            for edge in ((new, old), (old, new)):
+                yield ProofGraph(p.nodes | {new}, p.edges | {edge})
+
+
+@settings(max_examples=100, deadline=None)
+@given(ANY_THEORY)
+def test_check_proof_agrees_with_naive_checker_on_mutated_proofs(t):
+    program = closure(t)
+    for q in t.questions:
+        for gold in prove_literal(program, q.literal):
+            for p in (gold, *single_mutations(t, gold)):
+                assert check_proof(t, q, p) == oracles.naive_check_proof(t, q, p), \
+                    (q.text, p.to_dict())
 
 
 def assert_failed_instances_match_path_oracle(t):

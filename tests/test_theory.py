@@ -210,8 +210,9 @@ class TestParsing:
                 parse_rule_sentence("If someone is blue then they likes Bob.")
 
     def test_clause_cache_bound_is_the_constant(self):
-        for clause in (theory._entity_clause, theory._variable_clause):
-            assert clause.cache_info().maxsize == theory._CLAUSE_CACHE_SIZE
+        for memo in (theory._entity_clause, theory._variable_clause,
+                     theory._read_fact, theory._read_rule):
+            assert memo.cache_info().maxsize == theory._CLAUSE_CACHE_SIZE
 
 
 class TestParseTheory:
@@ -244,6 +245,33 @@ class TestParseTheory:
         with pytest.raises(TheoryParseError, match="R2: sentence must end with a period") as exc:
             list(read_theories(io.StringIO(f"{first}\n{second}\n{json.dumps(bad)}\n")))
         assert exc.value.line == 3
+
+    def test_failed_sentence_raises_alike_on_every_read(self):
+        good = json.dumps(theory_to_record(small_theory("t1")))
+        bad = theory_to_record(small_theory("t2"))
+        bad["facts"][1]["text"] = "Bob likes Someone."
+        bad["rules"][0]["text"] = "If someone is blue then they likes Bob."
+        errors = []
+        for facts in (bad["facts"], [], bad["facts"]):  # the rule alone fails in between
+            lines = f"{good}\n{json.dumps({**bad, 'facts': facts})}\n"
+            for _ in range(2):
+                with pytest.raises(TheoryParseError) as exc:
+                    list(read_theories(io.StringIO(lines)))
+                errors.append((str(exc.value), exc.value.line))
+        fact = ("F2: entity token 'Someone' is a reserved word (line 2)", 2)
+        rule = ("R1: relation verb 'likes' must be in base form (line 2)", 2)
+        assert errors == [fact, fact, rule, rule, fact, fact]
+
+    def test_ids_out_of_order_are_each_named(self):
+        record = theory_to_record(small_theory())
+        record["facts"][0]["id"], record["facts"][1]["id"] = "F2", "F1"
+        record["rules"][1]["id"] = "R3"
+        with pytest.raises(TheoryParseError) as exc:
+            read_one(record)
+        assert str(exc.value) == (
+            "theory 't': id F2: expected F1 (ids must be contiguous); "
+            "id F1: expected F2 (ids must be contiguous); "
+            "id R3: expected R2 (ids must be contiguous) (line 1)")
 
     def test_read_skips_blank_lines(self):
         buffer = io.StringIO()

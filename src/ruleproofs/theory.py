@@ -5,11 +5,10 @@ every item carries both a structured literal form and a rendered
 English-like sentence from a fixed synthetic grammar:
 ``parse(render(x)) == x``, and rendering is byte-deterministic. On disk
 an item is its text only; reading a theory parses each literal from it.
-The parser is a function of the text alone, so it keeps each clause's
-parse in a bounded memo, and the reader keeps each whole sentence's in
-two more: a sentence read again in the same process, as a corpus read by
-several stages is, costs a lookup. ``read_theories`` adds the line
-number to any error.
+The parser is a function of the text alone, so it keeps each sentence's
+and each clause's parse in bounded memos: a sentence parsed again in the
+same process, as a corpus read by several stages is, costs a lookup.
+``read_theories`` adds the line number to any error.
 
 The grammar is one clause table, the words after a subject (``_phrase``
 renders it, ``_parse_phrase`` inverts it):
@@ -312,11 +311,11 @@ def _parse_phrase(subject: str, words: list[str], plural: bool) -> Literal:
     raise TheoryParseError(f"cannot parse clause {' '.join([subject, *words])!r}")
 
 
-# Corpora reuse a few hundred clauses across thousands of sentences, so
-# the parser keeps each clause's parse and the reader each sentence's,
-# in memos of this many entries each; the bound caps what one process
-# keeps. A clause or sentence that raises is not kept, so it raises on
-# every call.
+# Corpora reuse a few hundred clauses across thousands of sentences, and
+# a process may read one corpus many times, so the parser keeps each
+# clause's and each sentence's parse in memos of this many entries each;
+# the bound caps what one process keeps. A clause or sentence that raises
+# is not kept, so it raises on every call.
 _CLAUSE_CACHE_SIZE = 4096
 
 
@@ -348,6 +347,7 @@ def _strip_period(text: str) -> str:
     return body
 
 
+@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
 def parse_rule_sentence(text: str) -> tuple[tuple[Literal, ...], Literal]:
     """Parse an "If ... then ...." sentence into antecedents and consequent.
     A variable rule's attribute antecedent may carry or drop its "is"
@@ -377,6 +377,7 @@ def parse_rule_sentence(text: str) -> tuple[tuple[Literal, ...], Literal]:
     return antecedents, consequent
 
 
+@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
 def parse_fact_sentence(text: str) -> Literal:
     """Parse a declarative sentence (fact or question) into its literal."""
     body = _strip_period(text)
@@ -389,16 +390,7 @@ def parse_fact_sentence(text: str) -> Literal:
 # Theory-level validation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)  # three prefixes times the item counts theories have
-def _contiguous_ids(prefix: str, count: int) -> list[str]:
-    """The ids ``prefix`` 1 .. ``count``; shared by every caller, never changed."""
-    return [f"{prefix}{i}" for i in range(1, count + 1)]
-
-
 def _check_ids(items, prefix: str, violations: list[str]) -> None:
-    ids = [item.id for item in items]
-    if ids == _contiguous_ids(prefix, len(ids)):
-        return
     for i, item in enumerate(items):
         expected = f"{prefix}{i + 1}"
         if item.id != expected:
@@ -569,19 +561,6 @@ def _parse(item: dict, parse):
         raise TheoryParseError(f"{item['id']}: {exc}") from None
 
 
-# The reader's sentence memos. Only reads use them, since a process reads
-# one corpus again and again; the texts that ``validate_theory``'s
-# parse-back sees are mostly new, and would only fill the memos.
-@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
-def _read_fact(text: str) -> Literal:
-    return parse_fact_sentence(text)
-
-
-@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
-def _read_rule(text: str) -> tuple[tuple[Literal, ...], Literal]:
-    return parse_rule_sentence(text)
-
-
 def _question_from_dict(q: dict) -> Question:
     answer, depth = q.get("answer"), q.get("depth")
     if not (answer is None or type(answer) is bool):
@@ -589,7 +568,7 @@ def _question_from_dict(q: dict) -> Question:
     if not (depth is None or type(depth) is int):
         raise TypeError(f"depth must be an integer, got {depth!r}")
     proofs = tuple(ProofGraph.from_dict(p) for p in q["proofs"]) if "proofs" in q else None
-    return Question(q["id"], _parse(q, _read_fact), q["text"], answer, proofs, depth)
+    return Question(q["id"], _parse(q, parse_fact_sentence), q["text"], answer, proofs, depth)
 
 
 def record_to_theory(record: dict) -> Theory:
@@ -601,9 +580,9 @@ def record_to_theory(record: dict) -> Theory:
         raise TheoryParseError(
             f"theory record must be a JSON object, got {type(record).__name__}")
     try:
-        facts = tuple(Fact(f["id"], _parse(f, _read_fact), f["text"])
+        facts = tuple(Fact(f["id"], _parse(f, parse_fact_sentence), f["text"])
                       for f in record.get("facts", ()))
-        rules = tuple(Rule(r["id"], *_parse(r, _read_rule), r["text"])
+        rules = tuple(Rule(r["id"], *_parse(r, parse_rule_sentence), r["text"])
                       for r in record.get("rules", ()))
         questions = tuple(map(_question_from_dict, record.get("questions", ())))
         t = Theory(_string(record["id"], "theory id"), facts, rules, questions)

@@ -211,7 +211,7 @@ class TestParsing:
 
     def test_clause_cache_bound_is_the_constant(self):
         for memo in (theory._entity_clause, theory._variable_clause,
-                     theory._read_fact, theory._read_rule):
+                     parse_fact_sentence, parse_rule_sentence):
             assert memo.cache_info().maxsize == theory._CLAUSE_CACHE_SIZE
 
 

@@ -9,7 +9,10 @@ library modules, defaulting to stdin/stdout so commands can be piped:
         ruleproofs eval --theories data/test.theories.jsonl
 
 Exit codes: 0 success, 1 usage error, 2 data/schema or I/O error, 3
-internal invariant violation.
+internal invariant violation. Theories, potentials and predictions are
+read by ``theory.read_records``: a bad line exits 2 with "bad <kind>
+record on line N: <detail>", a repeated theory id or question naming
+both lines, and leaves no output.
 """
 
 from __future__ import annotations
@@ -299,49 +302,42 @@ def _cmd_score_edges(args) -> int:
 
 def _cmd_decode(args) -> int:
     """Read, check, answer and decode one potentials record at a time,
-    keeping only its output row; a second record for the same question is
-    a data error, and nothing is written before the last record."""
-    theories = {t.id: t for t in _load_theories(args.theories)}
-    answers: dict[str, dict[str, bool]] = {}
-    rows: dict[tuple[str, str], dict] = {}
+    keeping only its output row; nothing is written before the last
+    record is read."""
+    theories = _load_theories(args.theories)
+    index = {(t.id, q.id): (t, q) for t in theories for q in t.questions}
+
+    def target(record: dict):
+        ids = record["theory_id"], record["question_id"]
+        for field, value in zip(("theory_id", "question_id"), ids):
+            if type(value) is not str:
+                raise TypeError(f"{field} must be a string, got {value!r}")
+        if ids not in index:
+            known = any(t.id == ids[0] for t in theories)
+            raise ValueError(f"unknown question {ids[0]}/{ids[1]}" if known
+                             else f"unknown theory {ids[0]!r}")
+        t, q = index[ids]
+        return t, q, potentials.Potentials.from_record(record, t)
+
+    rows = []
     with _open_input(args.input) as fp:
-        for line_no, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                t = theories.get(record["theory_id"])
-                if t is None:
-                    raise ValueError(f"unknown theory {record['theory_id']!r}")
-                pot = potentials.Potentials.from_record(record, t)
-                question_id = record["question_id"]
-                if (t.id, question_id) in rows:
-                    raise ValueError(f"second record for question {t.id}/{question_id}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise evalharness.EvaluationError(f"bad potentials record on line {line_no}: "
-                                                  f"{theory_mod.record_error(exc)}") from exc
-            if t.id not in answers:
-                program = reasoner.closure(t)
-                answers[t.id] = {q.id: program.holds(q.literal) for q in t.questions}
-            if question_id not in answers[t.id]:
-                raise evalharness.EvaluationError(
-                    f"bad potentials record on line {line_no}: "
-                    f"unknown question {t.id}/{question_id}")
+        for t, q, pot in theory_mod.read_records(fp, "potentials", target,
+                                                 lambda r: f"question {r[0].id}/{r[1].id}"):
             if args.unconstrained:
                 result = decoder.decode_unconstrained(pot)
             else:
                 result = decoder.decode_with_fallback(pot, connectivity=not args.no_connectivity)
             d = result.proof.to_dict()
-            rows[t.id, question_id] = {
+            rows.append({
                 "theory_id": t.id,
-                "question_id": question_id,
-                "answer": answers[t.id][question_id],
+                "question_id": q.id,
+                "answer": reasoner.answer_question(t, q),
                 "nodes": d["nodes"],
                 "edges": d["edges"],
                 "objective": result.objective,
                 "connectivity_relaxed": result.connectivity_relaxed,
-            }
-    _write_rows(args.output, rows.values())
+            })
+    _write_rows(args.output, rows)
     return 0
 
 

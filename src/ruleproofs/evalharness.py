@@ -4,18 +4,18 @@ Five per-example flags: answer accuracy (QA), node/edge/proof exact
 match against any gold proof (NA/EA/PA), and full accuracy (FA = answer
 and proof both right). Reports bucket examples by gold depth, taking the
 maximum depth over a question's gold proofs, and always satisfy
-PA <= min(NA, EA) and FA <= min(QA, PA) row by row.
+PA <= min(NA, EA) and FA <= min(QA, PA) row by row. ``read_predictions``
+reads a predictions file through ``theory.read_records``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional
 
 from .proofgraph import ProofGraph, match_proofs, proof_depth
-from .theory import Question, Theory, record_error
+from .theory import Question, Theory, read_records
 
 
 class EvaluationError(ValueError):
@@ -198,13 +198,7 @@ def aggregate_report(
 
 
 def read_predictions(fp) -> list[PredictionRecord]:
-    records = []
-    for line_no, line in enumerate(fp, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(PredictionRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise EvaluationError(
-                f"bad prediction record on line {line_no}: {record_error(exc)}") from exc
-    return records
+    """Every prediction of a JSONL file, read by ``theory.read_records``: a
+    question is predicted once per file."""
+    return list(read_records(fp, "prediction", PredictionRecord.from_dict,
+                             lambda p: f"question {p.theory_id}/{p.question_id}"))

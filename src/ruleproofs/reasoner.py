@@ -127,8 +127,8 @@ def ground_instances(t: Theory):
     return ids, keys, heads, positives, negatives
 
 
-def _stratify(atoms: list[Atom], heads: list[int], positives: list[tuple[int, ...]],
-              negatives: list[tuple[int, ...]]) -> list[int]:
+def _stratify(theory_id: str, atoms: list[Atom], heads: list[int],
+              positives: list[tuple[int, ...]], negatives: list[tuple[int, ...]]) -> list[int]:
     """Least stratum per atom id, so negating a concluded atom always points strictly down.
 
     Relaxes every instance until a pass changes nothing: its head rises to
@@ -156,7 +156,8 @@ def _stratify(atoms: list[Atom], heads: list[int], positives: list[tuple[int, ..
                 rising = head
         if rising is None:
             return strata
-    raise NonStratifiedTheory(f"a dependency cycle through negation reaches atom {atoms[rising]}")
+    raise NonStratifiedTheory(f"theory {theory_id!r}: a dependency cycle through negation "
+                              f"reaches atom {atoms[rising]}")
 
 
 class GroundProgram:
@@ -199,7 +200,7 @@ class GroundProgram:
         self.atoms = list(self.atom_ids)
         self.fact_atoms = [(f.id, self.atom_ids[f.literal.atom()])
                            for f in t.facts if f.literal.positive]
-        strata = _stratify(self.atoms, self.heads, self.positives, self.negatives)
+        strata = _stratify(t.id, self.atoms, self.heads, self.positives, self.negatives)
         self.levels: list[list[int]] = [[] for _ in range(max(strata, default=-1) + 1)]
         self.watchers: list[list[int]] = [[] for _ in strata]
         for i, head in enumerate(self.heads):

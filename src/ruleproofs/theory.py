@@ -8,7 +8,8 @@ an item is its text only; reading a theory parses each literal from it.
 The parser is a function of the text alone, so it keeps each sentence's
 and each clause's parse in bounded memos: a sentence parsed again in the
 same process, as a corpus read by several stages is, costs a lookup.
-``read_theories`` adds the line number to any error.
+``read_records`` is the one reader of the package's JSONL records
+(theories, potentials, predictions); its errors name the line.
 
 The grammar is one clause table, the words after a subject (``_phrase``
 renders it, ``_parse_phrase`` inverts it):
@@ -61,6 +62,7 @@ RESERVED_TOKENS = frozenset(
 )
 
 Atom = tuple[str, str, Optional[str]]
+_OBJECT = frozenset({dict})  # the exact JSON type of an object
 
 
 def literal_sort_key(lit: "Literal") -> tuple[str, str, str, bool]:
@@ -68,15 +70,11 @@ def literal_sort_key(lit: "Literal") -> tuple[str, str, str, bool]:
 
 
 class TheoryParseError(ValueError):
-    """Raised on malformed input; carries a line/column when known."""
+    """Raised on malformed input; ``line`` is the input line, when known."""
 
-    def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
+    def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message)
 
 
 @dataclass(frozen=True, order=True)
@@ -540,15 +538,15 @@ def theory_to_record(t: Theory) -> dict:
     return record
 
 
-def record_error(exc: Exception) -> str:
-    """A record reader's message for a failed field access: a missing key
-    says so (a ``KeyError`` prints only the key)."""
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-
-
 def _string(value, field: str) -> str:
     if type(value) is not str:
         raise TypeError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _objects(value, field: str) -> list:
+    if not (type(value) is list and _OBJECT.issuperset(map(type, value))):
+        raise TypeError(f"{field} must be a list of JSON objects")
     return value
 
 
@@ -567,27 +565,23 @@ def _question_from_dict(q: dict) -> Question:
         raise TypeError(f"answer must be a JSON boolean, got {answer!r}")
     if not (depth is None or type(depth) is int):
         raise TypeError(f"depth must be an integer, got {depth!r}")
-    proofs = tuple(ProofGraph.from_dict(p) for p in q["proofs"]) if "proofs" in q else None
+    proofs = (tuple(map(ProofGraph.from_dict, _objects(q["proofs"], "proofs")))
+              if "proofs" in q else None)
     return Question(q["id"], _parse(q, parse_fact_sentence), q["text"], answer, proofs, depth)
 
 
 def record_to_theory(record: dict) -> Theory:
     """Read a ``theory_to_record`` dict, parsing each literal from its
-    text; raises TheoryParseError for a malformed record, a text that does
-    not parse, or a theory that ``_read_violations`` rejects. The error
-    names no line: ``read_theories`` adds it."""
-    if not isinstance(record, dict):
-        raise TheoryParseError(
-            f"theory record must be a JSON object, got {type(record).__name__}")
-    try:
-        facts = tuple(Fact(f["id"], _parse(f, parse_fact_sentence), f["text"])
-                      for f in record.get("facts", ()))
-        rules = tuple(Rule(r["id"], *_parse(r, parse_rule_sentence), r["text"])
-                      for r in record.get("rules", ()))
-        questions = tuple(map(_question_from_dict, record.get("questions", ())))
-        t = Theory(_string(record["id"], "theory id"), facts, rules, questions)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise TheoryParseError(f"malformed theory record: {record_error(exc)}") from exc
+    text. ``id``, ``facts``, ``rules`` and ``questions`` are required.
+    Raises KeyError for a missing key, TypeError for a value of the wrong
+    JSON type, and TheoryParseError for a text that does not parse or a
+    theory that ``_read_violations`` rejects; ``read_records`` adds the line."""
+    facts = tuple(Fact(f["id"], _parse(f, parse_fact_sentence), f["text"])
+                  for f in _objects(record["facts"], "facts"))
+    rules = tuple(Rule(r["id"], *_parse(r, parse_rule_sentence), r["text"])
+                  for r in _objects(record["rules"], "rules"))
+    questions = tuple(map(_question_from_dict, _objects(record["questions"], "questions")))
+    t = Theory(_string(record["id"], "theory id"), facts, rules, questions)
     violations = _read_violations(t)
     if violations:
         raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations))
@@ -599,24 +593,38 @@ def write_theories(fp: IO[str], theories: Iterable[Theory]) -> None:
         fp.write(json.dumps(theory_to_record(t)) + "\n")
 
 
-def read_theories(fp: IO[str]) -> Iterator[Theory]:
-    """One theory per JSONL line; blank lines are skipped. A theory id is
-    read once per file. Every error names the line it was read from."""
+def read_records(fp: IO[str], kind: str, build: Callable[[dict], object],
+                 key: Callable[[object], str]) -> Iterator:
+    """``build(record)`` of each JSON object line of ``fp``, skipping blank
+    lines; ``key(item)`` names an item, which is read once per file. Every
+    ``KeyError``, ``TypeError`` or ``ValueError`` from a line is raised as
+    a ``TheoryParseError`` with ``line`` set: "bad <kind> record on line
+    N: <detail>"; a name read again names the line that first held it."""
     lines: dict[str, int] = {}
     for line_no, line in enumerate(fp, start=1):
         if not line.strip():
             continue
         try:
-            t = record_to_theory(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise TheoryParseError(f"invalid JSON: {exc.msg}", line_no, exc.colno) from exc
-        except TheoryParseError as exc:
-            raise TheoryParseError(str(exc), line_no) from exc
-        if t.id in lines:
-            raise TheoryParseError(f"theory id {t.id!r} already read on line {lines[t.id]}",
-                                   line_no)
-        lines[t.id] = line_no
-        yield t
+            record = json.loads(line)
+            if type(record) is not dict:
+                raise TypeError(f"record must be a JSON object, got {type(record).__name__}")
+            item = build(record)
+            name = key(item)
+            if name in lines:
+                raise ValueError(f"{name} already read on line {lines[name]}")
+        except (KeyError, TypeError, ValueError) as exc:  # a KeyError prints only the key
+            detail = (f"invalid JSON: {exc.msg} (column {exc.colno})"
+                      if isinstance(exc, json.JSONDecodeError)
+                      else f"missing key {exc}" if isinstance(exc, KeyError) else exc)
+            raise TheoryParseError(f"bad {kind} record on line {line_no}: {detail}",
+                                   line_no) from exc
+        lines[name] = line_no
+        yield item
+
+
+def read_theories(fp: IO[str]) -> Iterator[Theory]:
+    """One theory per JSONL line; a theory id is read once per file."""
+    return read_records(fp, "theory", record_to_theory, lambda t: f"theory id {t.id!r}")
 
 
 def make_fact(fact_id: str, literal: Literal) -> Fact:

@@ -171,21 +171,29 @@ class TestExitCodes:
         ("edges", [["F1", "R1", "R2"]]),
         ("question_id", ["Q1"]),
         ("connectivity_relaxed", "false"),
+        (None, "[1, 2]"),
+        (None, "not json"),
     ], ids=["int_node", "string_nodes", "three_element_edge", "list_question_id",
-            "string_relaxed"])
+            "string_relaxed", "list_record", "invalid_json"])
     def test_malformed_prediction_is_a_data_error(self, workspace, tmp_path, capsys,
                                                   field, value):
+        """``field`` of the second record set to ``value``, or, with no
+        field, the second line replaced by ``value``."""
         test_file = workspace / "data" / "test.theories.jsonl"
         theory = json.loads(test_file.read_text().splitlines()[0])
         good = {"theory_id": theory["id"], "question_id": theory["questions"][0]["id"],
                 "answer": True, "nodes": ["F1"], "edges": []}
         preds = tmp_path / "preds.jsonl"
-        preds.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        second = json.dumps({**good, field: value}) if field else value
+        preds.write_text(json.dumps(good) + "\n" + second + "\n")
         capsys.readouterr()
         code = run_command(["eval", "--theories", str(test_file), str(preds)])
         err = capsys.readouterr().err
         assert code == 2
         assert "bad prediction record on line 2" in err
+        assert {"[1, 2]": "line 2: record must be a JSON object, got list",
+                "not json": "line 2: invalid JSON: Expecting value (column 1)",
+                }.get(value if field is None else "", "") in err
         assert "Traceback" not in err
 
     def test_prediction_without_a_key_names_the_key(self, workspace, tmp_path, capsys):
@@ -212,11 +220,13 @@ class TestExitCodes:
         ("third_person_verb", "Q1: relation verb 'likes' must be in base form"),
         ("empty_proof", "Q1: a gold proof has no nodes"),
         ("edge_end_not_a_node", "Q1: a gold proof's edges name ['NAF'] outside its nodes"),
-        ("missing_fact_id", "malformed theory record: missing key 'id' (line 2)"),
+        ("missing_fact_id", "bad theory record on line 2: missing key 'id'"),
+        ("id_only", "bad theory record on line 2: missing key 'facts'"),
+        ("misspelt_facts", "bad theory record on line 2: missing key 'facts'"),
     ], ids=["swapped_ids", "unknown_proof_node", "nonsense", "string_answer", "float_depth",
             "no_antecedents", "variable_fact", "variable_question", "int_theory_id",
             "int_text", "third_person_verb", "empty_proof", "edge_end_not_a_node",
-            "missing_fact_id"])
+            "missing_fact_id", "id_only", "misspelt_facts"])
     def test_theory_record_checked_at_read(self, workspace, tmp_path, capsys, case, message):
         test_file = workspace / "data" / "test.theories.jsonl"
         records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
@@ -248,6 +258,10 @@ class TestExitCodes:
             question["proofs"][-1] = {"nodes": ["F1"], "edges": [["F1", "NAF"]]}
         elif case == "missing_fact_id":
             del bad["facts"][0]["id"]
+        elif case == "id_only":  # not an empty theory
+            records[1] = {"id": bad["id"]}
+        elif case == "misspelt_facts":  # not a theory without facts
+            bad["fact"] = bad.pop("facts")
         else:
             bad["rules"][0]["text"] = 5
         theories = tmp_path / "theories.jsonl"
@@ -381,7 +395,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["short", "long", "nan", "above_one", "edge_shape",
                                       "duplicate", "string", "bool", "huge_int", "short_row",
                                       "infinity", "negative", "nested_node", "unknown_theory",
-                                      "unknown_question", "missing_question_id"])
+                                      "unknown_question", "missing_question_id",
+                                      "list_theory_id", "list_record", "invalid_json"])
     def test_malformed_potentials_are_data_errors(self, workspace, tmp_path, capsys, case):
         test_file = workspace / "data" / "test.theories.jsonl"
         pots = tmp_path / "pots.jsonl"
@@ -422,9 +437,16 @@ class TestExitCodes:
             bad["question_id"] = "Q99"
         elif case == "missing_question_id":
             del bad["question_id"]
-        else:
+        elif case == "list_theory_id":
+            bad["theory_id"] = [bad["theory_id"]]
+        elif case == "list_record":
+            records[1] = [1, 2]
+        elif case != "invalid_json":
             bad["edge_prob"] = [row[:2] for row in bad["edge_prob"]]
-        pots.write_text("".join(json.dumps(r) + "\n" for r in records))
+        lines = [json.dumps(r) for r in records]
+        if case == "invalid_json":
+            lines[1] = "not json"
+        pots.write_text("".join(line + "\n" for line in lines))
         capsys.readouterr()
 
         out = tmp_path / "decoded.jsonl"
@@ -435,6 +457,9 @@ class TestExitCodes:
         assert {"unknown_theory": "line 2: unknown theory 'T99999'",
                 "unknown_question": f"line 2: unknown question {bad['theory_id']}/Q99",
                 "missing_question_id": "line 2: missing key 'question_id'",
+                "list_theory_id": f"line 2: theory_id must be a string, got {bad['theory_id']!r}",
+                "list_record": "line 2: record must be a JSON object, got list",
+                "invalid_json": "line 2: invalid JSON: Expecting value (column 1)",
                 }.get(case, "") in err
         assert "Traceback" not in err
         assert not out.exists()
@@ -469,7 +494,7 @@ class TestExitCodes:
         code = run_command(["answer", str(theories), "-o", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "R1: rule consequent must be positive (line 1)" in err
+        assert "bad theory record on line 1: R1: rule consequent must be positive" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -492,7 +517,8 @@ class TestExitCodes:
         code = run_command([str(a) for a in argv] + ["-o", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert f"F{len(facts)}: duplicate of F1 (line 2)" in err
+        assert (f"bad theory record on line 2: theory {records[1]['id']!r}: "
+                f"F{len(facts)}: duplicate of F1") in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -508,7 +534,8 @@ class TestExitCodes:
         code = run_command(reader_argv(command, theories, out))
         err = capsys.readouterr().err
         assert code == 2
-        assert f"theory id {first['id']!r} already read on line 1 (line 2)" in err
+        assert f"bad theory record on line 2: theory id {first['id']!r} already read on line 1" \
+            in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -529,7 +556,7 @@ class TestExitCodes:
         code = run_command(reader_argv(command, theories, out))
         err = capsys.readouterr().err
         assert code == 2
-        assert f"{fact_id}: relation verb" in err and "(line 1)" in err
+        assert f"bad theory record on line 1: {fact_id}: relation verb" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -595,11 +622,11 @@ class TestExitCodes:
         code = run_command([command, str(theories), "-o", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "R2: duplicate of R1 (line 1)" in err
+        assert "bad theory record on line 1: theory 'T1': R2: duplicate of R1" in err
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_critical_rejects_non_stratified_theory_with_questions(self, tmp_path):
+    def test_critical_rejects_non_stratified_theory_with_questions(self, tmp_path, capsys):
         cycle = (
             make_fact("F1", Literal("alan", "blue")),
         ), (
@@ -617,7 +644,9 @@ class TestExitCodes:
         assert run_command(["critical", str(bare), "-o", str(out)]) == 0
         assert out.read_text() == ""
         out.unlink()
+        capsys.readouterr()
         assert run_command(["critical", str(asked), "-o", str(out)]) == 2
+        assert "error: theory 'T1': a dependency cycle through negation" in capsys.readouterr().err
         assert not out.exists()
 
     def test_help_exits_zero(self):

@@ -200,7 +200,8 @@ class TestParsing:
         with pytest.raises(TheoryParseError) as exc:
             list(read_theories(io.StringIO(lines)))
         assert exc.value.line == 12
-        assert str(exc.value) == "F1: sentence must end with a period: 'Alan is blue' (line 12)"
+        assert str(exc.value) == ("bad theory record on line 12: "
+                                  "F1: sentence must end with a period: 'Alan is blue'")
 
     def test_failed_clause_raises_on_every_parse(self):
         for _ in range(2):
@@ -258,8 +259,8 @@ class TestParseTheory:
                 with pytest.raises(TheoryParseError) as exc:
                     list(read_theories(io.StringIO(lines)))
                 errors.append((str(exc.value), exc.value.line))
-        fact = ("F2: entity token 'Someone' is a reserved word (line 2)", 2)
-        rule = ("R1: relation verb 'likes' must be in base form (line 2)", 2)
+        fact = ("bad theory record on line 2: F2: entity token 'Someone' is a reserved word", 2)
+        rule = ("bad theory record on line 2: R1: relation verb 'likes' must be in base form", 2)
         assert errors == [fact, fact, rule, rule, fact, fact]
 
     def test_ids_out_of_order_are_each_named(self):
@@ -269,9 +270,10 @@ class TestParseTheory:
         with pytest.raises(TheoryParseError) as exc:
             read_one(record)
         assert str(exc.value) == (
+            "bad theory record on line 1: "
             "theory 't': id F2: expected F1 (ids must be contiguous); "
             "id F1: expected F2 (ids must be contiguous); "
-            "id R3: expected R2 (ids must be contiguous) (line 1)")
+            "id R3: expected R2 (ids must be contiguous)")
 
     def test_read_skips_blank_lines(self):
         buffer = io.StringIO()

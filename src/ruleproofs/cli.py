@@ -303,18 +303,16 @@ def _cmd_score_edges(args) -> int:
 def _cmd_decode(args) -> int:
     """Read, check, answer and decode one potentials record at a time,
     keeping only its output row; nothing is written before the last
-    record is read."""
-    theories = _load_theories(args.theories)
-    index = {(t.id, q.id): (t, q) for t in theories for q in t.questions}
+    record is read. Each theory is compiled once, on its first record,
+    whatever order the records come in."""
+    theories = {t.id: t for t in _load_theories(args.theories)}
+    index = {(t.id, q.id): (t, q) for t in theories.values() for q in t.questions}
+    answers: dict[str, dict[str, bool]] = {}
 
     def target(record: dict):
-        ids = record["theory_id"], record["question_id"]
-        for field, value in zip(("theory_id", "question_id"), ids):
-            if type(value) is not str:
-                raise TypeError(f"{field} must be a string, got {value!r}")
+        ids = tuple(theory_mod.string_field(record[k], k) for k in ("theory_id", "question_id"))
         if ids not in index:
-            known = any(t.id == ids[0] for t in theories)
-            raise ValueError(f"unknown question {ids[0]}/{ids[1]}" if known
+            raise ValueError(f"unknown question {ids[0]}/{ids[1]}" if ids[0] in theories
                              else f"unknown theory {ids[0]!r}")
         t, q = index[ids]
         return t, q, potentials.Potentials.from_record(record, t)
@@ -327,11 +325,14 @@ def _cmd_decode(args) -> int:
                 result = decoder.decode_unconstrained(pot)
             else:
                 result = decoder.decode_with_fallback(pot, connectivity=not args.no_connectivity)
+            if t.id not in answers:
+                program = reasoner.closure(t)
+                answers[t.id] = {x.id: program.holds(x.literal) for x in t.questions}
             d = result.proof.to_dict()
             rows.append({
                 "theory_id": t.id,
                 "question_id": q.id,
-                "answer": reasoner.answer_question(t, q),
+                "answer": answers[t.id][q.id],
                 "nodes": d["nodes"],
                 "edges": d["edges"],
                 "objective": result.objective,

@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .proofgraph import ProofGraph, match_proofs, proof_depth
-from .theory import Question, Theory, read_records
+from .theory import Question, Theory, read_records, string_field
 
 
 class EvaluationError(ValueError):
@@ -44,8 +44,7 @@ class PredictionRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "PredictionRecord":
         for key in ("theory_id", "question_id"):
-            if not isinstance(d[key], str):
-                raise TypeError(f"{key} must be a string, got {d[key]!r}")
+            string_field(d[key], key)
         relaxed = d.get("connectivity_relaxed", False)
         for key, value in (("answer", d["answer"]), ("connectivity_relaxed", relaxed)):
             if not isinstance(value, bool):

@@ -538,7 +538,7 @@ def theory_to_record(t: Theory) -> dict:
     return record
 
 
-def _string(value, field: str) -> str:
+def string_field(value, field: str) -> str:
     if type(value) is not str:
         raise TypeError(f"{field} must be a string, got {value!r}")
     return value
@@ -554,7 +554,7 @@ def _parse(item: dict, parse):
     """``parse`` of an item's text; a text that does not parse is an error
     naming the item."""
     try:
-        return parse(_string(item["text"], "text"))
+        return parse(string_field(item["text"], "text"))
     except TheoryParseError as exc:
         raise TheoryParseError(f"{item['id']}: {exc}") from None
 
@@ -581,7 +581,7 @@ def record_to_theory(record: dict) -> Theory:
     rules = tuple(Rule(r["id"], *_parse(r, parse_rule_sentence), r["text"])
                   for r in _objects(record["rules"], "rules"))
     questions = tuple(map(_question_from_dict, _objects(record["questions"], "questions")))
-    t = Theory(_string(record["id"], "theory id"), facts, rules, questions)
+    t = Theory(string_field(record["id"], "theory id"), facts, rules, questions)
     violations = _read_violations(t)
     if violations:
         raise TheoryParseError(f"theory {t.id!r}: " + "; ".join(violations))

@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -173,12 +174,14 @@ class TestExitCodes:
         ("connectivity_relaxed", "false"),
         (None, "[1, 2]"),
         (None, "not json"),
+        ("answer", False),
     ], ids=["int_node", "string_nodes", "three_element_edge", "list_question_id",
-            "string_relaxed", "list_record", "invalid_json"])
+            "string_relaxed", "list_record", "invalid_json", "duplicate"])
     def test_malformed_prediction_is_a_data_error(self, workspace, tmp_path, capsys,
                                                   field, value):
         """``field`` of the second record set to ``value``, or, with no
-        field, the second line replaced by ``value``."""
+        field, the second line replaced by ``value``. A new answer alone
+        predicts the first record's question again."""
         test_file = workspace / "data" / "test.theories.jsonl"
         theory = json.loads(test_file.read_text().splitlines()[0])
         good = {"theory_id": theory["id"], "question_id": theory["questions"][0]["id"],
@@ -193,7 +196,9 @@ class TestExitCodes:
         assert "bad prediction record on line 2" in err
         assert {"[1, 2]": "line 2: record must be a JSON object, got list",
                 "not json": "line 2: invalid JSON: Expecting value (column 1)",
-                }.get(value if field is None else "", "") in err
+                "answer": f"line 2: question {good['theory_id']}/{good['question_id']} "
+                          "already read on line 1",
+                }.get(value if field is None else field, "") in err
         assert "Traceback" not in err
 
     def test_prediction_without_a_key_names_the_key(self, workspace, tmp_path, capsys):
@@ -460,6 +465,8 @@ class TestExitCodes:
                 "list_theory_id": f"line 2: theory_id must be a string, got {bad['theory_id']!r}",
                 "list_record": "line 2: record must be a JSON object, got list",
                 "invalid_json": "line 2: invalid JSON: Expecting value (column 1)",
+                "duplicate": f"line 2: question {records[0]['theory_id']}/"
+                             f"{records[0]['question_id']} already read on line 1",
                 }.get(case, "") in err
         assert "Traceback" not in err
         assert not out.exists()
@@ -727,6 +734,36 @@ class TestPipelines:
             run_ok(["decode", "--theories", test_file, pots, "-o", from_floats, *flags])
             run_ok(["decode", "--theories", test_file, ints, "-o", from_ints, *flags])
             assert from_ints.read_bytes() == from_floats.read_bytes()
+
+    def test_interleaved_potentials_compile_each_theory_once(self, workspace, tmp_path,
+                                                             monkeypatch):
+        """A model may emit its records in any order: decode answers each
+        theory from one compiled program and writes the rows in input order."""
+        test_file = workspace / "data" / "test.theories.jsonl"
+        pots = tmp_path / "pots.jsonl"
+        run_ok(["oracle-potentials", "--seed", 1, "--noise", 0, test_file, "-o", pots])
+        by_theory: dict[str, list[str]] = {}
+        for line in pots.read_text().splitlines():
+            by_theory.setdefault(json.loads(line)["theory_id"], []).append(line)
+        assert max(map(len, by_theory.values())) > 1
+        interleaved = [line for group in zip_longest(*by_theory.values())
+                       for line in group if line is not None]
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("".join(line + "\n" for line in interleaved))
+        grouped_out, mixed_out = tmp_path / "grouped.out", tmp_path / "mixed.out"
+        run_ok(["decode", "--theories", test_file, pots, "-o", grouped_out])
+
+        compiled = []
+        closure = cli.reasoner.closure
+        monkeypatch.setattr(cli.reasoner, "closure", lambda t: compiled.append(t.id) or closure(t))
+        run_ok(["decode", "--theories", test_file, mixed, "-o", mixed_out])
+        assert sorted(compiled) == sorted(by_theory)
+        def question(line):
+            record = json.loads(line)
+            return record["theory_id"], record["question_id"]
+
+        rows = {question(line): line for line in grouped_out.read_text().splitlines()}
+        assert mixed_out.read_text().splitlines() == [rows[question(line)] for line in interleaved]
 
     def test_unconstrained_can_emit_illegal_edges(self, workspace, tmp_path):
         test_file = workspace / "data" / "test.theories.jsonl"

@@ -119,9 +119,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("answer", help="answer every question with the reasoner")
     _add_io(p)
 
-    p = sub.add_parser("prove", help="emit gold proofs for every question")
+    p = sub.add_parser("prove", help="emit every question's gold proofs, as generate stores them")
     _add_io(p)
-    p.add_argument("--max-proofs", type=_int_at_least(1), default=reasoner.DEFAULT_MAX_PROOFS)
 
     p = sub.add_parser("mask-export", help="export training labels (masked cells are -100)")
     _add_io(p)
@@ -209,7 +208,7 @@ def _cmd_prove(args) -> int:
     for t in _load_theories(args.input):
         program = reasoner.closure(t)
         for q in t.questions:
-            proofs = reasoner.prove_literal(program, q.literal, args.max_proofs)
+            proofs = reasoner.prove_literal(program, q.literal)
             rows.append({
                 "theory_id": t.id,
                 "question_id": q.id,
@@ -328,16 +327,9 @@ def _cmd_decode(args) -> int:
             if t.id not in answers:
                 program = reasoner.closure(t)
                 answers[t.id] = {x.id: program.holds(x.literal) for x in t.questions}
-            d = result.proof.to_dict()
-            rows.append({
-                "theory_id": t.id,
-                "question_id": q.id,
-                "answer": answers[t.id][q.id],
-                "nodes": d["nodes"],
-                "edges": d["edges"],
-                "objective": result.objective,
-                "connectivity_relaxed": result.connectivity_relaxed,
-            })
+            rows.append(evalharness.PredictionRecord(
+                t.id, q.id, answers[t.id][q.id], result.proof,
+                result.connectivity_relaxed, result.objective).to_dict())
     _write_rows(args.output, rows)
     return 0
 

@@ -26,7 +26,7 @@ one for a decoded proof and ``verify_flow`` checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .potentials import Potentials, allowed_pairs
@@ -136,8 +136,7 @@ def decode_with_fallback(p: Potentials, connectivity: bool = True) -> DecodeResu
     try:
         return decode_proof(p, connectivity)
     except ConnectivityInfeasible:
-        result = decode_proof(p, connectivity=False)
-        return replace(result, connectivity_relaxed=True)
+        return decode_proof(p, connectivity=False)
 
 
 def decode_unconstrained(p: Potentials) -> DecodeResult:

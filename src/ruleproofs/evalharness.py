@@ -22,24 +22,28 @@ class EvaluationError(ValueError):
     """Prediction file disagrees with the dataset (ids, duplicates)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # eval keeps one per question
 class PredictionRecord:
     theory_id: str
     question_id: str
     answer: bool
     proof: ProofGraph
     connectivity_relaxed: bool = False
+    objective: Optional[float] = None  # the decoder's score, when a decoder wrote it
 
     def to_dict(self) -> dict:
         d = self.proof.to_dict()
-        return {
+        row = {
             "theory_id": self.theory_id,
             "question_id": self.question_id,
             "answer": self.answer,
             "nodes": d["nodes"],
             "edges": d["edges"],
-            "connectivity_relaxed": self.connectivity_relaxed,
         }
+        if self.objective is not None:
+            row["objective"] = self.objective
+        row["connectivity_relaxed"] = self.connectivity_relaxed
+        return row
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictionRecord":
@@ -49,12 +53,16 @@ class PredictionRecord:
         for key, value in (("answer", d["answer"]), ("connectivity_relaxed", relaxed)):
             if not isinstance(value, bool):
                 raise TypeError(f"{key} must be a JSON boolean, got {value!r}")
+        objective = d.get("objective")
+        if "objective" in d and type(objective) not in (int, float):
+            raise TypeError(f"objective must be a JSON number, got {objective!r}")
         return cls(
             d["theory_id"],
             d["question_id"],
             d["answer"],
             ProofGraph.from_dict(d),
             relaxed,
+            objective,
         )
 
 

@@ -150,6 +150,14 @@ def validate_structure(p: ProofGraph) -> list[str]:
     return violations
 
 
+# Callers measure the same proofs again (a negated candidate shares its
+# positive form's proofs, and the generator's final check re-reads the
+# chosen ones), so this many distinct graphs keep their depth: a few
+# times the most that generating one theory measures (27 over 400 du5
+# theories). A graph that raises is not kept, so it raises on every call.
+_PROOF_CACHE_SIZE = 128
+
+
 def proof_depth(p: ProofGraph) -> int:
     """Largest number of rule nodes on any simple directed path.
 
@@ -159,8 +167,14 @@ def proof_depth(p: ProofGraph) -> int:
     every path is simple, so this is exact. A pass that leaves nodes
     unreached has met a directed cycle (a self-loop counts); then every
     simple path is enumerated instead. Raises ValueError for a malformed
-    node id and KeyError for an edge end outside ``p.nodes``.
+    node id and KeyError for an edge end outside ``p.nodes``. Each
+    distinct graph is measured once while it stays in the memo.
     """
+    return _measured_depth(p)
+
+
+@lru_cache(maxsize=_PROOF_CACHE_SIZE)
+def _measured_depth(p: ProofGraph) -> int:
     is_rule = {n: int(node_kind(n) == RULE) for n in p.nodes}
     successors: dict[str, list[str]] = {n: [] for n in p.nodes}
     indegree = dict.fromkeys(p.nodes, 0)

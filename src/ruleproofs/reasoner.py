@@ -116,7 +116,7 @@ def ground_instances(t: Theory):
 
     keys, heads, positives, negatives = [], [], [], []
     for index, rule in enumerate(t.rules):
-        bindings = entities if rule.is_variable_rule() else [None]
+        bindings = [None] if rule.variable() is None else entities
         positive, negative = [], []
         for lit in rule.antecedents:
             (positive if lit.positive else negative).append(column(lit, bindings))

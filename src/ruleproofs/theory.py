@@ -38,8 +38,8 @@ Relation verbs are stored in base form.
 
 One check says what a theory must satisfy: every read applies
 ``_read_violations``, and ``validate_theory`` adds the generator's
-policies and a parse-back of each text to its structure, so a valid
-theory reads back from its record as itself.
+policies, each stored depth against ``proof_depth`` and a parse-back of
+each text to its structure, so a valid theory reads back as itself.
 """
 
 from __future__ import annotations
@@ -140,9 +140,6 @@ class Rule:
     antecedents: tuple[Literal, ...]
     consequent: Literal
     text: str
-
-    def is_variable_rule(self) -> bool:
-        return self.consequent.is_variable() or any(a.is_variable() for a in self.antecedents)
 
     def variable(self) -> Optional[str]:
         for lit in (*self.antecedents, self.consequent):
@@ -464,8 +461,7 @@ def _parse_back_error(item: Union[Fact, Rule, Question]) -> Optional[str]:
     return None if same else "it reads as another structure"
 
 
-def validate_theory(t: Theory, *,
-                    depth: Optional[Callable[[ProofGraph], int]] = None) -> list[str]:
+def validate_theory(t: Theory) -> list[str]:
     """Return a list of invariant violations; empty means the theory is valid.
 
     A valid theory passes the read check (``_read_violations``), fits the
@@ -474,16 +470,9 @@ def validate_theory(t: Theory, *,
     antecedent. Each item's text must parse back to its structure, so a
     valid theory reads back from its record as itself; the parser rejects
     bad tokens, variable facts, negative consequents and mixed subjects.
-
-    ``depth`` measures each gold proof for the stored-depth check and
-    defaults to ``proof_depth`` (looked up at call time). A caller that has
-    measured the proofs already, as the generator has, passes its own
-    table; it must agree with ``proof_depth`` on every proof, and it is
-    asked about each proof as the question holds it, so a wrong stored
-    depth or swapped proofs are still caught. Proofs are measured only
-    when the read check passes.
+    A stored depth must be ``proof_depth``'s largest over the question's
+    own proofs; proofs are measured only when the read check passes.
     """
-    depth = depth or proof_depth
     violations: list[str] = []
     if t.num_sentences > MAX_CONTEXT_SENTENCES:
         violations.append(
@@ -502,7 +491,7 @@ def validate_theory(t: Theory, *,
 
     for q in t.questions if not read else ():  # a malformed proof has no depth
         if q.gold_proofs is not None and q.gold_depth is not None:
-            measured = max(map(depth, q.gold_proofs), default=0)
+            measured = max(map(proof_depth, q.gold_proofs), default=0)
             if measured != q.gold_depth:
                 violations.append(
                     f"{q.id}: gold depth {q.gold_depth} != max proof depth {measured}")
@@ -552,11 +541,12 @@ def _objects(value, field: str) -> list:
 
 def _parse(item: dict, parse):
     """``parse`` of an item's text; a text that does not parse is an error
-    naming the item."""
+    naming the item. The item's id must be a string."""
+    item_id = string_field(item["id"], "id")
     try:
         return parse(string_field(item["text"], "text"))
     except TheoryParseError as exc:
-        raise TheoryParseError(f"{item['id']}: {exc}") from None
+        raise TheoryParseError(f"{item_id}: {exc}") from None
 
 
 def _question_from_dict(q: dict) -> Question:

@@ -11,9 +11,10 @@ every subcommand that reads that kind of record runs on the file through
   it concerns; and it leaves no output file;
 - on exit 0, a second run writes the same bytes.
 
-The generator config reader has its own property: ``GenConfig.from_dict``
-of any JSON value builds a config that round-trips through ``to_dict``,
-or raises ``ConfigError``.
+The generator config and scorer readers have their own property:
+``GenConfig.from_dict`` (``LinearScorer.from_dict``) of any JSON value
+builds a config (a scorer) that round-trips through ``to_dict``, or
+raises ``ConfigError`` (``ScorerError``).
 """
 
 import contextlib
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 
 from ruleproofs.cli import run_command
 from ruleproofs.datagen import ConfigError, GenConfig, generate_dataset
-from ruleproofs.potentials import LinearScorer
+from ruleproofs.potentials import LinearScorer, ScorerError
 from ruleproofs.theory import write_theories
 
 # Checks made after the whole file is read: they name the question
@@ -172,12 +173,17 @@ def test_one_mutated_field_exits_zero_or_two(corpus, kind, examples):
     check()
 
 
+def _json_with_keys(keys: list):
+    """Any JSON value whose objects mostly use ``keys``."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-5, 40) | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(keys) | st.text(max_size=6), inner, max_size=4),
+        max_leaves=12)
+
+
 _CONFIG_KEYS = sorted(GenConfig(seed=0, num_theories=1).to_dict())
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-5, 40) | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(_CONFIG_KEYS) | st.text(max_size=6), inner, max_size=4),
-    max_leaves=12)
+_JSON = _json_with_keys(_CONFIG_KEYS)
 
 
 def _near_valid_configs():
@@ -200,3 +206,36 @@ def test_config_from_any_json_builds_or_raises_config_error(value, seed):
     except ConfigError:
         return
     assert GenConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+_SCORER_KEYS = sorted(LinearScorer.untrained().to_dict())
+_SCORER_JSON = _json_with_keys(_SCORER_KEYS)
+
+
+def _near_valid_scorers():
+    """Valid scorer dicts with drawn weights, some keys dropped, added or
+    given other JSON values, so that most draws reach the field checks and
+    some build a trained-looking scorer."""
+    base = LinearScorer.untrained().to_dict()
+    size = len(base["weights"])
+    finite = st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6)
+    weights = (st.lists(finite, min_size=size, max_size=size)
+               | st.lists(finite | st.floats() | st.integers() | st.booleans(),
+                          min_size=size - 1, max_size=size + 1))
+    changes = st.dictionaries(st.sampled_from(_SCORER_KEYS) | st.text(max_size=6),
+                              st.integers(-5, 40) | st.floats() | _SCORER_JSON, max_size=2)
+    drops = st.sets(st.sampled_from(_SCORER_KEYS), max_size=1)
+    return st.builds(lambda drawn, change, drop: {
+        k: v for k, v in {**base, "weights": drawn, **change}.items() if k not in drop},
+        weights, changes, drops)
+
+
+@given(st.one_of(_SCORER_JSON, _near_valid_scorers()))
+@settings(max_examples=200, deadline=None)
+def test_scorer_from_any_json_builds_or_raises_scorer_error(value):
+    try:
+        scorer = LinearScorer.from_dict(value)
+    except ScorerError:
+        return
+    record = scorer.to_dict()
+    assert LinearScorer.from_dict(json.loads(json.dumps(record))).to_dict() == record

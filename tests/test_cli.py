@@ -72,7 +72,7 @@ class TestGenerate:
 
 
 class TestExitCodes:
-    def test_usage_error_is_one(self, tmp_path):
+    def test_usage_error_is_one(self, tmp_path, capsys):
         assert run_command(["no-such-command"]) == 1
         assert run_command(["decode"]) == 1  # missing required --theories
         assert run_command(["decode", "--theories", "t.jsonl", "--threads", "2"]) == 1
@@ -80,7 +80,9 @@ class TestExitCodes:
         missing = str(tmp_path / "missing.jsonl")
         assert run_command(["generate", "--config", missing, "--seed", "-1", "-o", missing]) == 1
         assert run_command(["oracle-potentials", "--seed", "-3", missing]) == 1
-        assert run_command(["prove", "--max-proofs", "0", missing]) == 1
+        capsys.readouterr()
+        assert run_command(["prove", "--max-proofs", "5", missing]) == 1  # prove has no cap
+        assert "usage error: unrecognized arguments: --max-proofs" in capsys.readouterr().err
         assert run_command(["oracle-potentials", "--seed", "1", "--noise", "0.7", missing]) == 1
         assert run_command(["oracle-potentials", "--seed", "1", "--noise", "-0.1", missing]) == 1
         assert run_command(["train-baseline", "--epochs", "-5", missing]) == 1
@@ -175,8 +177,9 @@ class TestExitCodes:
         (None, "[1, 2]"),
         (None, "not json"),
         ("answer", False),
+        ("objective", True),
     ], ids=["int_node", "string_nodes", "three_element_edge", "list_question_id",
-            "string_relaxed", "list_record", "invalid_json", "duplicate"])
+            "string_relaxed", "list_record", "invalid_json", "duplicate", "bad_objective"])
     def test_malformed_prediction_is_a_data_error(self, workspace, tmp_path, capsys,
                                                   field, value):
         """``field`` of the second record set to ``value``, or, with no
@@ -198,6 +201,7 @@ class TestExitCodes:
                 "not json": "line 2: invalid JSON: Expecting value (column 1)",
                 "answer": f"line 2: question {good['theory_id']}/{good['question_id']} "
                           "already read on line 1",
+                "objective": "line 2: objective must be a JSON number, got True",
                 }.get(value if field is None else field, "") in err
         assert "Traceback" not in err
 
@@ -228,10 +232,14 @@ class TestExitCodes:
         ("missing_fact_id", "bad theory record on line 2: missing key 'id'"),
         ("id_only", "bad theory record on line 2: missing key 'facts'"),
         ("misspelt_facts", "bad theory record on line 2: missing key 'facts'"),
+        ("dict_fact_id", "bad theory record on line 2: id must be a string, got {}"),
+        ("list_rule_id", "bad theory record on line 2: id must be a string, got ['R1']"),
+        ("number_question_id", "bad theory record on line 2: id must be a string, got 1"),
     ], ids=["swapped_ids", "unknown_proof_node", "nonsense", "string_answer", "float_depth",
             "no_antecedents", "variable_fact", "variable_question", "int_theory_id",
             "int_text", "third_person_verb", "empty_proof", "edge_end_not_a_node",
-            "missing_fact_id", "id_only", "misspelt_facts"])
+            "missing_fact_id", "id_only", "misspelt_facts", "dict_fact_id", "list_rule_id",
+            "number_question_id"])
     def test_theory_record_checked_at_read(self, workspace, tmp_path, capsys, case, message):
         test_file = workspace / "data" / "test.theories.jsonl"
         records = [json.loads(line) for line in test_file.read_text().splitlines()[:2]]
@@ -267,6 +275,12 @@ class TestExitCodes:
             records[1] = {"id": bad["id"]}
         elif case == "misspelt_facts":  # not a theory without facts
             bad["fact"] = bad.pop("facts")
+        elif case == "dict_fact_id":
+            bad["facts"][0]["id"] = {}
+        elif case == "list_rule_id":
+            bad["rules"][0]["id"] = ["R1"]
+        elif case == "number_question_id":
+            question["id"] = 1
         else:
             bad["rules"][0]["text"] = 5
         theories = tmp_path / "theories.jsonl"

@@ -1,15 +1,13 @@
 import hashlib
 import json
 import re
-from collections import Counter
 from dataclasses import fields, replace
-from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ruleproofs import datagen, reasoner, theory
+from ruleproofs import datagen, proofgraph, reasoner, theory
 from ruleproofs.cli import run_command
 from ruleproofs.datagen import (
     ConfigError,
@@ -257,40 +255,35 @@ def with_one_fault(t):
 
 @pytest.mark.parametrize("index", range(4))
 def test_check_against_the_depth_table_keeps_its_teeth(index):
-    # the table the generator hands to validate_theory: one depth per
-    # distinct proof, filled while the questions were picked
+    # the depth table is proof_depth's memo: generating the theory leaves
+    # every gold proof in it, and the check must still catch each fault
     t = generate_theory(DU5, index)
-    depth_of = cache(proof_depth)
-    for q in t.questions:
-        for p in q.gold_proofs:
-            depth_of(p)
-    assert validate_theory(t, depth=depth_of) == validate_theory(t) == []
+    misses = proofgraph._measured_depth.cache_info().misses
+    assert validate_theory(t) == []
+    assert proofgraph._measured_depth.cache_info().misses == misses
     for name, bad in with_one_fault(t).items():
-        expected = validate_theory(bad)
-        assert expected, name
-        assert validate_theory(bad, depth=depth_of) == expected, name
+        assert validate_theory(bad), name
 
 
-def test_each_distinct_proof_is_measured_once_per_draft(monkeypatch):
-    drafts: list[Counter] = []
-    closure, measure = reasoner.closure, proof_depth
+def test_each_distinct_proof_is_measured_once_while_in_the_memo(monkeypatch):
+    asked = []
 
-    def counted_closure(t):
-        drafts.append(Counter())
-        return closure(t)
+    def recorded_depth(p):
+        asked.append(p)
+        return proof_depth(p)
 
-    def counted_depth(p):
-        drafts[-1][p] += 1
-        return measure(p)
-
-    monkeypatch.setattr(reasoner, "closure", counted_closure)
-    monkeypatch.setattr(datagen, "proof_depth", counted_depth)
-    monkeypatch.setattr(theory, "proof_depth", counted_depth)
+    monkeypatch.setattr(datagen, "proof_depth", recorded_depth)
+    monkeypatch.setattr(theory, "proof_depth", recorded_depth)
+    memo = proofgraph._measured_depth
     for index in range(10):
-        drafts.clear()
+        memo.cache_clear()
+        asked.clear()
         t = generate_theory(DU5, index)
-        assert all(n == 1 for counts in drafts for n in counts.values())
-        assert {p for q in t.questions for p in q.gold_proofs} <= set(drafts[-1])
+        distinct = set(asked)
+        assert len(distinct) <= proofgraph._PROOF_CACHE_SIZE  # nothing was evicted
+        assert memo.cache_info().misses == len(distinct)
+        assert len(asked) > len(distinct)  # the final check reads the memo
+        assert {p for q in t.questions for p in q.gold_proofs} <= distinct
 
 
 # sha256 of every file ``generate`` writes for configs/<name>.json at seed 0

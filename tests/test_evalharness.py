@@ -1,8 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
+from test_pipeline_bytes import STAGES
 
+from ruleproofs.cli import run_command
 from ruleproofs.datagen import GenConfig, generate_dataset
 from ruleproofs.evalharness import (
     EvaluationError,
@@ -166,8 +169,24 @@ class TestAggregateReport:
         path = tmp_path / "preds.jsonl"
         with open(path, "w") as fp:
             for p in preds:
-                import json
                 fp.write(json.dumps(p.to_dict()) + "\n")
         with open(path) as fp:
             again = read_predictions(fp)
         assert again == preds
+
+
+def test_decoded_rows_of_the_pinned_pipeline_read_back_as_themselves(tmp_path):
+    """``decode`` writes each row with ``PredictionRecord.to_dict``, so every
+    row of the pinned pipeline's predictions round-trips, objective included."""
+    fill = {"out": str(tmp_path), "test": str(tmp_path / "data" / "test.theories.jsonl")}
+    for output, argv in STAGES:
+        argv = [arg.format(**fill) for arg in argv]
+        if output != "data":
+            argv += ["-o", str(tmp_path / output)]
+        assert run_command(argv) == 0, argv
+    files = sorted(tmp_path.glob("*.preds.jsonl"))
+    assert {f.name for f in files} == {o for o, _ in STAGES if o.endswith(".preds.jsonl")}
+    for path in files:
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows and all("objective" in row for row in rows)
+        assert [PredictionRecord.from_dict(row).to_dict() for row in rows] == rows, path.name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ruleproofs import reasoner
+from ruleproofs import proofgraph, reasoner
 from ruleproofs.datagen import GenConfig, generate_theory
 from ruleproofs.proofgraph import ProofGraph, proof_depth
 from ruleproofs.reasoner import (
@@ -575,6 +575,16 @@ class TestProofDepth:
     def test_edge_end_outside_nodes_raises_key_error(self, edge):
         with pytest.raises(KeyError):
             proof_depth(ProofGraph.of(["F1"], [edge]))
+
+    @pytest.mark.parametrize("graph, error", [
+        (ProofGraph.of(["F0"]), ValueError),
+        (ProofGraph.of(["F1", "R1"], [("F1", "R1"), ("R1", "R2")]), KeyError),
+    ], ids=["malformed_id", "edge_end_outside_nodes"])
+    def test_a_graph_that_raises_raises_through_the_memo(self, graph, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                proof_depth(graph)
+        assert proofgraph._measured_depth.cache_info().maxsize is not None
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)

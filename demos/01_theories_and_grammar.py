@@ -1,10 +1,10 @@
 """Build a theory by hand, render it, and round-trip it through the grammar.
 
 A theory is a tiny rule-base: named facts, if-then rules, and questions.
-In memory every item keeps a structured literal form plus a rendered
-sentence; a theory record stores only the sentence, and reading it back
-parses each literal from that text. ``validate_theory`` checks that each
-text parses back to its structure, so a valid theory reads back as itself.
+Each item is its sentence: building an item parses its literal from the
+text, so an item's structure always agrees with its text, a text the
+grammar cannot state cannot be built, and a theory record, which stores
+only the sentences, reads back as the theory itself.
 """
 
 import io
@@ -14,6 +14,7 @@ from dataclasses import replace
 from ruleproofs.theory import (
     Literal,
     Theory,
+    TheoryParseError,
     make_fact,
     make_question,
     make_rule,
@@ -51,9 +52,12 @@ print("\nParsing a sentence back into structure")
 print(" ", parse_rule_sentence("If someone is blue and likes Bob then they are young."))
 
 print("\nValidation violations:", validate_theory(theory) or "none")
-stale = replace(theory, facts=(replace(theory.facts[0], text="Alan is green."),
-                               *theory.facts[1:]))
-print("With F1's text edited to 'Alan is green.':", validate_theory(stale))
+edited = replace(theory.facts[0], text="Alan is green.")
+print("With F1's text edited to 'Alan is green.', F1's literal is", edited.literal)
+try:
+    replace(theory.facts[0], text="Alan is green")
+except TheoryParseError as exc:
+    print("A text the grammar cannot state is not built:", exc)
 
 record = theory_to_record(theory)
 print("\nTheory record: each sentence is stored once, as its text")

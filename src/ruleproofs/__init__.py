@@ -15,7 +15,6 @@ from .theory import (
     Rule,
     Theory,
     TheoryParseError,
-    render_sentence,
     validate_theory,
 )
 from .proofgraph import ProofGraph, match_proofs, proof_depth, validate_structure
@@ -91,7 +90,6 @@ __all__ = [
     "oracle_potentials",
     "proof_depth",
     "prove",
-    "render_sentence",
     "score_example",
     "select_nodes",
     "sentence_tokens",

@@ -13,6 +13,10 @@ internal invariant violation. Theories, potentials and predictions are
 read by ``theory.read_records``: a bad line exits 2 with "bad <kind>
 record on line N: <detail>", a repeated theory id or question naming
 both lines, and leaves no output.
+
+A theory is compiled only to answer one of its questions, so a theory
+with no questions, even one with a cycle through negation, gives no rows
+and no error; with a question, such a theory exits 2.
 """
 
 from __future__ import annotations
@@ -192,29 +196,22 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_answer(args) -> int:
-    rows = []
-    for t in _load_theories(args.input):
-        program = reasoner.closure(t)
-        rows.extend(
-            {"theory_id": t.id, "question_id": q.id, "answer": program.holds(q.literal)}
-            for q in t.questions
-        )
+    rows = [
+        {"theory_id": t.id, "question_id": q.id, "answer": reasoner.answer_question(t, q)}
+        for t in _load_theories(args.input)
+        for q in t.questions
+    ]
     _write_rows(args.output, rows)
     return 0
 
 
 def _cmd_prove(args) -> int:
-    rows = []
-    for t in _load_theories(args.input):
-        program = reasoner.closure(t)
-        for q in t.questions:
-            proofs = reasoner.prove_literal(program, q.literal)
-            rows.append({
-                "theory_id": t.id,
-                "question_id": q.id,
-                "proofs": [p.to_dict() for p in proofs],
-                "depth": max(proofgraph.proof_depth(p) for p in proofs),
-            })
+    def row(t, q):
+        proofs = reasoner.prove(t, q)
+        return {"theory_id": t.id, "question_id": q.id, "proofs": [p.to_dict() for p in proofs],
+                "depth": max(map(proofgraph.proof_depth, proofs))}
+
+    rows = [row(t, q) for t in _load_theories(args.input) for q in t.questions]
     _write_rows(args.output, rows)
     return 0
 

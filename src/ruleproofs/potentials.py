@@ -153,20 +153,23 @@ def oracle_potentials(t: Theory, gold: ProofGraph, noise: float, seed) -> Potent
     return Potentials(node_prob, edge_prob, len(t.facts))
 
 
-def adversarial_potentials(t: Theory, gold: ProofGraph, drop_to: float = 0.4) -> Potentials:
+ADVERSARIAL_EDGE_PROB = 0.4  # below the decoder's 0.5 edge threshold
+
+
+def adversarial_potentials(t: Theory, gold: ProofGraph) -> Potentials:
     """Exact potentials with one bridging gold edge pushed below threshold.
 
     The first gold edge (canonical order) whose removal disconnects the
-    proof gets probability ``drop_to``; thresholding alone then yields a
-    disconnected graph while the connectivity-aware decoder can restore
-    the edge at a cost below any alternative repair. Proofs without such
-    an edge are returned unperturbed.
+    proof gets probability ``ADVERSARIAL_EDGE_PROB``; thresholding alone
+    then yields a disconnected graph while the connectivity-aware decoder
+    can restore the edge at a cost below any alternative repair. Proofs
+    without such an edge are returned unperturbed.
     """
     p = oracle_potentials(t, gold, 0.0, seed=0)
     for s, d in gold.canonical_edges():
         remaining = gold.edges - {(s, d)}
         if not is_connected(gold.nodes, remaining):
-            p.edge_prob[t.sentence_index(s)][t.sentence_index(d)] = drop_to
+            p.edge_prob[t.sentence_index(s)][t.sentence_index(d)] = ADVERSARIAL_EDGE_PROB
             break
     return p
 

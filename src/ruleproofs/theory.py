@@ -1,13 +1,16 @@
 """Data model and sentence grammar for rule-base theories.
 
-A theory bundles named facts, if-then rules, and questions. In memory
-every item carries both a structured literal form and a rendered
-English-like sentence from a fixed synthetic grammar:
-``parse(render(x)) == x``, and rendering is byte-deterministic. On disk
-an item is its text only; reading a theory parses each literal from it.
-The parser is a function of the text alone, so it keeps each sentence's
-and each clause's parse in bounded memos: a sentence parsed again in the
-same process, as a corpus read by several stages is, costs a lookup.
+A theory bundles named facts, if-then rules, and questions. Each item
+is its English-like sentence from a fixed synthetic grammar, in memory
+as on disk: building an item parses its literal (or antecedents and
+consequent) from its text, so a text the grammar cannot state raises
+``TheoryParseError`` naming the item, and an item's structure always
+agrees with its text. ``make_fact``, ``make_rule`` and ``make_question``
+render a structure to build an item: ``parse(render(x)) == x``, and
+rendering is byte-deterministic. The parser is a function of the text
+alone, so it keeps each sentence's and each clause's parse in bounded
+memos: a sentence parsed again in the same process, as a corpus read by
+several stages is, costs a lookup.
 ``read_records`` is the one reader of the package's JSONL records
 (theories, potentials, predictions); its errors name the line.
 
@@ -38,17 +41,17 @@ Relation verbs are stored in base form.
 
 One check says what a theory must satisfy: every read applies
 ``_read_violations``, and ``validate_theory`` adds the generator's
-policies, each stored depth against ``proof_depth`` and a parse-back of
-each text to its structure, so a valid theory reads back as itself.
+policies and each stored depth against ``proof_depth``. Since a record
+holds each item's text, every theory reads back as itself.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import chain
-from typing import IO, Callable, Iterable, Iterator, Optional, Union
+from typing import IO, Callable, Iterable, Iterator, Optional
 
 from .proofgraph import NAF, ProofGraph, proof_depth
 
@@ -127,19 +130,37 @@ def _layout_positions(num_facts: int, size: int) -> dict[str, int]:
     return {sentence_id: index for index, sentence_id in enumerate(layout_ids(num_facts, size))}
 
 
+def _parsed(item_id: str, text: str, parse):
+    """``parse`` of an item's text; a text that does not parse is an error
+    naming the item. The id and the text must be strings."""
+    string_field(item_id, "id")
+    try:
+        return parse(string_field(text, "text"))
+    except TheoryParseError as exc:
+        raise TheoryParseError(f"{item_id}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Fact:
     id: str
-    literal: Literal
     text: str
+    literal: Literal = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "literal", _parsed(self.id, self.text, parse_fact_sentence))
 
 
 @dataclass(frozen=True)
 class Rule:
     id: str
-    antecedents: tuple[Literal, ...]
-    consequent: Literal
     text: str
+    antecedents: tuple[Literal, ...] = field(init=False, compare=False)
+    consequent: Literal = field(init=False, compare=False)
+
+    def __post_init__(self):
+        antecedents, consequent = _parsed(self.id, self.text, parse_rule_sentence)
+        object.__setattr__(self, "antecedents", antecedents)
+        object.__setattr__(self, "consequent", consequent)
 
     def variable(self) -> Optional[str]:
         for lit in (*self.antecedents, self.consequent):
@@ -151,11 +172,14 @@ class Rule:
 @dataclass(frozen=True)
 class Question:
     id: str
-    literal: Literal
     text: str
     gold_answer: Optional[bool] = None
     gold_proofs: Optional[tuple[ProofGraph, ...]] = None
     gold_depth: Optional[int] = None
+    literal: Literal = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "literal", _parsed(self.id, self.text, parse_fact_sentence))
 
 
 @dataclass(frozen=True)
@@ -245,12 +269,6 @@ def render_rule(antecedents: Iterable[Literal], consequent: Literal) -> str:
     pronoun = VARIABLE_PRONOUNS[consequent.subject]
     return f"If {' and '.join(parts)} then {pronoun} {_phrase(consequent, pronoun == 'they')}."
 
-
-def render_sentence(item: Union[Fact, Rule, Question]) -> str:
-    """Deterministic sentence for a fact, rule, or question structure."""
-    if isinstance(item, Rule):
-        return render_rule(item.antecedents, item.consequent)
-    return render_literal(item.literal)
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -446,32 +464,17 @@ def _read_violations(t: Theory) -> list[str]:
     return violations
 
 
-def _parse_back_error(item: Union[Fact, Rule, Question]) -> Optional[str]:
-    """Why the item's text does not parse to the item's own structure, or
-    None when it does."""
-    if type(item.text) is not str:
-        return "text is not a string"
-    try:
-        if isinstance(item, Rule):
-            same = parse_rule_sentence(item.text) == (item.antecedents, item.consequent)
-        else:
-            same = parse_fact_sentence(item.text) == item.literal
-    except TheoryParseError as exc:
-        return str(exc)
-    return None if same else "it reads as another structure"
-
-
 def validate_theory(t: Theory) -> list[str]:
     """Return a list of invariant violations; empty means the theory is valid.
 
     A valid theory passes the read check (``_read_violations``), fits the
     context, and meets two generator policies: no predicate is both an
     attribute and a relation, and a variable rule has a positive
-    antecedent. Each item's text must parse back to its structure, so a
-    valid theory reads back from its record as itself; the parser rejects
-    bad tokens, variable facts, negative consequents and mixed subjects.
-    A stored depth must be ``proof_depth``'s largest over the question's
-    own proofs; proofs are measured only when the read check passes.
+    antecedent. What the grammar cannot state (bad tokens, variable
+    facts, negative consequents, mixed subjects) cannot be built as an
+    item, so it never reaches this check. A stored depth must be
+    ``proof_depth``'s largest over the question's own proofs; proofs are
+    measured only when the read check passes.
     """
     violations: list[str] = []
     if t.num_sentences > MAX_CONTEXT_SENTENCES:
@@ -495,11 +498,6 @@ def validate_theory(t: Theory) -> list[str]:
             if measured != q.gold_depth:
                 violations.append(
                     f"{q.id}: gold depth {q.gold_depth} != max proof depth {measured}")
-
-    for item in (*t.facts, *t.rules, *t.questions):
-        error = _parse_back_error(item)
-        if error:
-            violations.append(f"{item.id}: text does not round-trip through the grammar ({error})")
     return violations
 
 
@@ -539,16 +537,6 @@ def _objects(value, field: str) -> list:
     return value
 
 
-def _parse(item: dict, parse):
-    """``parse`` of an item's text; a text that does not parse is an error
-    naming the item. The item's id must be a string."""
-    item_id = string_field(item["id"], "id")
-    try:
-        return parse(string_field(item["text"], "text"))
-    except TheoryParseError as exc:
-        raise TheoryParseError(f"{item_id}: {exc}") from None
-
-
 def _question_from_dict(q: dict) -> Question:
     answer, depth = q.get("answer"), q.get("depth")
     if not (answer is None or type(answer) is bool):
@@ -557,7 +545,7 @@ def _question_from_dict(q: dict) -> Question:
         raise TypeError(f"depth must be an integer, got {depth!r}")
     proofs = (tuple(map(ProofGraph.from_dict, _objects(q["proofs"], "proofs")))
               if "proofs" in q else None)
-    return Question(q["id"], _parse(q, parse_fact_sentence), q["text"], answer, proofs, depth)
+    return Question(q["id"], q["text"], answer, proofs, depth)
 
 
 def record_to_theory(record: dict) -> Theory:
@@ -566,10 +554,8 @@ def record_to_theory(record: dict) -> Theory:
     Raises KeyError for a missing key, TypeError for a value of the wrong
     JSON type, and TheoryParseError for a text that does not parse or a
     theory that ``_read_violations`` rejects; ``read_records`` adds the line."""
-    facts = tuple(Fact(f["id"], _parse(f, parse_fact_sentence), f["text"])
-                  for f in _objects(record["facts"], "facts"))
-    rules = tuple(Rule(r["id"], *_parse(r, parse_rule_sentence), r["text"])
-                  for r in _objects(record["rules"], "rules"))
+    facts = tuple(Fact(f["id"], f["text"]) for f in _objects(record["facts"], "facts"))
+    rules = tuple(Rule(r["id"], r["text"]) for r in _objects(record["rules"], "rules"))
     questions = tuple(map(_question_from_dict, _objects(record["questions"], "questions")))
     t = Theory(string_field(record["id"], "theory id"), facts, rules, questions)
     violations = _read_violations(t)
@@ -618,13 +604,12 @@ def read_theories(fp: IO[str]) -> Iterator[Theory]:
 
 
 def make_fact(fact_id: str, literal: Literal) -> Fact:
-    return Fact(fact_id, literal, render_literal(literal))
+    return Fact(fact_id, render_literal(literal))
 
 
 def make_rule(rule_id: str, antecedents: Iterable[Literal], consequent: Literal) -> Rule:
-    antecedents = tuple(antecedents)
-    return Rule(rule_id, antecedents, consequent, render_rule(antecedents, consequent))
+    return Rule(rule_id, render_rule(antecedents, consequent))
 
 
 def make_question(question_id: str, literal: Literal, **gold) -> Question:
-    return Question(question_id, literal, render_literal(literal), **gold)
+    return Question(question_id, render_literal(literal), **gold)

@@ -502,14 +502,12 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_negative_rule_consequent_is_rejected_at_read(self, tmp_path, capsys):
+        # no rule can hold this text, so the record is written by hand
         theories = tmp_path / "theories.jsonl"
-        with open(theories, "w", encoding="utf-8") as fp:
-            write_theories(fp, [Theory(
-                "T1", (make_fact("F1", Literal("alan", "blue")),),
-                (make_rule("R1", [Literal("alan", "blue")],
-                           Literal("alan", "kind", positive=False)),),
-                (make_question("Q1", Literal("alan", "kind")),))])
-        assert "If Alan is blue then Alan is not kind." in theories.read_text()
+        theories.write_text(json.dumps({
+            "id": "T1", "facts": [{"id": "F1", "text": "Alan is blue."}],
+            "rules": [{"id": "R1", "text": "If Alan is blue then Alan is not kind."}],
+            "questions": [{"id": "Q1", "text": "Alan is kind."}]}) + "\n")
         out = tmp_path / "answers.jsonl"
         capsys.readouterr()
         code = run_command(["answer", str(theories), "-o", str(out)])
@@ -647,7 +645,11 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_critical_rejects_non_stratified_theory_with_questions(self, tmp_path, capsys):
+    @staticmethod
+    def check_cycle_fails_only_with_questions(command, tmp_path, capsys):
+        """``command`` compiles a theory only to answer one of its
+        questions: a cycle through negation exits 0 with no rows while the
+        theory has no question, and 2 once it has one."""
         cycle = (
             make_fact("F1", Literal("alan", "blue")),
         ), (
@@ -661,14 +663,22 @@ class TestExitCodes:
         with open(asked, "w", encoding="utf-8") as fp:
             write_theories(fp, [Theory("T1", *cycle,
                                        (make_question("Q1", Literal("alan", "quiet")),))])
-        out = tmp_path / "critical.jsonl"
-        assert run_command(["critical", str(bare), "-o", str(out)]) == 0
+        out = tmp_path / f"{command}.jsonl"
+        assert run_command([command, str(bare), "-o", str(out)]) == 0
         assert out.read_text() == ""
         out.unlink()
         capsys.readouterr()
-        assert run_command(["critical", str(asked), "-o", str(out)]) == 2
+        assert run_command([command, str(asked), "-o", str(out)]) == 2
         assert "error: theory 'T1': a dependency cycle through negation" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_critical_rejects_non_stratified_theory_with_questions(self, tmp_path, capsys):
+        self.check_cycle_fails_only_with_questions("critical", tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["answer", "prove"])
+    def test_answer_and_prove_reject_non_stratified_theory_with_questions(
+            self, command, tmp_path, capsys):
+        self.check_cycle_fails_only_with_questions(command, tmp_path, capsys)
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

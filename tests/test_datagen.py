@@ -18,7 +18,12 @@ from ruleproofs.datagen import (
     generate_theory,
 )
 from ruleproofs.proofgraph import proof_depth, validate_structure
-from ruleproofs.theory import MAX_CONTEXT_SENTENCES, theory_to_record, validate_theory
+from ruleproofs.theory import (
+    MAX_CONTEXT_SENTENCES,
+    TheoryParseError,
+    theory_to_record,
+    validate_theory,
+)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -232,8 +237,7 @@ DU5 = GenConfig.from_dict(json.loads((ROOT / "configs" / "du5.json").read_text()
 def with_one_fault(t):
     """The theory with one fault each that the generator's final check
     must catch: a stored depth one too high, the gold proofs of two
-    questions of different depths swapped, a text that is not its
-    rendering, and a fact stated twice."""
+    questions of different depths swapped, and a fact stated twice."""
     qs = t.questions
     i, j = next((i, j) for i in range(len(qs)) for j in range(i)
                 if qs[i].gold_depth != qs[j].gold_depth)
@@ -247,8 +251,6 @@ def with_one_fault(t):
         "depth_plus_one": with_questions({0: {"gold_depth": qs[0].gold_depth + 1}}),
         "proofs_swapped": with_questions({i: {"gold_proofs": qs[j].gold_proofs},
                                           j: {"gold_proofs": qs[i].gold_proofs}}),
-        "text_not_rendering": replace(t, facts=(replace(first, text=first.text[:-1] + "!"),
-                                                *t.facts[1:])),
         "duplicate_fact": replace(t, facts=(*t.facts, replace(first, id=f"F{len(t.facts) + 1}"))),
     }
 
@@ -263,6 +265,10 @@ def test_check_against_the_depth_table_keeps_its_teeth(index):
     assert proofgraph._measured_depth.cache_info().misses == misses
     for name, bad in with_one_fault(t).items():
         assert validate_theory(bad), name
+    # a text that is not the grammar's cannot even be built
+    first = t.facts[0]
+    with pytest.raises(TheoryParseError, match=f"^{first.id}: sentence must end with a period"):
+        replace(first, text=first.text[:-1] + "!")
 
 
 def test_each_distinct_proof_is_measured_once_while_in_the_memo(monkeypatch):

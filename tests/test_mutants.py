@@ -51,15 +51,13 @@ def stored_depth_is_checked(theory) -> bool:
     return theory.validate_theory(t) == ["Q1: gold depth 1 != max proof depth 0"]
 
 
-def texts_must_parse_back(theory) -> bool:
-    # rendered "Alan likess Bob.", which the parser rejects, and a stale text
-    likess = theory.make_fact("F1", theory.Literal("alan", "likes", "bob"))
-    stale = theory.Fact("F1", theory.Literal("alan", "blue"), "Alan is green.")
-    return [theory.validate_theory(theory.Theory("T1", (fact,), (), ()))
-            for fact in (likess, stale)] == [
-        ["F1: text does not round-trip through the grammar "
-         "(relation verb 'likes' must be in base form)"],
-        ["F1: text does not round-trip through the grammar (it reads as another structure)"]]
+def build_errors_name_the_item(theory) -> bool:
+    # rendered "Alan likess Bob.", which the parser rejects
+    try:
+        theory.make_fact("F1", theory.Literal("alan", "likes", "bob"))
+    except theory.TheoryParseError as exc:
+        return str(exc) == "F1: relation verb 'likes' must be in base form"
+    return False
 
 
 def gold_proofs_are_read_checked(theory) -> bool:
@@ -255,9 +253,9 @@ MUTANTS = {
     "validate_theory_ignores_depth": (
         "theory", "            if measured != q.gold_depth:\n", "            if False:\n",
         stored_depth_is_checked),
-    "every_text_parses_back": (
-        "theory", "    None when it does.\"\"\"\n", "    None when it does.\"\"\"\n    return None\n",
-        texts_must_parse_back),
+    "item_error_omits_its_id": (
+        "theory", 'raise TheoryParseError(f"{item_id}: {exc}")', "raise TheoryParseError(str(exc))",
+        build_errors_name_the_item),
     "validate_theory_skips_read_check": (
         "theory", "    read = _read_violations(t)\n", "    read = []\n",
         gold_proofs_are_read_checked),

@@ -39,8 +39,8 @@ LONELY = "zed"  # mentioned by one fact only, unless a question names it
 # or below its consequent's level and its negative ones strictly below, so
 # every theory drawn with ``stratified`` set is stratified (positive cycles
 # stay possible). Without it, rule bodies ignore the levels.
-LEVELS = {"blue": 0, "big": 0, "likes": 0, "cold": 1, "kind": 1, "sees": 1, "round": 2, "quiet": 2}
-RELATIONS = {"likes", "sees"}
+LEVELS = {"blue": 0, "big": 0, "like": 0, "cold": 1, "kind": 1, "see": 1, "round": 2, "quiet": 2}
+RELATIONS = {"like", "see"}
 
 
 def literal(subject, predicate, obj, positive=True):

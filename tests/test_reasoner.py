@@ -512,17 +512,20 @@ class TestCheckFailureDemonstration:
         assert not self._check(t, ["NAF"], [])
 
     def test_edge_leaving_selected_rule(self):
-        # R1 mixes a ground antecedent into a variable rule: its instance for
-        # bob fires and feeds R2, while the one for alan, the selected
-        # instance, fails on "alan is big"
-        t = theory_of([Literal("bob", "big")],
-                      [([Literal("someone", "big"), Literal("bob", "big")],
+        # R2's instance for bob fires and feeds R3, while the one for alan,
+        # the selected instance, fails on "alan is sad"
+        t = theory_of([Literal("alan", "big"), Literal("bob", "big"), Literal("alan", "sad")],
+                      [([Literal("someone", "big")], Literal("someone", "kind")),
+                       ([Literal("someone", "kind"), Literal("someone", "sad", positive=False)],
                         Literal("someone", "young")),
                        ([Literal("bob", "young")], Literal("bob", "happy"))],
                       [Literal("alan", "young")])
-        assert self._check(t, ["F1", "R1", "NAF"], [("F1", "R1"), ("NAF", "R1")])
-        assert not self._check(t, ["F1", "R1", "R2", "NAF"],
-                               [("F1", "R1"), ("NAF", "R1"), ("R1", "R2")])
+        gold = ProofGraph.of(["F1", "R1", "R2", "NAF"], [("F1", "R1"), ("R1", "R2"), ("NAF", "R2")])
+        assert prove(t, t.questions[0]) == [gold]
+        assert self._check(t, gold.nodes, gold.edges)
+        assert not self._check(t, ["F1", "F2", "R1", "R2", "R3", "NAF"],
+                               [("F1", "R1"), ("F2", "R1"), ("R1", "R2"), ("NAF", "R2"),
+                                ("R2", "R3")])
 
     def test_naf_edge_missing(self):
         assert not self._check(self._theory(), ["F1", "R1", "R2"], [("F1", "R1"), ("R1", "R2")])

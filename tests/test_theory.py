@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,6 @@ from ruleproofs.theory import (
     read_theories,
     render_literal,
     render_rule,
-    render_sentence,
     theory_to_record,
     validate_theory,
     write_theories,
@@ -96,7 +96,7 @@ class TestRendering:
 
     def test_rendering_is_deterministic(self):
         r = small_theory().rules[0]
-        assert render_sentence(r) == render_sentence(r)
+        assert render_rule(r.antecedents, r.consequent) == render_rule(r.antecedents, r.consequent)
 
 
 class TestParsing:
@@ -363,6 +363,45 @@ class TestParseTheory:
             assert t.sentence_index(sentence_id) == expected
 
 
+class TestItems:
+    """An item is its text: building it parses the text, and a text the
+    grammar cannot state raises naming the item."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Fact("F1", "Alan is blue"), "F1: sentence must end with a period"),
+        (lambda: Fact("F1", "If Alan is blue then Alan is red."), "F1: expected a declarative"),
+        (lambda: Rule("R1", "Alan is blue."), "R1: rule sentence must start with 'If'"),
+        (lambda: Rule("R1", "If someone is blue then Bob is red."), "R1: consequent must start"),
+        (lambda: Question("Q1", "Someone is blue.", gold_answer=True), "Q1: entity token"),
+    ], ids=["fact_without_period", "fact_from_rule_text", "rule_from_fact_text",
+            "rule_mixing_subjects", "variable_question"])
+    def test_unparseable_text_raises_naming_the_item(self, build, message):
+        with pytest.raises(TheoryParseError, match=f"^{message}"):
+            build()
+
+    def test_id_and_text_must_be_strings(self):
+        with pytest.raises(TypeError, match="id must be a string"):
+            Fact(1, "Alan is blue.")
+        with pytest.raises(TypeError, match="text must be a string"):
+            Rule("R1", None)
+
+    def test_replacing_the_text_rederives_the_structure(self):
+        fact = replace(make_fact("F1", Literal("alan", "blue")), text="Alan is green.")
+        assert fact.literal == Literal("alan", "green")
+        rule = replace(small_theory().rules[0], text="If something is red then it is big.")
+        assert (rule.antecedents, rule.consequent) == ((Literal("something", "red"),),
+                                                       Literal("something", "big"))
+        question = replace(make_question("Q1", Literal("alan", "blue"), gold_depth=0),
+                           text="Bob does not like Alan.")
+        assert question.literal == Literal("bob", "like", "alan", positive=False)
+        assert question.gold_depth == 0
+
+    def test_items_compare_by_id_text_and_gold(self):
+        assert Fact("F1", "Alan is blue.") == make_fact("F1", Literal("alan", "blue"))
+        assert Question("Q1", "Alan is blue.") != Question("Q1", "Alan is blue.", gold_answer=True)
+        assert Rule("R1", "If someone blue then they are young.") != small_theory().rules[0]
+
+
 class TestValidateTheory:
     def test_valid_theory(self):
         assert validate_theory(small_theory()) == []
@@ -403,24 +442,23 @@ class TestValidateTheory:
         assert any("positive antecedent" in v for v in validate_theory(t))
 
     def test_negative_consequent_rejected(self):
-        r = Rule(
-            "R1",
-            (Literal("someone", "blue"),),
-            Literal("someone", "kind", positive=False),
-            "If someone is blue then they are not kind.",
-        )
-        t = Theory("t", (make_fact("F1", Literal("alan", "blue")),), (r,), ())
-        assert any("must be positive" in v for v in validate_theory(t))
+        with pytest.raises(TheoryParseError, match="^R1: rule consequent must be positive$"):
+            Rule("R1", "If someone is blue then they are not kind.")
+        with pytest.raises(TheoryParseError, match="^R1: rule consequent must be positive$"):
+            make_rule("R1", [Literal("someone", "blue")], Literal("someone", "kind", positive=False))
 
     def test_variable_object_rejected(self):
         for variable in ("someone", "something"):
-            rule = make_rule("R1", [Literal(variable, "blue"), Literal(variable, "like", variable)],
-                             Literal(variable, "young"))
-            t = Theory("t", (make_fact("F1", Literal("alan", "blue")),), (rule,), ())
-            assert validate_theory(t) == ["R1: text does not round-trip through the grammar "
-                                          f"(entity token {variable.title()!r} is a reserved word)"]
-            with pytest.raises(TheoryParseError, match="reserved word"):
-                read_one(theory_to_record(t))
+            antecedents = [Literal(variable, "blue"), Literal(variable, "like", variable)]
+            consequent = Literal(variable, "young")
+            with pytest.raises(TheoryParseError, match=f"^R1: entity token {variable.title()!r} "
+                                                       "is a reserved word$"):
+                make_rule("R1", antecedents, consequent)
+            record = theory_to_record(Theory("t", (make_fact("F1", Literal("alan", "blue")),),
+                                             (), ()))
+            record["rules"] = [{"id": "R1", "text": render_rule(antecedents, consequent)}]
+            with pytest.raises(TheoryParseError, match="R1: entity token .* is a reserved word"):
+                read_one(record)
 
     def test_predicate_cannot_be_attribute_and_relation(self):
         t = Theory(
@@ -431,33 +469,35 @@ class TestValidateTheory:
         )
         assert any("with and without" in v for v in validate_theory(t))
 
-    def test_stale_text_flagged(self):
-        f = Fact("F1", Literal("alan", "blue"), "Alan is green.")
-        t = Theory("t", (f,), (), ())
-        assert any("round-trip" in v for v in validate_theory(t))
-
-    @pytest.mark.parametrize("literal", [
-        Literal("alan", "likes", "bob"), Literal("alan", "doe", "bob"),
-        Literal("alan", "i", "bob"), Literal("Alan", "blue"), Literal("alan", "Blue"),
-        Literal("alan", "like", "Bob"), Literal("alan", "is"), Literal("al an", "blue"),
-        Literal("alan", "like", "someone"), Literal("if", "blue"),
+    @pytest.mark.parametrize("literal, held", [
+        (Literal("alan", "likes", "bob"), None), (Literal("alan", "doe", "bob"), None),
+        (Literal("alan", "i", "bob"), None), (Literal("Alan", "blue"), Literal("alan", "blue")),
+        (Literal("alan", "Blue"), None),
+        (Literal("alan", "like", "Bob"), Literal("alan", "like", "bob")),
+        (Literal("alan", "is"), None), (Literal("al an", "blue"), None),
+        (Literal("alan", "like", "someone"), None), (Literal("if", "blue"), None),
     ], ids=["third_person_verb", "verb_doe", "verb_i", "capital_subject",
             "capital_predicate", "capital_object", "reserved_predicate", "space",
             "variable_object", "reserved_entity"])
-    def test_text_that_does_not_parse_back_is_flagged(self, literal):
-        for t in (Theory("t", (make_fact("F1", literal),), (), ()),
-                  Theory("t", (), (), (make_question("Q1", literal),))):
-            assert any("round-trip" in v for v in validate_theory(t))
-            try:  # the written text is unreadable, or reads as another literal
-                assert read_one(theory_to_record(t)) != t
-            except TheoryParseError:
-                pass
-        rule = make_rule("R1", [Literal("alan", "young")], literal)
-        assert any("round-trip" in v for v in validate_theory(Theory("t", (), (rule,), ())))
+    def test_text_that_does_not_parse_back_is_flagged(self, literal, held):
+        # The text rendered from ``literal`` does not parse, and building the
+        # item raises naming it; or, for a capitalised token, the text reads
+        # as the literal ``held``, which the item then holds. Either way no
+        # item holds ``literal``.
+        builds = {"F1": lambda: make_fact("F1", literal),
+                  "Q1": lambda: make_question("Q1", literal),
+                  "R1": lambda: make_rule("R1", [Literal("alan", "young")], literal)}
+        for item_id, build in builds.items():
+            if held is None:
+                with pytest.raises(TheoryParseError, match=f"^{item_id}: "):
+                    build()
+            else:
+                item = build()
+                assert (item.consequent if item_id == "R1" else item.literal) == held
 
     def test_gold_depth_mismatch_flagged(self):
         from ruleproofs.proofgraph import ProofGraph
-        q = Question("Q1", Literal("alan", "blue"), "Alan is blue.",
+        q = Question("Q1", "Alan is blue.",
                      gold_answer=True,
                      gold_proofs=(ProofGraph.of(["F1"]),),
                      gold_depth=2)
@@ -575,45 +615,66 @@ def drawn_rules(draw, rule_id):
 
 @st.composite
 def drawn_theories(draw):
-    """In-memory theories, valid or not: bad tokens, variable facts and
-    questions, the rule shapes of ``drawn_rules``, gold proofs that name
-    unknown nodes, and texts that are stale or not the rendered ones."""
-    facts = [make_fact(f"F{i + 1}", draw(drawn_literals(draw(ANY_SUBJECT))))
-             for i in range(draw(st.integers(0, 3)))]
-    rules = [draw(drawn_rules(f"R{i + 1}")) for i in range(draw(st.integers(0, 3)))]
-    questions = []
-    for i in range(draw(st.integers(0, 2))):
-        gold = {}
-        if draw(st.booleans()):
-            node = draw(st.sampled_from(["F1", "R1", "NAF", "F9"]))
-            gold = dict(gold_answer=draw(st.booleans()), gold_proofs=(ProofGraph.of([node]),),
-                        gold_depth=int(node == "R1"))
-        literal = draw(drawn_literals(draw(ANY_SUBJECT)))
-        questions.append(make_question(f"Q{i + 1}", literal, **gold))
-    items = facts + rules + questions
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if items else 0):
-        index = draw(st.integers(0, len(items) - 1))
-        text = draw(st.sampled_from([
-            "Alan is blue.", "If someone is blue and is rough then they are young.",
-            items[index].text.replace(" is ", " is not ", 1),
-            items[index].text.replace(" and ", " and is ", 1),
-            items[draw(st.integers(0, len(items) - 1))].text]))
-        items[index] = replace(items[index], text=text)
+    """Theories as a hand-built one may be, valid or not, or the
+    ``TheoryParseError`` that building one raised: bad tokens, variable
+    facts and questions, the rule shapes of ``drawn_rules``, gold proofs
+    that name unknown nodes, and texts replaced by others, not the
+    rendered ones."""
+    try:
+        facts = [make_fact(f"F{i + 1}", draw(drawn_literals(draw(ANY_SUBJECT))))
+                 for i in range(draw(st.integers(0, 3)))]
+        rules = [draw(drawn_rules(f"R{i + 1}")) for i in range(draw(st.integers(0, 3)))]
+        questions = []
+        for i in range(draw(st.integers(0, 2))):
+            gold = {}
+            if draw(st.booleans()):
+                node = draw(st.sampled_from(["F1", "R1", "NAF", "F9"]))
+                gold = dict(gold_answer=draw(st.booleans()),
+                            gold_proofs=(ProofGraph.of([node]),), gold_depth=int(node == "R1"))
+            literal = draw(drawn_literals(draw(ANY_SUBJECT)))
+            questions.append(make_question(f"Q{i + 1}", literal, **gold))
+        items = facts + rules + questions
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if items else 0):
+            index = draw(st.integers(0, len(items) - 1))
+            text = draw(st.sampled_from([
+                "Alan is blue.", "If someone is blue and is rough then they are young.",
+                items[index].text.replace(" is ", " is not ", 1),
+                items[index].text.replace(" and ", " and is ", 1),
+                items[draw(st.integers(0, len(items) - 1))].text]))
+            items[index] = replace(items[index], text=text)
+    except TheoryParseError as exc:
+        return exc
     split = (len(facts), len(facts) + len(rules))
     return Theory("t", tuple(items[:split[0]]), tuple(items[split[0]:split[1]]),
                   tuple(items[split[1]:]))
+
+
+def verdict(t) -> str:
+    if isinstance(t, TheoryParseError):
+        return "raised"
+    return "invalid" if validate_theory(t) else "valid"
 
 
 class TestValidTheoryReadsBack:
     @given(drawn_theories())
     @settings(max_examples=400)
     def test_a_valid_theory_reads_back_as_itself(self, t):
-        if validate_theory(t) == []:
-            assert read_one(theory_to_record(t)) == t
+        # every theory that builds, valid or not, reads back as itself, or
+        # is one the reader rejects
+        if isinstance(t, TheoryParseError):
+            assert re.match(r"[FRQ]\d: ", str(t))
+        elif theory._read_violations(t):
+            with pytest.raises(TheoryParseError):
+                read_one(theory_to_record(t))
+        else:
+            again = read_one(theory_to_record(t))
+            assert again == t
+            assert list(again._all_literals()) == list(t._all_literals())
 
     def test_draws_hold_both_verdicts(self):
-        for valid in (True, False):
-            find(drawn_theories(), lambda t: (validate_theory(t) == []) is valid,
+        # some draws raise, and of those that build some are valid, some not
+        for wanted in ("raised", "invalid", "valid"):
+            find(drawn_theories(), lambda t: verdict(t) == wanted,
                  settings=settings(database=None))
 
 

@@ -33,6 +33,7 @@ from .theory import (
     Literal,
     MAX_CONTEXT_SENTENCES,
     Theory,
+    TheoryParseError,
     make_fact,
     make_question,
     make_rule,
@@ -436,44 +437,47 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
     """
     profile = PROFILES[cfg.profile]
     too_small = no_questions = most_facts = most_rules = 0
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([cfg.seed, index, attempt])
-        draft, context = _build_draft(rng, cfg, profile)
-        most_facts = max(most_facts, len(draft.facts))
-        most_rules = max(most_rules, len(draft.rules))
-        if len(draft.facts) < cfg.facts_per_theory[0] \
-                or len(draft.rules) < cfg.rules_per_theory[0]:
-            too_small += 1
-            continue
-        theory = _assemble(rng, draft, f"T{index:05d}")
-        program = reasoner.closure(theory)
-        pool: dict[tuple[int, bool], list] = {}
-        for lit in _candidate_literals(theory, context, cfg.negation_rate > 0):
-            answer = program.holds(lit)
-            proofs = reasoner.prove_literal(program, lit)
-            depth = max(map(proof_depth, proofs))
-            if depth > cfg.max_depth:
+    try:  # a sentence the grammar cannot state is a generator fault, not a data error
+        for attempt in range(_MAX_ATTEMPTS):
+            rng = np.random.default_rng([cfg.seed, index, attempt])
+            draft, context = _build_draft(rng, cfg, profile)
+            most_facts = max(most_facts, len(draft.facts))
+            most_rules = max(most_rules, len(draft.rules))
+            if len(draft.facts) < cfg.facts_per_theory[0] \
+                    or len(draft.rules) < cfg.rules_per_theory[0]:
+                too_small += 1
                 continue
-            pool.setdefault((depth, answer), []).append((lit, answer, proofs, depth))
+            theory = _assemble(rng, draft, f"T{index:05d}")
+            program = reasoner.closure(theory)
+            pool: dict[tuple[int, bool], list] = {}
+            for lit in _candidate_literals(theory, context, cfg.negation_rate > 0):
+                answer = program.holds(lit)
+                proofs = reasoner.prove_literal(program, lit)
+                depth = max(map(proof_depth, proofs))
+                if depth > cfg.max_depth:
+                    continue
+                pool.setdefault((depth, answer), []).append((lit, answer, proofs, depth))
 
-        chosen = _pick_questions(rng, cfg, index, pool)
-        if chosen is None:
-            no_questions += 1
-            continue
-        rng.shuffle(chosen)
-        questions = tuple(
-            make_question(
-                f"Q{i + 1}", lit,
-                gold_answer=answer, gold_proofs=tuple(proofs), gold_depth=depth,
+            chosen = _pick_questions(rng, cfg, index, pool)
+            if chosen is None:
+                no_questions += 1
+                continue
+            rng.shuffle(chosen)
+            questions = tuple(
+                make_question(
+                    f"Q{i + 1}", lit,
+                    gold_answer=answer, gold_proofs=tuple(proofs), gold_depth=depth,
+                )
+                for i, (lit, answer, proofs, depth) in enumerate(chosen)
             )
-            for i, (lit, answer, proofs, depth) in enumerate(chosen)
-        )
-        theory = Theory(theory.id, theory.facts, theory.rules, questions)
-        violations = validate_theory(theory)
-        if violations:  # an explicit raise, so python -O keeps the check
-            raise AssertionError(
-                f"generated theory {theory.id} is invalid: " + "; ".join(violations))
-        return theory
+            theory = Theory(theory.id, theory.facts, theory.rules, questions)
+            violations = validate_theory(theory)
+            if violations:  # an explicit raise, so python -O keeps the check
+                raise AssertionError(
+                    f"generated theory {theory.id} is invalid: " + "; ".join(violations))
+            return theory
+    except TheoryParseError as exc:
+        raise AssertionError(f"generated theory T{index:05d} is invalid: {exc}") from None
     raise GenerationError(
         f"could not generate theory {index} after {_MAX_ATTEMPTS} attempts: "
         f"{too_small} drafts had too few facts or rules (at most {most_facts} facts "

@@ -6,8 +6,9 @@ as on disk: building an item parses its literal (or antecedents and
 consequent) from its text, so a text the grammar cannot state raises
 ``TheoryParseError`` naming the item, and an item's structure always
 agrees with its text. ``make_fact``, ``make_rule`` and ``make_question``
-render a structure to build an item: ``parse(render(x)) == x``, and
-rendering is byte-deterministic. The parser is a function of the text
+render a structure to build an item, and raise when the text reads as
+another structure: ``parse(render(x)) == x``, and rendering is
+byte-deterministic. The parser is a function of the text
 alone, so it keeps each sentence's and each clause's parse in bounded
 memos: a sentence parsed again in the same process, as a corpus read by
 several stages is, costs a lookup.
@@ -603,13 +604,24 @@ def read_theories(fp: IO[str]) -> Iterator[Theory]:
     return read_records(fp, "theory", record_to_theory, lambda t: f"theory id {t.id!r}")
 
 
+def _as_given(item, given):
+    """``item``, built from the rendering of ``given``; a text that reads as
+    another structure is an error naming the item."""
+    built = (item.antecedents, item.consequent) if isinstance(item, Rule) else item.literal
+    if built != given:
+        raise TheoryParseError(f"{item.id}: text {item.text!r} reads as another structure")
+    return item
+
+
 def make_fact(fact_id: str, literal: Literal) -> Fact:
-    return Fact(fact_id, render_literal(literal))
+    return _as_given(Fact(fact_id, render_literal(literal)), literal)
 
 
 def make_rule(rule_id: str, antecedents: Iterable[Literal], consequent: Literal) -> Rule:
-    return Rule(rule_id, render_rule(antecedents, consequent))
+    antecedents = tuple(antecedents)
+    rule = Rule(rule_id, render_rule(antecedents, consequent))
+    return _as_given(rule, (antecedents, consequent))
 
 
 def make_question(question_id: str, literal: Literal, **gold) -> Question:
-    return Question(question_id, render_literal(literal), **gold)
+    return _as_given(Question(question_id, render_literal(literal), **gold), literal)

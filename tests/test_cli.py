@@ -154,6 +154,25 @@ class TestExitCodes:
         assert "duplicate of F" in err
         assert not out.exists()
 
+    def test_unstatable_generated_sentence_is_an_internal_error(self, workspace, tmp_path,
+                                                               capsys, monkeypatch):
+        build_draft = datagen._build_draft
+
+        def unstatable_fact(rng, cfg, profile):
+            draft, context = build_draft(rng, cfg, profile)
+            draft.facts.append(Literal("alan", "likes", "bob"))  # renders "likess"
+            return draft, context
+
+        monkeypatch.setattr(datagen, "_build_draft", unstatable_fact)
+        out = tmp_path / "data"
+        code = run_command(["generate", "--config", str(workspace / "config.json"),
+                            "--seed", "7", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.search(r"internal error: generated theory T00000 is invalid: F\d+: "
+                         r"relation verb 'likes' must be in base form", err)
+        assert not out.exists()
+
     def test_data_error_is_two(self, workspace, tmp_path):
         assert run_command(["answer", str(tmp_path / "missing.jsonl")]) == 2
         bad = tmp_path / "bad.jsonl"

@@ -60,6 +60,15 @@ def build_errors_name_the_item(theory) -> bool:
     return False
 
 
+def makers_keep_the_given_structure(theory) -> bool:
+    # rendered "Alan is blue.", which reads as alan, not Alan
+    try:
+        theory.make_fact("F1", theory.Literal("Alan", "blue"))
+    except theory.TheoryParseError as exc:
+        return str(exc) == "F1: text 'Alan is blue.' reads as another structure"
+    return False
+
+
 def gold_proofs_are_read_checked(theory) -> bool:
     t = theory.Theory("T1", (theory.make_fact("F1", theory.Literal("alan", "blue")),), (), (
         theory.make_question("Q1", theory.Literal("alan", "blue"), gold_answer=True,
@@ -256,6 +265,9 @@ MUTANTS = {
     "item_error_omits_its_id": (
         "theory", 'raise TheoryParseError(f"{item_id}: {exc}")', "raise TheoryParseError(str(exc))",
         build_errors_name_the_item),
+    "maker_accepts_another_structure": (
+        "theory", "    if built != given:\n", "    if False:\n",
+        makers_keep_the_given_structure),
     "validate_theory_skips_read_check": (
         "theory", "    read = _read_violations(t)\n", "    read = []\n",
         gold_proofs_are_read_checked),

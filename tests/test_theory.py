@@ -469,31 +469,34 @@ class TestValidateTheory:
         )
         assert any("with and without" in v for v in validate_theory(t))
 
-    @pytest.mark.parametrize("literal, held", [
-        (Literal("alan", "likes", "bob"), None), (Literal("alan", "doe", "bob"), None),
-        (Literal("alan", "i", "bob"), None), (Literal("Alan", "blue"), Literal("alan", "blue")),
-        (Literal("alan", "Blue"), None),
-        (Literal("alan", "like", "Bob"), Literal("alan", "like", "bob")),
-        (Literal("alan", "is"), None), (Literal("al an", "blue"), None),
-        (Literal("alan", "like", "someone"), None), (Literal("if", "blue"), None),
+    @pytest.mark.parametrize("literal", [
+        Literal("alan", "likes", "bob"), Literal("alan", "doe", "bob"),
+        Literal("alan", "i", "bob"), Literal("Alan", "blue"), Literal("alan", "Blue"),
+        Literal("alan", "like", "Bob"), Literal("alan", "is"), Literal("al an", "blue"),
+        Literal("alan", "like", "someone"), Literal("if", "blue"),
     ], ids=["third_person_verb", "verb_doe", "verb_i", "capital_subject",
             "capital_predicate", "capital_object", "reserved_predicate", "space",
             "variable_object", "reserved_entity"])
-    def test_text_that_does_not_parse_back_is_flagged(self, literal, held):
-        # The text rendered from ``literal`` does not parse, and building the
-        # item raises naming it; or, for a capitalised token, the text reads
-        # as the literal ``held``, which the item then holds. Either way no
-        # item holds ``literal``.
+    def test_text_that_does_not_parse_back_is_flagged(self, literal):
+        # The text rendered from ``literal`` does not parse, or, for a
+        # capitalised token, reads as another literal; either way building
+        # the item raises naming it.
         builds = {"F1": lambda: make_fact("F1", literal),
                   "Q1": lambda: make_question("Q1", literal),
                   "R1": lambda: make_rule("R1", [Literal("alan", "young")], literal)}
         for item_id, build in builds.items():
-            if held is None:
-                with pytest.raises(TheoryParseError, match=f"^{item_id}: "):
-                    build()
-            else:
-                item = build()
-                assert (item.consequent if item_id == "R1" else item.literal) == held
+            with pytest.raises(TheoryParseError, match=f"^{item_id}: "):
+                build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_fact("F1", Literal("Alan", "blue")),
+        lambda: make_question("F1", Literal("alan", "like", "Bob")),
+        lambda: make_rule("F1", [Literal("Alan", "young")], Literal("alan", "blue")),
+    ], ids=["fact", "question", "rule_antecedent"])
+    def test_text_reading_as_another_structure_names_it(self, build):
+        with pytest.raises(TheoryParseError,
+                           match="^F1: text '.*' reads as another structure$"):
+            build()
 
     def test_gold_depth_mismatch_flagged(self):
         from ruleproofs.proofgraph import ProofGraph

@@ -21,6 +21,7 @@ from .proofgraph import ProofGraph, match_proofs, proof_depth, validate_structur
 from .reasoner import (
     GroundProgram,
     NonStratifiedTheory,
+    ProofSearchTooDeep,
     answer_question,
     check_proof,
     closure,
@@ -67,6 +68,7 @@ __all__ = [
     "Potentials",
     "PredictionRecord",
     "ProofGraph",
+    "ProofSearchTooDeep",
     "Question",
     "Report",
     "Rule",

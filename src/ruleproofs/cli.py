@@ -76,6 +76,15 @@ def _write_rows(path: Optional[str], rows: Iterable[dict]) -> None:
             fp.write(json.dumps(row) + "\n")
 
 
+def _load_json(path: str, error: type[Exception]):
+    """The JSON value of a whole file; ``error`` on nesting too deep to read."""
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except RecursionError:
+            raise error(f"{path}: JSON nested too deeply to read") from None
+
+
 def _load_theories(path: Optional[str]) -> list[theory_mod.Theory]:
     with _open_input(path) as fp:
         return list(theory_mod.read_theories(fp))
@@ -181,8 +190,8 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _cmd_generate(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fp:
-        cfg = datagen.GenConfig.from_dict(json.load(fp), seed=args.seed)
+    cfg = datagen.GenConfig.from_dict(_load_json(args.config, datagen.ConfigError),
+                                      seed=args.seed)
     bundle = datagen.generate_dataset(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -282,8 +291,8 @@ def _cmd_train_baseline(args) -> int:
 
 
 def _cmd_score_edges(args) -> int:
-    with open(args.scorer, "r", encoding="utf-8") as fp:
-        scorer = potentials.LinearScorer.from_dict(json.load(fp))
+    scorer = potentials.LinearScorer.from_dict(
+        _load_json(args.scorer, potentials.ScorerError))
     theories = _load_theories(args.input)
 
     def rows():
@@ -394,6 +403,7 @@ _DATA_ERRORS = (
     theory_mod.TheoryParseError,
     evalharness.EvaluationError,
     reasoner.NonStratifiedTheory,
+    reasoner.ProofSearchTooDeep,
     datagen.ConfigError,
     datagen.GenerationError,
     potentials.ScorerError,

@@ -1,21 +1,27 @@
 """Exact-match scoring of predictions against gold questions.
 
-Five per-example flags: answer accuracy (QA), node/edge/proof exact
-match against any gold proof (NA/EA/PA), and full accuracy (FA = answer
-and proof both right). Reports bucket examples by gold depth, taking the
-maximum depth over a question's gold proofs, and always satisfy
-PA <= min(NA, EA) and FA <= min(QA, PA) row by row. ``read_predictions``
-reads a predictions file through ``theory.read_records``.
+``METRICS`` names the five per-example flags once: answer accuracy
+(QA), node/edge/proof exact match against any gold proof (NA/EA/PA), and
+full accuracy (FA = answer and proof both right). ``ExampleScore``,
+``ReportRow`` and both renderings of a ``Report`` are built from it.
+Reports bucket examples by gold depth, taking the maximum depth over a
+question's gold proofs, and always satisfy PA <= min(NA, EA) and
+FA <= min(QA, PA) row by row. ``read_predictions`` reads a predictions
+file through ``theory.read_records``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from .proofgraph import ProofGraph, match_proofs, proof_depth
 from .theory import Question, Theory, read_records, string_field
+
+
+METRICS = ("qa", "na", "ea", "pa", "fa")
 
 
 class EvaluationError(ValueError):
@@ -66,13 +72,7 @@ class PredictionRecord:
         )
 
 
-@dataclass(frozen=True)
-class ExampleScore:
-    qa: bool
-    na: bool
-    ea: bool
-    pa: bool
-    fa: bool
+ExampleScore = namedtuple("ExampleScore", METRICS)
 
 
 def score_example(gold: Question, pred: PredictionRecord) -> ExampleScore:
@@ -84,23 +84,15 @@ def score_example(gold: Question, pred: PredictionRecord) -> ExampleScore:
     return ExampleScore(qa, na, ea, pa, qa and pa)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    depth: Optional[int]  # None for the All row
-    count: int
-    qa: float
-    na: float
-    ea: float
-    pa: float
-    fa: float
+ReportRow = namedtuple("ReportRow", ("depth", "count") + METRICS)  # depth None for the All row
 
 
 @dataclass(frozen=True)
 class Report:
     label: str
-    bucketing: str
     skipped_no_gold: int
     rows: tuple[ReportRow, ...]
+    bucketing: ClassVar[str] = "max gold proof depth"
 
     @property
     def all_row(self) -> ReportRow:
@@ -111,42 +103,26 @@ class Report:
             "label": self.label,
             "bucketing": self.bucketing,
             "skipped_no_gold": self.skipped_no_gold,
-            "rows": [
-                {
-                    "depth": "All" if r.depth is None else r.depth,
-                    "count": r.count,
-                    "qa": r.qa, "na": r.na, "ea": r.ea, "pa": r.pa, "fa": r.fa,
-                }
-                for r in self.rows
-            ],
+            "rows": [{**r._asdict(), "depth": "All" if r.depth is None else r.depth}
+                     for r in self.rows],
         }
 
     def to_text(self) -> str:
         header = f"# {self.label} | bucketing: {self.bucketing}"
         if self.skipped_no_gold:
             header += f" | skipped (no gold proofs): {self.skipped_no_gold}"
-        lines = [header, f"{'D':>4} {'Cnt':>6} {'QA':>6} {'NA':>6} {'EA':>6} {'PA':>6} {'FA':>6}"]
+        lines = [header,
+                 " ".join([f"{'D':>4}", f"{'Cnt':>6}", *(f"{m.upper():>6}" for m in METRICS)])]
         for r in self.rows:
             depth = "All" if r.depth is None else str(r.depth)
-            lines.append(
-                f"{depth:>4} {r.count:>6} "
-                f"{100 * r.qa:>6.1f} {100 * r.na:>6.1f} {100 * r.ea:>6.1f} "
-                f"{100 * r.pa:>6.1f} {100 * r.fa:>6.1f}"
-            )
+            lines.append(" ".join([f"{depth:>4}", f"{r.count:>6}",
+                                   *(f"{100 * getattr(r, m):>6.1f}" for m in METRICS)]))
         return "\n".join(lines) + "\n"
 
 
 def _mean_row(depth: Optional[int], scores: list[ExampleScore]) -> ReportRow:
     n = len(scores)
-    return ReportRow(
-        depth,
-        n,
-        sum(s.qa for s in scores) / n,
-        sum(s.na for s in scores) / n,
-        sum(s.ea for s in scores) / n,
-        sum(s.pa for s in scores) / n,
-        sum(s.fa for s in scores) / n,
-    )
+    return ReportRow(depth, n, *(sum(column) / n for column in zip(*scores)))
 
 
 def aggregate_report(
@@ -159,12 +135,7 @@ def aggregate_report(
     Exactly one prediction per scorable question is required; questions
     without gold proofs are skipped and counted instead of failing.
     """
-    theories = list(theories)
-    question_index: dict[tuple[str, str], tuple[Theory, Question]] = {}
-    for t in theories:
-        for q in t.questions:
-            question_index[(t.id, q.id)] = (t, q)
-
+    question_index = {(t.id, q.id): (t, q) for t in theories for q in t.questions}
     by_key: dict[tuple[str, str], PredictionRecord] = {}
     for pred in predictions:
         key = (pred.theory_id, pred.question_id)
@@ -176,32 +147,27 @@ def aggregate_report(
 
     skipped = 0
     buckets: dict[int, list[ExampleScore]] = {}
-    everything: list[ExampleScore] = []
     for key, (t, q) in question_index.items():
         if q.gold_answer is None or not q.gold_proofs:
-            by_key.pop(key, None)
             skipped += 1
             continue
-        if key not in by_key:
+        pred = by_key.get(key)
+        if pred is None:
             raise EvaluationError(f"missing prediction for {key[0]}/{key[1]}")
-        pred = by_key.pop(key)
         unknown = t.unknown_ids(chain(pred.proof.nodes, *pred.proof.edges))
         if unknown:
             raise EvaluationError(
                 f"prediction for {key[0]}/{key[1]} references unknown sentence {unknown[0]}")
-        score = score_example(q, pred)
-        if q.gold_depth is not None:
-            depth = q.gold_depth
-        else:
-            depth = max(proof_depth(p) for p in q.gold_proofs)
-        buckets.setdefault(depth, []).append(score)
-        everything.append(score)
+        depth = q.gold_depth if q.gold_depth is not None else \
+            max(proof_depth(p) for p in q.gold_proofs)
+        buckets.setdefault(depth, []).append(score_example(q, pred))
 
-    if not everything:
+    if not buckets:
         raise EvaluationError("no scorable questions")
-    rows = [_mean_row(d, buckets[d]) for d in sorted(buckets)]
-    rows.append(_mean_row(None, everything))
-    return Report(label, "max gold proof depth", skipped, tuple(rows))
+    depths = sorted(buckets)
+    rows = [_mean_row(d, buckets[d]) for d in depths]
+    rows.append(_mean_row(None, [s for d in depths for s in buckets[d]]))
+    return Report(label, skipped, tuple(rows))
 
 
 def read_predictions(fp) -> list[PredictionRecord]:

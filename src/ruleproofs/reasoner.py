@@ -69,7 +69,11 @@ an ancestor differ from its own. The proof table holds each derived
 atom's minimal fragments and its proofs in canonical order; a positive
 and a negative question on the atom slice the same list, and failure
 demonstrations read the first minimal fragment of each satisfiable
-antecedent from it.
+antecedent from it. The enumeration recurses once per link of a
+derivation chain, so on a chain that nests past Python's recursion limit
+``prove`` raises ``ProofSearchTooDeep`` naming the question. A table
+stores an entry only once its enumeration completes, so the program
+stays usable after that error.
 """
 
 from __future__ import annotations
@@ -93,6 +97,10 @@ _FRAGMENT_CAP = 256
 
 class NonStratifiedTheory(ValueError):
     """A dependency cycle runs through a negative antecedent."""
+
+
+class ProofSearchTooDeep(ValueError):
+    """A proof search nests deeper than Python's recursion limit."""
 
 
 def ground_instances(t: Theory):
@@ -555,7 +563,12 @@ def prove_literal(program: GroundProgram, lit: Literal,
 
 def prove(t: Theory, q: Question, max_proofs: int = DEFAULT_MAX_PROOFS) -> list[ProofGraph]:
     """Up to ``max_proofs`` distinct minimal proofs, deterministically ordered."""
-    return prove_literal(closure(t), q.literal, max_proofs)
+    program = closure(t)
+    try:
+        return prove_literal(program, q.literal, max_proofs)
+    except RecursionError:
+        raise ProofSearchTooDeep(f"theory {t.id!r}, question {q.id}: proof search nests "
+                                 "deeper than the recursion limit") from None
 
 
 def critical_sentences(t: Theory) -> list[set[str]]:

@@ -574,9 +574,10 @@ def read_records(fp: IO[str], kind: str, build: Callable[[dict], object],
                  key: Callable[[object], str]) -> Iterator:
     """``build(record)`` of each JSON object line of ``fp``, skipping blank
     lines; ``key(item)`` names an item, which is read once per file. Every
-    ``KeyError``, ``TypeError`` or ``ValueError`` from a line is raised as
-    a ``TheoryParseError`` with ``line`` set: "bad <kind> record on line
-    N: <detail>"; a name read again names the line that first held it."""
+    ``KeyError``, ``TypeError``, ``ValueError`` or ``RecursionError`` (a
+    line nested too deeply) from a line is raised as a ``TheoryParseError``
+    with ``line`` set: "bad <kind> record on line N: <detail>"; a name
+    read again names the line that first held it."""
     lines: dict[str, int] = {}
     for line_no, line in enumerate(fp, start=1):
         if not line.strip():
@@ -589,10 +590,12 @@ def read_records(fp: IO[str], kind: str, build: Callable[[dict], object],
             name = key(item)
             if name in lines:
                 raise ValueError(f"{name} already read on line {lines[name]}")
-        except (KeyError, TypeError, ValueError) as exc:  # a KeyError prints only the key
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             detail = (f"invalid JSON: {exc.msg} (column {exc.colno})"
                       if isinstance(exc, json.JSONDecodeError)
-                      else f"missing key {exc}" if isinstance(exc, KeyError) else exc)
+                      else f"missing key {exc}" if isinstance(exc, KeyError)  # prints only the key
+                      else "nested too deeply to read" if isinstance(exc, RecursionError)
+                      else exc)
             raise TheoryParseError(f"bad {kind} record on line {line_no}: {detail}",
                                    line_no) from exc
         lines[name] = line_no

@@ -1,6 +1,6 @@
 import json
 import re
-from itertools import zip_longest
+from itertools import product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,9 @@ def workspace(tmp_path_factory):
 
 def run_ok(argv):
     assert run_command([str(a) for a in argv]) == 0
+
+
+NESTED = '{"id": ' + "[" * 5000 + "]" * 5000 + "}"  # valid JSON, too deep to decode
 
 
 READERS = ["answer", "prove", "mask-export", "oracle-potentials", "train-baseline",
@@ -698,6 +701,62 @@ class TestExitCodes:
     def test_answer_and_prove_reject_non_stratified_theory_with_questions(
             self, command, tmp_path, capsys):
         self.check_cycle_fails_only_with_questions(command, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command, kind", [
+        ("answer", "theory"), ("mask-export", "theory"), ("decode", "potentials"),
+        ("eval", "prediction")])
+    def test_deeply_nested_record_is_a_data_error(self, workspace, tmp_path, capsys,
+                                                  command, kind):
+        nested = tmp_path / "nested.jsonl"
+        nested.write_text("\n" + NESTED + "\n")
+        out = tmp_path / "out.jsonl"
+        argv = [command, nested, "-o", out] if kind == "theory" else \
+            [command, "--theories", workspace / "data" / "test.theories.jsonl", nested, "-o", out]
+        capsys.readouterr()
+        code = run_command([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: bad {kind} record on line 2: nested too deeply to read" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "score-edges"])
+    def test_deeply_nested_json_file_is_a_data_error(self, workspace, tmp_path, capsys, command):
+        nested = tmp_path / "nested.json"
+        nested.write_text(NESTED)
+        out = tmp_path / "out"
+        argv = ["generate", "--config", nested, "--seed", "1", "-o", out] \
+            if command == "generate" else \
+            ["score-edges", "--scorer", nested, workspace / "data" / "dev.theories.jsonl",
+             "-o", out]
+        capsys.readouterr()
+        code = run_command([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {nested}: JSON nested too deeply to read" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_proof_search_past_the_recursion_limit_is_a_data_error(self, tmp_path, capsys):
+        # one fact and a chain of 600 ground rules, asked about its last atom
+        words = ["".join(w) for w in product("xyz", repeat=6)][:601]
+        rules = tuple(make_rule(f"R{i}", [Literal("alan", a)], Literal("alan", b))
+                      for i, (a, b) in enumerate(zip(words, words[1:]), start=1))
+        theories = tmp_path / "chain.jsonl"
+        with open(theories, "w", encoding="utf-8") as fp:
+            write_theories(fp, [Theory("T1", (make_fact("F1", Literal("alan", words[0])),),
+                                       rules, (make_question("Q1", Literal("alan", words[-1])),))])
+        for command in ("answer", "critical"):
+            run_ok([command, theories, "-o", tmp_path / f"{command}.jsonl"])
+        out = tmp_path / "proofs.jsonl"
+        capsys.readouterr()
+        code = run_command(["prove", str(theories), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: theory 'T1', question Q1: proof search nests deeper than the " \
+            "recursion limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

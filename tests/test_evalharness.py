@@ -156,6 +156,18 @@ class TestAggregateReport:
         assert report.skipped_no_gold == 1
         assert report.all_row.count == 1
 
+    def test_report_does_not_depend_on_record_order(self, bundle):
+        rng = np.random.default_rng(5)
+        theories = list(bundle.test)
+        predictions = corrupt(rng, theories)
+        report = aggregate_report(theories, predictions)
+        assert len(report.rows) > 2 and report.all_row.pa < 1.0
+        for _ in range(5):
+            shuffled = aggregate_report([theories[i] for i in rng.permutation(len(theories))],
+                                        [predictions[i] for i in rng.permutation(len(predictions))])
+            assert shuffled.to_dict() == report.to_dict()
+            assert shuffled.to_text() == report.to_text()
+
     def test_text_table_shape(self, bundle):
         report = aggregate_report(bundle.test, perfect_predictions(bundle.test),
                                   label="demo")

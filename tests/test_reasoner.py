@@ -477,6 +477,23 @@ class TestProve:
                 assert prove_literal(program, lit) == oracles.naive_proofs(t, lit, 10), order
 
 
+    def test_long_chain_names_the_question_and_leaves_the_program_usable(self):
+        # each link of the chain nests the fragment enumeration two frames
+        # deeper, so 600 links pass Python's default limit of 1,000 frames
+        words = ["".join(w) for w in itertools.product("xyz", repeat=6)][:601]
+        t = theory_of([Literal("alan", words[0])],
+                      [([Literal("alan", a)], Literal("alan", b)) for a, b in zip(words, words[1:])],
+                      [Literal("alan", words[-1]), Literal("alan", words[100])])
+        program = closure(t)
+        with pytest.raises(reasoner.ProofSearchTooDeep, match=(
+                "^theory 't', question Q1: proof search nests deeper than the recursion limit$")):
+            prove(t, t.questions[0])
+        assert closure(t) is program
+        expected = prove_literal(GroundProgram(t), t.questions[1].literal)
+        assert prove(t, t.questions[1]) == expected
+        assert len(expected) == 1 and len(expected[0].nodes) == 101
+
+
 class TestCheckFailureDemonstration:
     """Each rejection of a failure demonstration, on a graph that passes
     every other test of ``check_proof``."""

@@ -25,8 +25,6 @@ import itertools
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
-import numpy as np
-
 from . import reasoner
 from .proofgraph import proof_depth
 from .theory import (
@@ -435,6 +433,7 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
     a rejected draft changes no other attempt. When every attempt is
     rejected, the ``GenerationError`` counts the rejections by cause.
     """
+    import numpy as np
     profile = PROFILES[cfg.profile]
     too_small = no_questions = most_facts = most_rules = 0
     try:  # a sentence the grammar cannot state is a generator fault, not a data error
@@ -516,6 +515,7 @@ def _split_stats(theories: list[Theory]) -> dict:
 
 def generate_dataset(cfg: GenConfig) -> DatasetBundle:
     """All theories plus a deterministic 70/10/20 split by theory."""
+    import numpy as np
     theories = [generate_theory(cfg, i) for i in range(cfg.num_theories)]
     order = np.random.default_rng([cfg.seed, 7, 1, 0]).permutation(cfg.num_theories)
     n_train = int(cfg.num_theories * 0.7)

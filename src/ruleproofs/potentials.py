@@ -8,8 +8,10 @@ trained by logistic regression on surface features of sentence pairs.
 Labels and potentials are the JSON lists they are written as: integer
 rows of labels, and float lists of node and edge probabilities that
 ``Potentials.from_record`` checks and the decoder reads as they are.
-numpy is used only where it fixes output bytes: the oracle's noise draws
-and arithmetic, and the scorer.
+numpy is used, and imported, only where it fixes output bytes: the
+oracle's noise draws and arithmetic above noise 0, and the scorer. Each
+function that uses it imports it, so the stages that draw nothing never
+load it.
 
 Sentence index layout is fixed everywhere: facts in id order, then rules
 in id order, then one trailing slot for the NAF node (``theory.layout_ids``).
@@ -23,11 +25,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .proofgraph import NAF, ProofGraph, is_connected, node_kind
 from .theory import Question, Theory, layout_ids
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MASKED = -100
 
@@ -132,7 +136,7 @@ def oracle_potentials(t: Theory, gold: ProofGraph, noise: float, seed) -> Potent
     in [0, 1] for noise < 0.5 and noise = 0 reproduces the indicators
     exactly. The unit draws depend only on the seed, which makes decoding
     accuracy monotone in the noise level for a fixed seed. At noise 0
-    nothing is drawn and the seed is unused.
+    nothing is drawn, the seed is unused and numpy is not imported.
     """
     if not 0.0 <= noise < 0.5:
         raise ValueError(f"noise must be in [0, 0.5), got {noise}")
@@ -145,6 +149,7 @@ def oracle_potentials(t: Theory, gold: ProofGraph, noise: float, seed) -> Potent
     for m, n in gold_edges:
         edge_prob[m][n] = 1.0
     if noise:  # at noise 0, |x - 0.0 * u| == x: the indicators as they are
+        import numpy as np
         rng = np.random.default_rng(seed)
         node_unit = rng.random(size)
         edge_unit = rng.random((size, size))
@@ -190,6 +195,7 @@ class FeatureVector:
     naf_to_rule: bool
 
     def to_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
 
 
@@ -245,11 +251,13 @@ def lexical_edge_features(tokens: dict[str, list[str]], src: str, dst: str) -> F
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    import numpy as np
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def logistic_loss_and_grad(weights: np.ndarray, X: np.ndarray, y: np.ndarray):
     """Mean logistic loss and its gradient; the last weight is the bias."""
+    import numpy as np
     z = X @ weights[:-1] + weights[-1]
     p = _sigmoid(z)
     eps = 1e-12
@@ -279,9 +287,11 @@ class LinearScorer:
 
     @classmethod
     def untrained(cls, config: ScorerConfig = ScorerConfig()) -> "LinearScorer":
+        import numpy as np
         return cls(np.zeros(len(FEATURE_NAMES) + 1), config)
 
     def score(self, features: FeatureVector) -> float:
+        import numpy as np
         x = features.to_array()
         return float(_sigmoid(np.array([x @ self.weights[:-1] + self.weights[-1]]))[0])
 
@@ -315,6 +325,7 @@ class LinearScorer:
             raise ScorerError(f"epochs must be an integer >= 1, got {epochs!r}")
         if type(seed) is not int:
             raise ScorerError(f"seed must be an integer, got {seed!r}")
+        import numpy as np
         return cls(np.asarray(weights, dtype=float), ScorerConfig(rate, epochs, seed))
 
 
@@ -328,6 +339,7 @@ def fit_linear_scorer(train: list[tuple[FeatureVector, int]],
     """Full-batch gradient descent on the logistic loss; deterministic."""
     if not train:
         raise ScorerError("empty training set")
+    import numpy as np
     X = np.stack([fv.to_array() for fv, _ in train])
     y = np.array([label for _, label in train], dtype=float)
     if not np.isfinite(X).all():

@@ -21,7 +21,6 @@ from .proofgraph import ProofGraph, match_proofs, proof_depth, validate_structur
 from .reasoner import (
     GroundProgram,
     NonStratifiedTheory,
-    ProofSearchTooDeep,
     answer_question,
     check_proof,
     closure,
@@ -68,7 +67,6 @@ __all__ = [
     "Potentials",
     "PredictionRecord",
     "ProofGraph",
-    "ProofSearchTooDeep",
     "Question",
     "Report",
     "Rule",

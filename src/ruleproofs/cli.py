@@ -49,29 +49,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _open_input(path: Optional[str]):
-    """Standard input is yielded but never closed."""
+def _open(path: Optional[str], mode: str):
+    """The file at ``path`` opened in ``mode``; for None or "-", standard
+    input ("r") or output ("w"), yielded but never closed."""
     if path in (None, "-"):
-        yield sys.stdin
+        yield sys.stdin if mode == "r" else sys.stdout
     else:
-        with open(path, "r", encoding="utf-8") as fp:
-            yield fp
-
-
-@contextmanager
-def _open_output(path: Optional[str]):
-    """Standard output is yielded but never closed."""
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fp:
+        with open(path, mode, encoding="utf-8") as fp:
             yield fp
 
 
 def _write_rows(path: Optional[str], rows: Iterable[dict]) -> None:
     """Write one JSON object per line. The output is opened before the
     first row is drawn, so a list keeps a data error from leaving a file."""
-    with _open_output(path) as fp:
+    with _open(path, "w") as fp:
         for row in rows:
             fp.write(json.dumps(row) + "\n")
 
@@ -86,7 +77,7 @@ def _load_json(path: str, error: type[Exception]):
 
 
 def _load_theories(path: Optional[str]) -> list[theory_mod.Theory]:
-    with _open_input(path) as fp:
+    with _open(path, "r") as fp:
         return list(theory_mod.read_theories(fp))
 
 
@@ -285,7 +276,7 @@ def _cmd_train_baseline(args) -> int:
     train = potentials.make_edge_training_set(theories)
     config = potentials.ScorerConfig(args.learning_rate, args.epochs, args.seed)
     scorer = potentials.fit_linear_scorer(train, config)
-    with _open_output(args.output) as fp:
+    with _open(args.output, "w") as fp:
         fp.write(json.dumps(scorer.to_dict()) + "\n")
     return 0
 
@@ -323,7 +314,7 @@ def _cmd_decode(args) -> int:
         return t, q, potentials.Potentials.from_record(record, t)
 
     rows = []
-    with _open_input(args.input) as fp:
+    with _open(args.input, "r") as fp:
         for t, q, pot in theory_mod.read_records(fp, "potentials", target,
                                                  lambda r: f"question {r[0].id}/{r[1].id}"):
             if args.unconstrained:
@@ -342,15 +333,20 @@ def _cmd_decode(args) -> int:
 
 def _cmd_eval(args) -> int:
     theories = _load_theories(args.theories)
-    with _open_input(args.input) as fp:
+    with _open(args.input, "r") as fp:
         predictions = evalharness.read_predictions(fp)
     report = evalharness.aggregate_report(theories, predictions, args.label)
-    with _open_output(args.output) as fp:
-        fp.write(report.to_text())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fp:
-            json.dump(report.to_dict(), fp, indent=2)
-            fp.write("\n")
+    text = report.to_text()
+    if args.json_out:  # written first, so a path it cannot open leaves no text report
+        Path(args.json_out).write_text(json.dumps(report.to_dict(), indent=2) + "\n",
+                                       encoding="utf-8")
+    try:
+        with _open(args.output, "w") as fp:
+            fp.write(text)
+    except OSError:  # nor does an output path it cannot open leave the JSON report
+        if args.json_out:
+            Path(args.json_out).unlink()
+        raise
     return 0
 
 
@@ -403,7 +399,6 @@ _DATA_ERRORS = (
     theory_mod.TheoryParseError,
     evalharness.EvaluationError,
     reasoner.NonStratifiedTheory,
-    reasoner.ProofSearchTooDeep,
     datagen.ConfigError,
     datagen.GenerationError,
     potentials.ScorerError,

@@ -366,13 +366,7 @@ def _candidate_literals(t: Theory, context: dict, negation: bool) -> list[Litera
     other = context["entities"][-1]  # never e0, which is entities[0]
     for rel in context["chain_relations"]:
         candidates.append(Literal(e0, rel, other))
-    seen = set()
-    unique = []
-    for lit in candidates:
-        if lit not in seen:
-            seen.add(lit)
-            unique.append(lit)
-    return unique
+    return list(dict.fromkeys(candidates))
 
 
 def _pick_questions(rng, cfg: GenConfig, index: int, pool: dict) -> Optional[list]:

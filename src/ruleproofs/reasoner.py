@@ -62,18 +62,16 @@ Warren 1996). The fragment table holds the derivation fragments of an
 atom off a path, keyed on (atom, path ∩ cone), where the cone of an atom
 is the atom and every atom its fired instances reach through positive
 antecedents. Those are the only atoms whose presence on the path the
-enumeration tests, also inside its recursion, so the key is exact: two
-paths that agree on the cone give the same fragments. Keying on the atom
-alone would not be, since in a positive cycle an atom's fragments under
-an ancestor differ from its own. The proof table holds each derived
-atom's minimal fragments and its proofs in canonical order; a positive
-and a negative question on the atom slice the same list, and failure
+enumeration tests, also in the entries it reads, so the key is exact:
+two paths that agree on the cone give the same fragments. Keying on the
+atom alone would not be, since in a positive cycle an atom's fragments
+under an ancestor differ from its own. The fragment table is filled in
+post-order from an explicit stack, not by recursion, so a derivation
+chain of any length is proved. The proof table holds each derived atom's
+minimal fragments and its proofs in canonical order; a positive and a
+negative question on the atom slice the same list, and failure
 demonstrations read the first minimal fragment of each satisfiable
-antecedent from it. The enumeration recurses once per link of a
-derivation chain, so on a chain that nests past Python's recursion limit
-``prove`` raises ``ProofSearchTooDeep`` naming the question. A table
-stores an entry only once its enumeration completes, so the program
-stays usable after that error.
+antecedent from it.
 """
 
 from __future__ import annotations
@@ -97,10 +95,6 @@ _FRAGMENT_CAP = 256
 
 class NonStratifiedTheory(ValueError):
     """A dependency cycle runs through a negative antecedent."""
-
-
-class ProofSearchTooDeep(ValueError):
-    """A proof search nests deeper than Python's recursion limit."""
 
 
 def ground_instances(t: Theory):
@@ -192,7 +186,7 @@ class GroundProgram:
     Proof search fills two tables, one entry per first read, and they go
     with the program. ``_fragment_table`` maps (atom id, path ∩ cone) to
     the atom's derivation fragments off the path; the cone of an atom
-    (``_cone``) is every atom whose presence on the path the enumeration
+    (see ``_key``) is every atom whose presence on the path the enumeration
     can test, so the key is exact. ``_proof_table`` maps a derived atom id
     to its minimal fragments and its canonically sorted proofs. Entries
     are tuples, shared by every caller. Each table is exact and the same
@@ -313,9 +307,10 @@ class GroundProgram:
                     changed = True
         return depths
 
-    def _cone(self, a: int) -> frozenset[int]:
-        """Atom id ``a`` and every atom its fired instances reach through
-        positive antecedents, recursively."""
+    def _key(self, a: int, path: frozenset[int]) -> tuple[int, frozenset[int]]:
+        """The fragment table's key for atom id ``a`` off ``path``: ``a`` and
+        the atoms of ``path`` in its cone, which is ``a`` and every atom its
+        fired instances reach through positive antecedents, recursively."""
         cone = self._cones.get(a)
         if cone is None:
             index, positives = self.derivation_index, self.positives
@@ -328,7 +323,7 @@ class GroundProgram:
                             reached.add(b)
                             frontier.append(b)
             cone = self._cones[a] = frozenset(reached)
-        return cone
+        return a, path & cone
 
     def derive(self, removed: Optional[str] = None) -> tuple[bytearray, list[int]]:
         """Derived flags by atom id and the indices of the instances that
@@ -449,16 +444,33 @@ def _negative_support(program: GroundProgram, a: int) -> _Fragment:
 def _fragments(program: GroundProgram, a: int, path: frozenset[int]) -> tuple[_Fragment, ...]:
     """All derivation fragments for a derivable atom id, avoiding any atom
     already under derivation on the current path, read from the program's
-    fragment table."""
-    key = (a, path & program._cone(a))
-    fragments = program._fragment_table.get(key)
-    if fragments is None:
-        fragments = program._fragment_table[key] = _enumerate_fragments(program, a, key[1])
+    fragment table, which is filled in post-order from an explicit stack.
+    An enumeration yields the key of each entry it reads and resumes with
+    the entry once it is stored; a missing entry's enumeration is pushed
+    above it. The atoms up the stack are distinct (a child's atom is off
+    its parent's path, and a key's path keeps every atom below it still in
+    its cone), so a key never waits on itself."""
+    table = program._fragment_table
+    root = program._key(a, path)
+    fragments = table.get(root)
+    stack = [(root, _enumerate_fragments(program, *root))] if fragments is None else []
+    while stack:
+        key, enumeration = stack[-1]
+        try:
+            child = enumeration.send(fragments)
+        except StopIteration as done:
+            fragments = table[key] = done.value
+            stack.pop()
+            continue
+        fragments = table.get(child)
+        if fragments is None:
+            stack.append((child, _enumerate_fragments(program, *child)))
     return fragments
 
 
-def _enumerate_fragments(program: GroundProgram, a: int,
-                         path: frozenset[int]) -> tuple[_Fragment, ...]:
+def _enumerate_fragments(program: GroundProgram, a: int, path: frozenset[int]):
+    """The fragments of key (``a``, ``path``), as a generator that yields
+    the key of each entry it reads and returns the tuple."""
     options: list[_Fragment] = []
     stated = program.stated_by.get((a, True))
     if stated:
@@ -466,7 +478,7 @@ def _enumerate_fragments(program: GroundProgram, a: int,
     for i in program.derivation_index.get(a, ()):
         choice_lists: list[tuple[_Fragment, ...]] = []
         for b in program.positives[i]:
-            subs = () if b in path else _fragments(program, b, path | {b})
+            subs = () if b in path else (yield program._key(b, path | {b}))
             if not subs:
                 break
             choice_lists.append(subs)
@@ -563,12 +575,7 @@ def prove_literal(program: GroundProgram, lit: Literal,
 
 def prove(t: Theory, q: Question, max_proofs: int = DEFAULT_MAX_PROOFS) -> list[ProofGraph]:
     """Up to ``max_proofs`` distinct minimal proofs, deterministically ordered."""
-    program = closure(t)
-    try:
-        return prove_literal(program, q.literal, max_proofs)
-    except RecursionError:
-        raise ProofSearchTooDeep(f"theory {t.id!r}, question {q.id}: proof search nests "
-                                 "deeper than the recursion limit") from None
+    return prove_literal(closure(t), q.literal, max_proofs)
 
 
 def critical_sentences(t: Theory) -> list[set[str]]:

@@ -105,8 +105,9 @@ class Literal:
 
     def entities(self) -> tuple[str, ...]:
         """Ground entity tokens this literal mentions."""
-        subject = () if self.is_variable() else (self.subject,)
-        return subject + (() if self.obj is None else (self.obj,))
+        if self.subject in VARIABLE_PRONOUNS:
+            return () if self.obj is None else (self.obj,)
+        return (self.subject,) if self.obj is None else (self.subject, self.obj)
 
     def negated(self) -> "Literal":
         return Literal(self.subject, self.predicate, self.obj, not self.positive)
@@ -213,13 +214,7 @@ class Theory:
 
     def entities(self) -> list[str]:
         """Ground entity tokens appearing anywhere, in sorted order."""
-        found = set()
-        for lit in self._all_literals():
-            if lit.subject not in VARIABLE_PRONOUNS:
-                found.add(lit.subject)
-            if lit.obj is not None:
-                found.add(lit.obj)
-        return sorted(found)
+        return sorted({e for lit in self._all_literals() for e in lit.entities()})
 
     def _all_literals(self) -> Iterator[Literal]:
         for f in self.facts:

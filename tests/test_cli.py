@@ -9,6 +9,7 @@ from ruleproofs import cli, datagen
 from ruleproofs.cli import run_command
 from ruleproofs.potentials import FEATURE_NAMES, LinearScorer
 from ruleproofs.proofgraph import ProofGraph
+from ruleproofs.reasoner import check_proof
 from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule, write_theories
 
 
@@ -189,6 +190,25 @@ class TestExitCodes:
             "theory_id": "missing", "question_id": "Q1", "answer": True,
             "nodes": ["F1"], "edges": []}) + "\n")
         assert run_command(["eval", "--theories", str(test_file), str(preds)]) == 2
+
+    @pytest.mark.parametrize("bad", ["json", "output"])
+    def test_eval_path_it_cannot_open_leaves_neither_report(self, workspace, tmp_path, bad):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"theory_id": theory["id"], "question_id": q["id"],
+                        "answer": q["answer"], **q["proofs"][0]}) + "\n"
+            for theory in map(json.loads, test_file.read_text().splitlines())
+            for q in theory["questions"]))
+        out, report = tmp_path / "report.txt", tmp_path / "report.json"
+        argv = ["eval", "--theories", str(test_file), str(preds),
+                "-o", str(out), "--json", str(report)]
+        run_ok(argv)
+        out.unlink()
+        report.unlink()
+        argv[argv.index(str(out if bad == "output" else report))] = str(tmp_path / "missing" / bad)
+        assert run_command(argv) == 2
+        assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("nodes", [1]),
@@ -737,26 +757,22 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_proof_search_past_the_recursion_limit_is_a_data_error(self, tmp_path, capsys):
+    def test_prove_handles_a_chain_past_the_recursion_limit(self, tmp_path):
         # one fact and a chain of 600 ground rules, asked about its last atom
         words = ["".join(w) for w in product("xyz", repeat=6)][:601]
         rules = tuple(make_rule(f"R{i}", [Literal("alan", a)], Literal("alan", b))
                       for i, (a, b) in enumerate(zip(words, words[1:]), start=1))
+        t = Theory("T1", (make_fact("F1", Literal("alan", words[0])),), rules,
+                   (make_question("Q1", Literal("alan", words[-1])),))
         theories = tmp_path / "chain.jsonl"
         with open(theories, "w", encoding="utf-8") as fp:
-            write_theories(fp, [Theory("T1", (make_fact("F1", Literal("alan", words[0])),),
-                                       rules, (make_question("Q1", Literal("alan", words[-1])),))])
-        for command in ("answer", "critical"):
+            write_theories(fp, [t])
+        for command in ("answer", "critical", "prove"):
             run_ok([command, theories, "-o", tmp_path / f"{command}.jsonl"])
-        out = tmp_path / "proofs.jsonl"
-        capsys.readouterr()
-        code = run_command(["prove", str(theories), "-o", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "error: theory 'T1', question Q1: proof search nests deeper than the " \
-            "recursion limit" in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        [row] = [json.loads(line) for line in open(tmp_path / "prove.jsonl", encoding="utf-8")]
+        [proof] = row["proofs"]
+        assert (len(proof["nodes"]), len(proof["edges"]), row["depth"]) == (601, 600, 600)
+        assert check_proof(t, t.questions[0], ProofGraph.from_dict(proof))
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

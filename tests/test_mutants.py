@@ -258,6 +258,16 @@ def depth_counts_rules_on_paths(proofgraph) -> bool:
                for p in DEPTH_GRAPHS)
 
 
+# A fragment table that stores and looks up each entry on its key's atom
+# alone. The stack still holds whole keys, so the walk ends on a cycle.
+ATOM_KEYED_TABLE = """self._fragment_table = type("AtomKeyed", (dict,), {
+            "__contains__": lambda table, key: dict.__contains__(table, key[0]),
+            "__getitem__": lambda table, key: dict.__getitem__(table, key[0]),
+            "__setitem__": lambda table, key, value: dict.__setitem__(table, key[0], value),
+            "get": lambda table, key: dict.get(table, key[0])})()
+"""
+
+
 MUTANTS = {
     "validate_theory_ignores_depth": (
         "theory", "            if measured != q.gold_depth:\n", "            if False:\n",
@@ -320,13 +330,9 @@ MUTANTS = {
         "reasoner", "[]).append(f.id)", "[]).insert(0, f.id)",
         stated_in_fact_order),
     "fragment_table_keyed_on_the_atom": (
-        "reasoner", "    fragments = program._fragment_table.get(key)\n"
-        "    if fragments is None:\n"
-        "        fragments = program._fragment_table[key] = ",
-        "    fragments = program._fragment_table.get(a)\n"
-        "    if fragments is None:\n"
-        "        fragments = program._fragment_table[a] = ",
-        fragments_keyed_on_the_path),
+        "reasoner", "self._fragment_table: dict[tuple[int, frozenset[int]], "
+        "tuple[_Fragment, ...]] = {}\n",
+        ATOM_KEYED_TABLE, fragments_keyed_on_the_path),
     "proof_depth_without_cycle_fallback": (
         "proofgraph", "    if len(ready) < len(is_rule):\n", "    if False:\n",
         depth_counts_rules_on_paths),

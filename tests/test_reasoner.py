@@ -1,5 +1,7 @@
 import gc
 import itertools
+import sys
+import traceback
 import weakref
 from dataclasses import replace
 
@@ -477,21 +479,23 @@ class TestProve:
                 assert prove_literal(program, lit) == oracles.naive_proofs(t, lit, 10), order
 
 
-    def test_long_chain_names_the_question_and_leaves_the_program_usable(self):
-        # each link of the chain nests the fragment enumeration two frames
-        # deeper, so 600 links pass Python's default limit of 1,000 frames
+    def test_long_chain_is_proved_below_its_length_in_frames(self):
+        # 600 links, proved under a recursion limit 100 frames above the
+        # caller's depth: any proof search that recursed per link would fail
         words = ["".join(w) for w in itertools.product("xyz", repeat=6)][:601]
         t = theory_of([Literal("alan", words[0])],
                       [([Literal("alan", a)], Literal("alan", b)) for a, b in zip(words, words[1:])],
-                      [Literal("alan", words[-1]), Literal("alan", words[100])])
-        program = closure(t)
-        with pytest.raises(reasoner.ProofSearchTooDeep, match=(
-                "^theory 't', question Q1: proof search nests deeper than the recursion limit$")):
-            prove(t, t.questions[0])
-        assert closure(t) is program
-        expected = prove_literal(GroundProgram(t), t.questions[1].literal)
-        assert prove(t, t.questions[1]) == expected
-        assert len(expected) == 1 and len(expected[0].nodes) == 101
+                      [Literal("alan", words[-1])])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
+        try:
+            proofs = prove(t, t.questions[0])
+        finally:
+            sys.setrecursionlimit(limit)
+        rules = [f"R{i}" for i in range(1, 601)]
+        assert proofs == [ProofGraph.of(["F1", *rules], zip(["F1", *rules], rules))]
+        assert proof_depth(proofs[0]) == 600
+        assert check_proof(t, t.questions[0], proofs[0])
 
 
 class TestCheckFailureDemonstration:

@@ -90,13 +90,6 @@ def _int_at_least(low: int):
     return integer
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
 def _noise_level(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < 0.5:
@@ -140,8 +133,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-baseline", help="fit the lexical edge scorer")
     _add_io(p, input_help="training theories (default: stdin)")
-    p.add_argument("--learning-rate", type=_positive, default=0.5)
-    p.add_argument("--epochs", type=_int_at_least(1), default=300)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("score-edges", help="potentials from a trained lexical scorer")
@@ -274,10 +265,8 @@ def _cmd_train_baseline(args) -> int:
     theories = _load_theories(args.input)
     _require_gold(theories)
     train = potentials.make_edge_training_set(theories)
-    config = potentials.ScorerConfig(args.learning_rate, args.epochs, args.seed)
-    scorer = potentials.fit_linear_scorer(train, config)
-    with _open(args.output, "w") as fp:
-        fp.write(json.dumps(scorer.to_dict()) + "\n")
+    scorer = potentials.fit_linear_scorer(train, potentials.ScorerConfig(seed=args.seed))
+    _write_rows(args.output, [scorer.to_dict()])
     return 0
 
 

@@ -240,7 +240,7 @@ def _build_draft(rng, cfg: GenConfig, profile: VocabularyProfile):
         ground = rng.random() < 0.3
         variable = None if ground else profile.variable
         antecedents = [_as_rule_literal(chain[level - 1], variable)]
-        if support_budget > 0 and len(antecedents) < 2 and rng.random() < 0.45:
+        if support_budget > 0 and rng.random() < 0.45:
             kind = rng.random()
             if kind < cfg.negation_rate:
                 neg_attr = spare_neg[int(rng.integers(len(spare_neg)))]

@@ -23,9 +23,9 @@ potentials and the decoder all take their cells from it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .proofgraph import NAF, ProofGraph, is_connected, node_kind
 from .theory import Question, Theory, layout_ids
@@ -183,8 +183,8 @@ def adversarial_potentials(t: Theory, gold: ProofGraph) -> Potentials:
 # Lexical edge features and the logistic scorer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
+    """One candidate edge's features; the tuple is the scorer's input row."""
     unigram_jaccard: float
     bigram_jaccard: float
     normalized_length_difference: float
@@ -194,12 +194,8 @@ class FeatureVector:
     rule_to_rule: bool
     naf_to_rule: bool
 
-    def to_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
 
-
-FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+FEATURE_NAMES = FeatureVector._fields
 
 
 def _tokens(text: str) -> list[str]:
@@ -292,11 +288,8 @@ class LinearScorer:
 
     def score(self, features: FeatureVector) -> float:
         import numpy as np
-        x = features.to_array()
+        x = np.array(features, dtype=float)
         return float(_sigmoid(np.array([x @ self.weights[:-1] + self.weights[-1]]))[0])
-
-    def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(X @ self.weights[:-1] + self.weights[-1])
 
     def to_dict(self) -> dict:
         return {
@@ -340,7 +333,7 @@ def fit_linear_scorer(train: list[tuple[FeatureVector, int]],
     if not train:
         raise ScorerError("empty training set")
     import numpy as np
-    X = np.stack([fv.to_array() for fv, _ in train])
+    X = np.array([fv for fv, _ in train], dtype=float)
     y = np.array([label for _, label in train], dtype=float)
     if not np.isfinite(X).all():
         raise ScorerError("non-finite feature value in training set")

@@ -497,8 +497,8 @@ def _enumerate_fragments(program: GroundProgram, a: int, path: frozenset[int]):
                 break
         if len(options) >= _FRAGMENT_CAP:
             break
-    unique = {(f.nodes, f.edges, f.root): f for f in options}
-    return tuple(sorted(unique.values(), key=_Fragment.key))
+    unique = tuple({(f.nodes, f.edges, f.root): f for f in options}.values())
+    return unique if len(unique) < 2 else tuple(sorted(unique, key=_Fragment.key))
 
 
 def _proved(program: GroundProgram,

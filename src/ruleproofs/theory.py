@@ -81,7 +81,7 @@ class TheoryParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Literal:
     """One statement: an attribute of a subject or a relation to an object.
 

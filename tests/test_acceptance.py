@@ -245,12 +245,10 @@ def test_criterion_8_lexical_baseline():
     bundle = generate_dataset(GenConfig(seed=11, num_theories=80, max_depth=3))
     train = make_edge_training_set(bundle.train)
     dev = make_edge_training_set(bundle.dev)
-    X = np.stack([fv.to_array() for fv, _ in dev])
-    y = np.array([label for _, label in dev])
     trained = fit_linear_scorer(train, ScorerConfig(0.5, 300, 0))
     untrained = LinearScorer.untrained()
-    acc_trained = float(((trained.score_matrix(X) >= 0.5).astype(int) == y).mean())
-    acc_untrained = float(((untrained.score_matrix(X) >= 0.5).astype(int) == y).mean())
+    acc_trained = float(np.mean([(trained.score(fv) >= 0.5) == label for fv, label in dev]))
+    acc_untrained = float(np.mean([(untrained.score(fv) >= 0.5) == label for fv, label in dev]))
 
     rng = np.random.default_rng(1)
     Xg = rng.random((60, 8))

@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from itertools import product, zip_longest
 from pathlib import Path
 
@@ -75,6 +76,21 @@ class TestGenerate:
             assert (workspace / "data" / name).read_bytes() == (data2 / name).read_bytes()
 
 
+def test_readme_commands_parse():
+    # every stage of README's command-line block parses, continuation lines
+    # joined, so an option dropped from the CLI but still shown there fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if not line.lstrip().startswith("#")]
+    stages = re.split(r"[|\n]", "\n".join(lines).replace("\\\n", " "))
+    commands = [stage.strip() for stage in stages if stage.strip()]
+    assert len(commands) > 10
+    for command in commands:
+        words = shlex.split(command)
+        assert words[0] == "ruleproofs", command
+        cli.build_parser().parse_args(words[1:])
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, tmp_path, capsys):
         assert run_command(["no-such-command"]) == 1
@@ -89,9 +105,9 @@ class TestExitCodes:
         assert "usage error: unrecognized arguments: --max-proofs" in capsys.readouterr().err
         assert run_command(["oracle-potentials", "--seed", "1", "--noise", "0.7", missing]) == 1
         assert run_command(["oracle-potentials", "--seed", "1", "--noise", "-0.1", missing]) == 1
-        assert run_command(["train-baseline", "--epochs", "-5", missing]) == 1
-        assert run_command(["train-baseline", "--learning-rate", "0", missing]) == 1
-        assert run_command(["train-baseline", "--learning-rate", "nan", missing]) == 1
+        for option in ("--epochs", "--learning-rate"):  # training settings are fixed
+            assert run_command(["train-baseline", option, "1", missing]) == 1
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         # a flag that the other flag of its pair would make ignored
         assert run_command(["decode", "--theories", missing, "--no-connectivity",
                             "--unconstrained", missing]) == 1

@@ -70,6 +70,15 @@ class TestConfig:
                            "num_theories must be positive"):
             GenConfig(seed=-1, num_theories=0)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"facts_per_theory": (5, 3)}, "facts_per_theory range 5..3 is malformed"),
+        ({"facts_per_theory": (0, 3)}, "facts_per_theory must allow at least one fact"),
+        ({"profile": "nope"}, "unknown vocabulary profile 'nope'"),
+    ], ids=["reversed_range", "no_fact", "unknown_profile"])
+    def test_out_of_range_setting_is_named(self, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            GenConfig(**{"seed": 0, "num_theories": 1, **changes})
+
     def test_rejects_rules_below_depth(self):
         with pytest.raises(ConfigError, match="below max_depth"):
             GenConfig(seed=1, num_theories=1, max_depth=4,

@@ -155,6 +155,8 @@ class TestAggregateReport:
         report = aggregate_report([t], [PredictionRecord("t", "Q1", True, ProofGraph.of(["F1"]))])
         assert report.skipped_no_gold == 1
         assert report.all_row.count == 1
+        with pytest.raises(EvaluationError, match="^no scorable questions$"):
+            aggregate_report([Theory("t", t.facts, (), t.questions[1:])], [])
 
     def test_report_does_not_depend_on_record_order(self, bundle):
         rng = np.random.default_rng(5)

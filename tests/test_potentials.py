@@ -264,7 +264,7 @@ class TestLinearScorer:
         pos = FeatureVector(0.9, 0.8, 0.1, False, False, True, False, False)
         neg = FeatureVector(0.1, 0.0, 0.9, False, False, False, True, False)
         train = [(pos, 1), (neg, 0)] * 10
-        X = np.stack([fv.to_array() for fv, _ in train])
+        X = np.array([fv for fv, _ in train], dtype=float)
         y = np.array([label for _, label in train], dtype=float)
         losses = []
         for epochs in (0, 5, 25, 125):
@@ -301,12 +301,10 @@ class TestLinearScorer:
         theories = [generate_theory(cfg, i) for i in range(40)]
         train = make_edge_training_set(theories[:32])
         dev = make_edge_training_set(theories[32:])
-        X = np.stack([fv.to_array() for fv, _ in dev])
-        y = np.array([label for _, label in dev])
         trained = fit_linear_scorer(train, ScorerConfig(0.5, 300, 0))
         untrained = LinearScorer.untrained()
-        acc_trained = ((trained.score_matrix(X) >= 0.5).astype(int) == y).mean()
-        acc_untrained = ((untrained.score_matrix(X) >= 0.5).astype(int) == y).mean()
+        acc_trained = np.mean([(trained.score(fv) >= 0.5) == label for fv, label in dev])
+        acc_untrained = np.mean([(untrained.score(fv) >= 0.5) == label for fv, label in dev])
         assert acc_trained > acc_untrained
 
     def test_training_pairs_match_unmasked_cells(self):

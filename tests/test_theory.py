@@ -4,7 +4,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 import oracles
 from ruleproofs import theory
@@ -369,12 +369,13 @@ class TestItems:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Fact("F1", "Alan is blue"), "F1: sentence must end with a period"),
+        (lambda: Fact("F1", "Alan is. blue."), "F1: sentence has a stray period"),
         (lambda: Fact("F1", "If Alan is blue then Alan is red."), "F1: expected a declarative"),
         (lambda: Rule("R1", "Alan is blue."), "R1: rule sentence must start with 'If'"),
         (lambda: Rule("R1", "If someone is blue then Bob is red."), "R1: consequent must start"),
         (lambda: Question("Q1", "Someone is blue.", gold_answer=True), "Q1: entity token"),
-    ], ids=["fact_without_period", "fact_from_rule_text", "rule_from_fact_text",
-            "rule_mixing_subjects", "variable_question"])
+    ], ids=["fact_without_period", "fact_with_stray_period", "fact_from_rule_text",
+            "rule_from_fact_text", "rule_mixing_subjects", "variable_question"])
     def test_unparseable_text_raises_naming_the_item(self, build, message):
         with pytest.raises(TheoryParseError, match=f"^{message}"):
             build()
@@ -675,10 +676,13 @@ class TestValidTheoryReadsBack:
             assert list(again._all_literals()) == list(t._all_literals())
 
     def test_draws_hold_both_verdicts(self):
-        # some draws raise, and of those that build some are valid, some not
+        # some draws raise, and of those that build some are valid, some not;
+        # one of each is enough, so no shrinking, and a budget that a rare
+        # verdict does not run out of
         for wanted in ("raised", "invalid", "valid"):
             find(drawn_theories(), lambda t: verdict(t) == wanted,
-                 settings=settings(database=None))
+                 settings=settings(database=None, max_examples=1000,
+                                   phases=[Phase.generate]))
 
 
 class TestRoundTripProperties:

@@ -358,11 +358,7 @@ def _candidate_literals(t: Theory, context: dict, negation: bool) -> list[Litera
             if negation:
                 candidates.append(Literal(entity, attr, positive=False))
     for rule in t.rules:
-        head = rule.consequent
-        if head.is_variable():
-            candidates.append(head.bind(e0))
-        else:
-            candidates.append(head)
+        candidates.append(rule.consequent.bind(e0))
     other = context["entities"][-1]  # never e0, which is entities[0]
     for rel in context["chain_relations"]:
         candidates.append(Literal(e0, rel, other))

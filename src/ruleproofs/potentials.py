@@ -282,9 +282,9 @@ class LinearScorer:
     config: ScorerConfig = field(default_factory=ScorerConfig)
 
     @classmethod
-    def untrained(cls, config: ScorerConfig = ScorerConfig()) -> "LinearScorer":
+    def untrained(cls) -> "LinearScorer":
         import numpy as np
-        return cls(np.zeros(len(FEATURE_NAMES) + 1), config)
+        return cls(np.zeros(len(FEATURE_NAMES) + 1))
 
     def score(self, features: FeatureVector) -> float:
         import numpy as np

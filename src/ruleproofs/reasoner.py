@@ -84,7 +84,7 @@ from typing import Optional
 from .proofgraph import NAF, ProofGraph, validate_structure
 from .theory import Atom, Literal, Question, Theory
 
-DEFAULT_MAX_PROOFS = 10
+MAX_PROOFS = 10
 
 # Per-atom cap on enumerated support fragments; keeps pathological
 # theories from exploding the proof search. Generated data stays far
@@ -557,10 +557,7 @@ def _failed_proof(program: GroundProgram, i: Optional[int]) -> ProofGraph:
     return ProofGraph(frozenset(nodes), frozenset(edges))
 
 
-def prove_literal(program: GroundProgram, lit: Literal,
-                  max_proofs: int = DEFAULT_MAX_PROOFS) -> list[ProofGraph]:
-    if max_proofs < 1:
-        raise ValueError("max_proofs must be at least 1")
+def prove_literal(program: GroundProgram, lit: Literal) -> list[ProofGraph]:
     a = program.atom_ids.get(lit.atom())
 
     stated = None if lit.positive else program.stated_by.get((a, False))
@@ -568,14 +565,14 @@ def prove_literal(program: GroundProgram, lit: Literal,
         return [ProofGraph.of([stated[0]])]
 
     if a is not None and program.flags[a]:
-        return list(_proved(program, a)[1][:max_proofs])
+        return list(_proved(program, a)[1][:MAX_PROOFS])
 
     return [_failed_proof(program, select_failed_instance(program, lit.atom()))]
 
 
-def prove(t: Theory, q: Question, max_proofs: int = DEFAULT_MAX_PROOFS) -> list[ProofGraph]:
-    """Up to ``max_proofs`` distinct minimal proofs, deterministically ordered."""
-    return prove_literal(closure(t), q.literal, max_proofs)
+def prove(t: Theory, q: Question) -> list[ProofGraph]:
+    """Up to ``MAX_PROOFS`` distinct minimal proofs, deterministically ordered."""
+    return prove_literal(closure(t), q.literal)
 
 
 def critical_sentences(t: Theory) -> list[set[str]]:

@@ -74,11 +74,7 @@ def literal_sort_key(lit: "Literal") -> tuple[str, str, str, bool]:
 
 
 class TheoryParseError(ValueError):
-    """Raised on malformed input; ``line`` is the input line, when known."""
-
-    def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
-        super().__init__(message)
+    """Raised on malformed input; a read error names its line in the message."""
 
 
 @dataclass(frozen=True)
@@ -406,29 +402,15 @@ def _check_ids(items, prefix: str, violations: list[str]) -> None:
             violations.append(f"id {item.id}: expected {expected} (ids must be contiguous)")
 
 
-def _check_duplicate_facts(facts, violations: list[str]) -> None:
-    first: dict[Literal, str] = {}
-    for f in facts:
-        if f.literal in first:
-            violations.append(f"{f.id}: duplicate of {first[f.literal]}")
+def _check_duplicates(items, key, violations: list[str]) -> None:
+    """An item whose ``key`` equals an earlier item's."""
+    first = {}
+    for item in items:
+        k = key(item)
+        if k in first:
+            violations.append(f"{item.id}: duplicate of {first[k]}")
         else:
-            first[f.literal] = f.id
-
-
-def _check_duplicate_rules(rules, violations: list[str]) -> None:
-    """A rule that states another's antecedents, in any order, and its
-    consequent."""
-    # Most theories have no two rules with one consequent, and then no
-    # duplicate; the sorted body keys would cost a read about 7%.
-    if len({r.consequent for r in rules}) == len(rules):
-        return
-    first: dict[tuple, str] = {}
-    for r in rules:
-        body = (tuple(sorted(r.antecedents, key=literal_sort_key)), r.consequent)
-        if body in first:
-            violations.append(f"{r.id}: duplicate of {first[body]}")
-        else:
-            first[body] = r.id
+            first[k] = item.id
 
 
 def _read_violations(t: Theory) -> list[str]:
@@ -442,8 +424,13 @@ def _read_violations(t: Theory) -> list[str]:
     _check_ids(t.facts, "F", violations)
     _check_ids(t.rules, "R", violations)
     _check_ids(t.questions, "Q", violations)
-    _check_duplicate_facts(t.facts, violations)
-    _check_duplicate_rules(t.rules, violations)
+    _check_duplicates(t.facts, lambda f: f.literal, violations)
+    # A rule duplicates one that states its antecedents, in any order, and
+    # its consequent. Most theories have no two rules with one consequent,
+    # and then no duplicate; the sorted body keys would cost a read about 7%.
+    if len({r.consequent for r in t.rules}) != len(t.rules):
+        _check_duplicates(t.rules, lambda r: (
+            tuple(sorted(r.antecedents, key=literal_sort_key)), r.consequent), violations)
     if not violations:
         named: set[str] = set()
         for q in t.questions:
@@ -571,7 +558,7 @@ def read_records(fp: IO[str], kind: str, build: Callable[[dict], object],
     lines; ``key(item)`` names an item, which is read once per file. Every
     ``KeyError``, ``TypeError``, ``ValueError`` or ``RecursionError`` (a
     line nested too deeply) from a line is raised as a ``TheoryParseError``
-    with ``line`` set: "bad <kind> record on line N: <detail>"; a name
+    naming the line: "bad <kind> record on line N: <detail>"; a name
     read again names the line that first held it."""
     lines: dict[str, int] = {}
     for line_no, line in enumerate(fp, start=1):
@@ -591,8 +578,7 @@ def read_records(fp: IO[str], kind: str, build: Callable[[dict], object],
                       else f"missing key {exc}" if isinstance(exc, KeyError)  # prints only the key
                       else "nested too deeply to read" if isinstance(exc, RecursionError)
                       else exc)
-            raise TheoryParseError(f"bad {kind} record on line {line_no}: {detail}",
-                                   line_no) from exc
+            raise TheoryParseError(f"bad {kind} record on line {line_no}: {detail}") from exc
         lines[name] = line_no
         yield item
 

@@ -953,6 +953,22 @@ class TestPipelines:
         preds = tmp_path / "baseline_preds.jsonl"
         run_ok(["decode", "--theories", dev_file, pots, "-o", preds])
 
+    def test_rule_free_theory_scores_no_naf_and_no_edges(self, tmp_path):
+        # naf_prior has no antecedent to count, and no candidate edge ends
+        # at a rule
+        theories, scorer, pots = (tmp_path / name for name in
+                                  ("t.jsonl", "scorer.json", "pots.jsonl"))
+        with open(theories, "w") as fp:
+            write_theories(fp, [Theory(
+                "T1", (make_fact("F1", Literal("alan", "blue")),
+                       make_fact("F2", Literal("bob", "rough"))), (),
+                (make_question("Q1", Literal("alan", "blue")),))])
+        scorer.write_text(json.dumps(LinearScorer.untrained().to_dict()))
+        run_ok(["score-edges", "--scorer", scorer, theories, "-o", pots])
+        row = json.loads(pots.read_text())
+        assert row["node_prob"] == [0.5, 0.5, 0.0]
+        assert row["edge_prob"] == [[0.0] * 3] * 3
+
     def test_critical_output(self, workspace, tmp_path):
         test_file = workspace / "data" / "test.theories.jsonl"
         out = tmp_path / "critical.jsonl"

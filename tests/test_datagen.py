@@ -74,7 +74,8 @@ class TestConfig:
         ({"facts_per_theory": (5, 3)}, "facts_per_theory range 5..3 is malformed"),
         ({"facts_per_theory": (0, 3)}, "facts_per_theory must allow at least one fact"),
         ({"profile": "nope"}, "unknown vocabulary profile 'nope'"),
-    ], ids=["reversed_range", "no_fact", "unknown_profile"])
+        ({"negation_rate": 1.5}, "negation_rate must be in [0, 1]"),
+    ], ids=["reversed_range", "no_fact", "unknown_profile", "negation_rate"])
     def test_out_of_range_setting_is_named(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             GenConfig(**{"seed": 0, "num_theories": 1, **changes})
@@ -93,6 +94,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="questions_per_theory"):
             GenConfig(seed=1, num_theories=1, max_depth=3,
                       questions_per_theory=2)
+
+    def test_unfillable_question_set_is_a_generation_error(self):
+        # a valid config whose draft pools cannot fill 60 questions
+        with pytest.raises(GenerationError, match=re.escape(
+                "0 drafts had too few facts or rules (at most 7 facts and 7 rules, "
+                "against a minimum of 3 facts and 3 rules), and 60 admitted no question "
+                "set covering depths 0..3 at answer balance 0.5")):
+            generate_theory(GenConfig(seed=0, num_theories=1, questions_per_theory=60), 0)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="seed must be non-negative"):

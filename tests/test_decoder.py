@@ -246,10 +246,12 @@ class TestFlowCertificate:
 
     def test_flow_off_chosen_edges_fails(self):
         p = ProofGraph.of(["F1", "R1", "R2"], [("F1", "R1"), ("F1", "R2")])
+        # balanced at every node and within capacity, so only the coupling
+        # rule rejects it: R1->R2 carries flow but is not an edge
         flow = {("source", "F1"): 3.0, ("F1", "sink"): 1.0,
-                ("F1", "R1"): 1.0, ("R1", "sink"): 1.0,
+                ("F1", "R1"): 2.0, ("R1", "sink"): 1.0,
                 ("R1", "R2"): 1.0, ("R2", "sink"): 1.0}
-        assert not verify_flow(p, flow)  # R1->R2 carries flow but is not an edge
+        assert not verify_flow(p, flow)
 
 
 class TestNoiseBehavior:

@@ -153,8 +153,10 @@ class TestAggregateReport:
              make_question("Q2", Literal("alan", "rough"))),
         )
         report = aggregate_report([t], [PredictionRecord("t", "Q1", True, ProofGraph.of(["F1"]))])
-        assert report.skipped_no_gold == 1
+        assert report.skipped_no_gold == report.to_dict()["skipped_no_gold"] == 1
         assert report.all_row.count == 1
+        assert report.to_text().splitlines()[0] == \
+            "# default | bucketing: max gold proof depth | skipped (no gold proofs): 1"
         with pytest.raises(EvaluationError, match="^no scorable questions$"):
             aggregate_report([Theory("t", t.facts, (), t.questions[1:])], [])
 

@@ -207,6 +207,16 @@ def repair_ties_toward_the_smallest_pair(decoder) -> bool:
     return decoder.decode_proof(p).proof.edges == {(ids[m], ids[n]) for m, n in chosen}
 
 
+def flow_off_edges_is_rejected(decoder) -> bool:
+    # balanced at every node and within capacity, but R1 -> R2 carries flow
+    # and is no edge of the proof
+    p = ProofGraph.of(["F1", "R1", "R2"], [("F1", "R1"), ("F1", "R2")])
+    flow = {("source", "F1"): 3.0, ("F1", "sink"): 1.0,
+            ("F1", "R1"): 2.0, ("R1", "sink"): 1.0,
+            ("R1", "R2"): 1.0, ("R2", "sink"): 1.0}
+    return not decoder.verify_flow(p, flow)
+
+
 # F2 and F3 both state "Alan is not young", which R1 would derive: the
 # question's proof is the first stated fact. Built directly, because the
 # reader rejects a fact stated twice.
@@ -302,6 +312,9 @@ MUTANTS = {
         "for m, n in pairs if (m, n) not in chosen)\n"
         "        leftover.sort(key=lambda c: (c[0], [-x for x in c[1]]))\n",
         repair_ties_toward_the_smallest_pair),
+    "verify_flow_ignores_edge_coupling": (
+        "decoder", "            if coupled < value / n_count - 1e-9:\n", "            if False:\n",
+        flow_off_edges_is_rejected),
     "negated_keeps_the_sign": (
         "theory", "Literal(self.subject, self.predicate, self.obj, not self.positive)",
         "Literal(self.subject, self.predicate, self.obj, self.positive)",

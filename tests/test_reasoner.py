@@ -408,19 +408,20 @@ class TestProve:
             [("F1", "R1"), ("R1", "R2"), ("R2", "R1")])]
         assert proof_depth(proofs[0]) == 2
 
-    def test_max_proofs_must_be_positive(self):
-        t = theory_of([Literal("alan", "blue")], [], [Literal("alan", "blue")])
-        with pytest.raises(ValueError):
-            prove(t, t.questions[0], max_proofs=0)
-
     def test_max_proofs_truncates(self):
+        # twelve facts, each concluding the goal through its own rule: the
+        # goal has twelve minimal proofs, and prove keeps the first MAX_PROOFS
+        attrs = ("blue", "rough", "young", "cold", "kind", "round",
+                 "quiet", "green", "red", "big", "white", "furry")
         t = theory_of(
-            [Literal("alan", "blue"), Literal("alan", "rough")],
-            [([Literal("someone", "blue")], Literal("someone", "young")),
-             ([Literal("someone", "rough")], Literal("someone", "young"))],
-            [Literal("alan", "young")],
+            [Literal("alan", attr) for attr in attrs],
+            [([Literal("someone", attr)], Literal("someone", "nice")) for attr in attrs],
+            [Literal("alan", "nice")],
         )
-        assert len(prove(t, t.questions[0], max_proofs=1)) == 1
+        program = closure(t)
+        proofs = reasoner._proved(program, program.atom_ids[t.questions[0].literal.atom()])[1]
+        assert len(proofs) == len(attrs) > reasoner.MAX_PROOFS == 10
+        assert prove(t, t.questions[0]) == list(proofs[:reasoner.MAX_PROOFS])
 
     def test_capped_enumeration_matches_unmemoized_oracle(self):
         # six antecedents, each concluded from any of three facts: the goal
@@ -435,9 +436,9 @@ class TestProve:
         t = theory_of(facts, rules, [goal])
         assert len(t.facts) + len(t.rules) == 22
         program = closure(t)
-        for max_proofs in (10, 1000):
-            assert prove_literal(program, goal, max_proofs) == \
-                oracles.naive_proofs(t, goal, max_proofs)
+        assert list(reasoner._proved(program, program.atom_ids[goal.atom()])[1]) == \
+            oracles.naive_proofs(t, goal, 1000)
+        assert prove_literal(program, goal) == oracles.naive_proofs(t, goal, 10)
         negated = goal.negated()
         assert prove_literal(program, negated) == oracles.naive_proofs(t, negated, 10)
 

@@ -294,7 +294,8 @@ def _cmd_decode(args) -> int:
     index = {(t.id, q.id): (t, q) for t in theories.values() for q in t.questions}
     answers: dict[str, dict[str, bool]] = {}
 
-    def target(record: dict):
+    def target(line: str):
+        record = theory_mod.json_object(line)
         ids = tuple(theory_mod.string_field(record[k], k) for k in ("theory_id", "question_id"))
         if ids not in index:
             raise ValueError(f"unknown question {ids[0]}/{ids[1]}" if ids[0] in theories
@@ -419,11 +420,15 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     try:
-        sys.exit(run_command(sys.argv[1:]))
-    except SystemExit:
-        raise
+        code = run_command(sys.argv[1:])
     except BrokenPipeError:
-        sys.exit(0)
+        code = 0
+    finally:
+        # One process runs one command, which reads each line once, so the
+        # theory memo holds nothing it will use; left full, it would slow
+        # the interpreter's exit.
+        theory_mod.parse_theory_line.cache_clear()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from itertools import chain
 from typing import ClassVar, Iterable, Optional
 
 from .proofgraph import ProofGraph, match_proofs, proof_depth
-from .theory import Question, Theory, read_records, string_field
+from .theory import Question, Theory, json_object, read_records, string_field
 
 
 METRICS = ("qa", "na", "ea", "pa", "fa")
@@ -173,5 +173,6 @@ def aggregate_report(
 def read_predictions(fp) -> list[PredictionRecord]:
     """Every prediction of a JSONL file, read by ``theory.read_records``: a
     question is predicted once per file."""
-    return list(read_records(fp, "prediction", PredictionRecord.from_dict,
+    return list(read_records(fp, "prediction",
+                             lambda line: PredictionRecord.from_dict(json_object(line)),
                              lambda p: f"question {p.theory_id}/{p.question_id}"))

@@ -10,10 +10,13 @@ render a structure to build an item, and raise when the text reads as
 another structure: ``parse(render(x)) == x``, and rendering is
 byte-deterministic. The parser is a function of the text
 alone, so it keeps each sentence's and each clause's parse in bounded
-memos: a sentence parsed again in the same process, as a corpus read by
-several stages is, costs a lookup.
+memos: a sentence parsed again in the same process costs a lookup.
 ``read_records`` is the one reader of the package's JSONL records
-(theories, potentials, predictions); its errors name the line.
+(theories, potentials, predictions); its errors name the line. A theory
+is a function of its line too, so ``read_theories`` keeps the theories of
+the ``_THEORY_CACHE_SIZE`` distinct lines it read most recently: a line
+read again in the same process, as a corpus read by several stages is,
+costs one lookup. A fresh process reads each line once and gains nothing.
 
 The grammar is one clause table, the words after a subject (``_phrase``
 renders it, ``_parse_phrase`` inverts it):
@@ -323,6 +326,13 @@ def _parse_phrase(subject: str, words: list[str], plural: bool) -> Literal:
 # is not kept, so it raises on every call.
 _CLAUSE_CACHE_SIZE = 4096
 
+# Every stage of a pipeline reads its split again, so ``read_theories``
+# keeps each line's theory in a memo of this many entries. One held du3
+# theory retains about 14 KB, and its line about 2 KB more, so the bound
+# caps the memo near 16 MB. A line that fails is not kept, so it fails on
+# every read.
+_THEORY_CACHE_SIZE = 1024
+
 
 @lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
 def _entity_clause(text: str) -> Literal:
@@ -552,10 +562,18 @@ def write_theories(fp: IO[str], theories: Iterable[Theory]) -> None:
         fp.write(json.dumps(theory_to_record(t)) + "\n")
 
 
-def read_records(fp: IO[str], kind: str, build: Callable[[dict], object],
+def json_object(line: str) -> dict:
+    """The JSON object that ``line`` holds; another JSON value is a TypeError."""
+    record = json.loads(line)
+    if type(record) is not dict:
+        raise TypeError(f"record must be a JSON object, got {type(record).__name__}")
+    return record
+
+
+def read_records(fp: IO[str], kind: str, build: Callable[[str], object],
                  key: Callable[[object], str]) -> Iterator:
-    """``build(record)`` of each JSON object line of ``fp``, skipping blank
-    lines; ``key(item)`` names an item, which is read once per file. Every
+    """``build(line)`` of each line of ``fp``, skipping blank lines;
+    ``key(item)`` names an item, which is read once per file. Every
     ``KeyError``, ``TypeError``, ``ValueError`` or ``RecursionError`` (a
     line nested too deeply) from a line is raised as a ``TheoryParseError``
     naming the line: "bad <kind> record on line N: <detail>"; a name
@@ -565,10 +583,7 @@ def read_records(fp: IO[str], kind: str, build: Callable[[dict], object],
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            if type(record) is not dict:
-                raise TypeError(f"record must be a JSON object, got {type(record).__name__}")
-            item = build(record)
+            item = build(line)
             name = key(item)
             if name in lines:
                 raise ValueError(f"{name} already read on line {lines[name]}")
@@ -583,9 +598,15 @@ def read_records(fp: IO[str], kind: str, build: Callable[[dict], object],
         yield item
 
 
+@lru_cache(maxsize=_THEORY_CACHE_SIZE)
+def parse_theory_line(line: str) -> Theory:
+    """The theory that one JSONL line holds, read by ``record_to_theory``."""
+    return record_to_theory(json_object(line))
+
+
 def read_theories(fp: IO[str]) -> Iterator[Theory]:
     """One theory per JSONL line; a theory id is read once per file."""
-    return read_records(fp, "theory", record_to_theory, lambda t: f"theory id {t.id!r}")
+    return read_records(fp, "theory", parse_theory_line, lambda t: f"theory id {t.id!r}")
 
 
 def _as_given(item, given):

@@ -11,7 +11,8 @@ from ruleproofs.cli import run_command
 from ruleproofs.potentials import FEATURE_NAMES, LinearScorer
 from ruleproofs.proofgraph import ProofGraph
 from ruleproofs.reasoner import check_proof
-from ruleproofs.theory import Literal, Theory, make_fact, make_question, make_rule, write_theories
+from ruleproofs.theory import (Literal, Theory, make_fact, make_question, make_rule,
+                               parse_theory_line, write_theories)
 
 
 @pytest.fixture(scope="module")
@@ -434,6 +435,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main()
         assert exc.value.code == 0
+
+    def test_main_empties_the_theory_memo(self, workspace, tmp_path, monkeypatch):
+        # a fresh process reads each line once, and a full memo slows its exit
+        argv = ["answer", str(workspace / "data" / "test.theories.jsonl"),
+                "-o", str(tmp_path / "answers.jsonl")]
+        run_ok(argv)
+        assert parse_theory_line.cache_info().currsize > 0
+        monkeypatch.setattr("sys.argv", ["ruleproofs", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        assert parse_theory_line.cache_info().currsize == 0
 
     def test_unknown_prediction_node_names_the_prediction(self, workspace, tmp_path, capsys):
         test_file = workspace / "data" / "test.theories.jsonl"

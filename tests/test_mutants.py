@@ -9,6 +9,8 @@ stands (DeMillo, Lipton and Sayward, "Hints on test data selection",
 IEEE Computer 1978).
 """
 
+import io
+import json
 import sys
 import types
 from pathlib import Path
@@ -278,6 +280,33 @@ ATOM_KEYED_TABLE = """self._fragment_table = type("AtomKeyed", (dict,), {
 """
 
 
+# A theory memo keyed on the line's theory id, not on the line itself.
+ID_KEYED_MEMO = """def _keyed_on_theory_id(read):
+    held = {}
+
+    def memo(line):
+        theory_id = json_object(line)["id"]
+        if theory_id not in held:
+            held[theory_id] = read(line)
+        return held[theory_id]
+    return memo
+
+
+@_keyed_on_theory_id
+"""
+
+
+def one_id_in_two_files_reads_apart(theory) -> bool:
+    """Two files that hold theory T1 with different facts."""
+    facts = []
+    for text in ("Alan is blue.", "Alan is red."):
+        line = json.dumps({"id": "T1", "facts": [{"id": "F1", "text": text}], "rules": [],
+                           "questions": []})
+        (t,) = theory.read_theories(io.StringIO(line + "\n"))
+        facts.append(t.facts[0].text)
+    return facts == ["Alan is blue.", "Alan is red."]
+
+
 MUTANTS = {
     "validate_theory_ignores_depth": (
         "theory", "            if measured != q.gold_depth:\n", "            if False:\n",
@@ -291,6 +320,9 @@ MUTANTS = {
     "validate_theory_skips_read_check": (
         "theory", "    read = _read_violations(t)\n", "    read = []\n",
         gold_proofs_are_read_checked),
+    "theory_memo_keyed_on_the_id": (
+        "theory", "@lru_cache(maxsize=_THEORY_CACHE_SIZE)\n", ID_KEYED_MEMO,
+        one_id_in_two_files_reads_apart),
     "negation_adds_no_stratum": (
         "reasoner", "[strata[a] + 1 for a in neg if a in concluded]",
         "[strata[a] for a in neg if a in concluded]",

@@ -8,6 +8,7 @@ import hashlib
 from pathlib import Path
 
 from ruleproofs.cli import run_command
+from ruleproofs.theory import parse_theory_line
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,13 +79,25 @@ PIPELINE_SHA256 = {
 }
 
 
-def test_pipeline_bytes_are_pinned(tmp_path):
+def stage_digests(tmp_path, before_stage=lambda: None) -> dict[str, str]:
+    """Run ``STAGES`` in this process, calling ``before_stage`` before
+    each, and return the sha256 of every file written."""
     fill = {"out": str(tmp_path), "test": str(tmp_path / "data" / "test.theories.jsonl")}
     for output, argv in STAGES:
         argv = [arg.format(**fill) for arg in argv]
         if output != "data":
             argv += ["-o", str(tmp_path / output)]
+        before_stage()
         assert run_command(argv) == 0, argv
-    digests = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
-    assert digests == PIPELINE_SHA256
+    return {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+
+def test_pipeline_bytes_are_pinned(tmp_path):
+    # every stage after the first reads the test split through the theory memo
+    assert stage_digests(tmp_path) == PIPELINE_SHA256
+
+
+def test_cold_reads_write_the_pinned_bytes(tmp_path):
+    """Every stage reads its theories from scratch, as a fresh process does."""
+    assert stage_digests(tmp_path, parse_theory_line.cache_clear) == PIPELINE_SHA256

@@ -22,6 +22,7 @@ from ruleproofs.theory import (
     make_rule,
     parse_fact_sentence,
     parse_rule_sentence,
+    parse_theory_line,
     read_theories,
     render_literal,
     render_rule,
@@ -215,6 +216,9 @@ class TestParsing:
                      parse_fact_sentence, parse_rule_sentence):
             assert memo.cache_info().maxsize == theory._CLAUSE_CACHE_SIZE
 
+    def test_theory_cache_bound_is_the_constant(self):
+        assert parse_theory_line.cache_info().maxsize == theory._THEORY_CACHE_SIZE
+
 
 class TestParseTheory:
     def test_empty_theory(self):
@@ -300,6 +304,40 @@ class TestParseTheory:
         first, second = read_theories(io.StringIO(buffer.getvalue()))
         assert first.facts[0].literal is second.facts[0].literal
         assert first.rules[0].consequent is second.rules[0].consequent
+
+    def test_a_line_read_again_is_the_same_theory(self):
+        buffer = io.StringIO()
+        write_theories(buffer, [small_theory("t1"), small_theory("t2")])
+        first, again = (list(read_theories(io.StringIO(buffer.getvalue()))) for _ in range(2))
+        assert len(again) == 2 and all(a is b for a, b in zip(first, again))
+
+    def test_a_bad_line_fails_on_every_read_naming_its_own_line(self):
+        good = "".join(json.dumps(theory_to_record(small_theory(i))) + "\n" for i in ("t1", "t2"))
+        record = theory_to_record(small_theory("t3"))
+        record["facts"][0]["text"] = "Alan is blue"
+        bad = json.dumps(record) + "\n"
+        for text, line_no in ((good + bad, 3), (bad, 1), (good + bad, 3), (bad, 1)):
+            with pytest.raises(TheoryParseError, match=f"^bad theory record on line {line_no}: "
+                               "F1: sentence must end with a period"):
+                list(read_theories(io.StringIO(text)))
+
+    @pytest.mark.parametrize("extra", [{}, {"note": "x"}], ids=["same_line", "another_line"])
+    def test_a_repeated_id_is_named_when_both_lines_are_memo_hits(self, extra):
+        record = theory_to_record(small_theory("t1"))
+        first, second = json.dumps(record), json.dumps({**record, **extra})
+        for line in {first, second}:  # each line read once, in its own file
+            read_one(line)
+        hits = parse_theory_line.cache_info().hits
+        with pytest.raises(TheoryParseError, match="^bad theory record on line 3: "
+                           "theory id 't1' already read on line 1$"):
+            list(read_theories(io.StringIO(f"{first}\n\n{second}\n")))
+        assert parse_theory_line.cache_info().hits == hits + 2
+
+    def test_one_id_in_two_files_reads_as_each_files_theory(self):
+        t1 = small_theory("T1")
+        other = replace(t1, facts=(make_fact("F1", Literal("alan", "red")), t1.facts[1]))
+        reads = [read_one(theory_to_record(t)) for t in (t1, other, t1)]
+        assert reads == [t1, other, t1]
 
     def test_unknown_record_keys_are_ignored(self):
         record = theory_to_record(small_theory())

@@ -133,7 +133,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-baseline", help="fit the lexical edge scorer")
     _add_io(p, input_help="training theories (default: stdin)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the scorer file only; training draws nothing")
 
     p = sub.add_parser("score-edges", help="potentials from a trained lexical scorer")
     _add_io(p, input_help="theories to score (default: stdin)")

@@ -27,10 +27,14 @@ negative antecedent holds when its atom is absent; by then the atom is
 final, concluded in a lower stratum or set by the facts alone. Proof
 search, failure selection and proof checking read the same id rows; a
 ``Literal`` is looked up only where a caller passes one in. Critical
-sentences reuse the same program: removing a sentence drops its fact, or
-its rule's instances, plus the instances bound to an entity that no
-other sentence or question mentions. A stratification of the full
-program is valid for every such subprogram.
+sentences reuse the same program: a sentence's ablation is the program
+without it, over the theory's own grounding, so a removed fact leaves the
+base facts and a removed rule's instances are skipped. Its instances are
+a subset of the program's, so the program's stratification holds for it.
+Instances bound to an entity that only the removed sentence names stay.
+They are harmless: they read and conclude only atoms whose subject is
+that entity, which only instances bound to it read, and no question asks
+about them, since every question names its own entities.
 
 Proof conventions, applied in this order for a question literal q:
 
@@ -77,7 +81,6 @@ antecedent from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -179,9 +182,9 @@ class GroundProgram:
     ``rule_ids`` names each instance's rule and ``rule_instances`` holds
     each rule id's instances as (signed head, signed antecedent set);
     ``stated_by`` maps a signed atom id (atom id, positive) to the facts
-    stating it; ``removals[s]`` holds the instances that vanish with
-    sentence ``s``. Proofs and their checks read these rows; no literal
-    is bound.
+    stating it; ``removals[r]`` holds rule ``r``'s instances, which
+    ``derive`` skips without it. Proofs and their checks read these rows;
+    no literal is bound.
 
     Proof search fills two tables, one entry per first read, and they go
     with the program. ``_fragment_table`` maps (atom id, path ∩ cone) to
@@ -254,23 +257,10 @@ class GroundProgram:
 
     @cached_property
     def removals(self) -> dict[str, set[int]]:
-        """Per sentence id, the instances gone from the theory without it:
-        the rule's own, and those bound to an entity only it mentions."""
-        t = self.theory
-        owners: dict[str, set[Optional[str]]] = {}
-        mentions = [(f.id, [f.literal]) for f in t.facts] \
-            + [(r.id, [*r.antecedents, r.consequent]) for r in t.rules] \
-            + [(None, [q.literal for q in t.questions])]
-        for owner, literals in mentions:
-            for lit in literals:
-                for entity in lit.entities():
-                    owners.setdefault(entity, set()).add(owner)
+        """Each rule id's instances."""
         removals: dict[str, set[int]] = {}
-        for i, (index, binding) in enumerate(self.keys):
-            removals.setdefault(t.rules[index].id, set()).add(i)
-            sole = owners[binding] if binding is not None else ()
-            if len(sole) == 1 and None not in sole:
-                removals.setdefault(next(iter(sole)), set()).add(i)
+        for i, rule_id in enumerate(self.rule_ids):
+            removals.setdefault(rule_id, set()).add(i)
         return removals
 
     @cached_property
@@ -327,7 +317,8 @@ class GroundProgram:
 
     def derive(self, removed: Optional[str] = None) -> tuple[bytearray, list[int]]:
         """Derived flags by atom id and the indices of the instances that
-        fire, for the theory without sentence ``removed`` (if given)."""
+        fire, for the program or, given ``removed``, that sentence's
+        ablation: the program without its fact or its rule's instances."""
         derived = bytearray(len(self.atom_ids))
         for fact_id, a in self.fact_atoms:
             if fact_id != removed:
@@ -408,18 +399,12 @@ def answer_question(t: Theory, q: Question) -> bool:
 # Proof extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Fragment:
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-    root: str
-
-    def key(self):
-        return (sorted(self.nodes), sorted(self.edges))
+# A derivation fragment: its graph and the node that supplies its atom.
+_Fragment = tuple[ProofGraph, str]
 
 
 def _leaf(node: str) -> _Fragment:
-    return _Fragment(frozenset([node]), frozenset(), node)
+    return ProofGraph(frozenset([node]), frozenset()), node
 
 
 def _antecedents(program: GroundProgram, i: int) -> list[tuple[int, bool]]:
@@ -488,31 +473,31 @@ def _enumerate_fragments(program: GroundProgram, a: int, path: frozenset[int]):
         choice_lists += [(_negative_support(program, b),) for b in program.negatives[i]]
         rule_id = program.rule_ids[i]
         for combo in itertools.product(*choice_lists):
-            nodes = frozenset([rule_id]).union(*(f.nodes for f in combo)) \
+            nodes = frozenset([rule_id]).union(*(g.nodes for g, _ in combo)) \
                 if combo else frozenset([rule_id])
-            edges = frozenset((f.root, rule_id) for f in combo).union(
-                *(f.edges for f in combo)) if combo else frozenset()
-            options.append(_Fragment(nodes, edges, rule_id))
+            edges = frozenset((root, rule_id) for _, root in combo).union(
+                *(g.edges for g, _ in combo)) if combo else frozenset()
+            options.append((ProofGraph(nodes, edges), rule_id))
             if len(options) >= _FRAGMENT_CAP:
                 break
         if len(options) >= _FRAGMENT_CAP:
             break
-    unique = tuple({(f.nodes, f.edges, f.root): f for f in options}.values())
-    return unique if len(unique) < 2 else tuple(sorted(unique, key=_Fragment.key))
+    unique = tuple(dict.fromkeys(options))
+    return unique if len(unique) < 2 else tuple(sorted(
+        unique, key=lambda f: (sorted(f[0].nodes), sorted(f[0].edges))))
 
 
 def _proved(program: GroundProgram,
             a: int) -> tuple[tuple[_Fragment, ...], tuple[ProofGraph, ...]]:
-    """A derived atom id's minimal fragments, those that properly contain
-    no other (nodes and edges), and its proofs in canonical order, read
-    from the program's proof table."""
+    """A derived atom id's minimal fragments, those whose graph properly
+    contains no other's (nodes and edges), and its proofs, their graphs in
+    canonical order, read from the program's proof table."""
     entry = program._proof_table.get(a)
     if entry is None:
         fragments = _fragments(program, a, frozenset([a]))
-        minimal = tuple(f for f in fragments if not any(
-            (g.nodes, g.edges) != (f.nodes, f.edges) and g.nodes <= f.nodes and g.edges <= f.edges
-            for g in fragments))
-        proofs = [ProofGraph(f.nodes, f.edges) for f in minimal]  # the fragment's own sets
+        minimal = tuple((f, root) for f, root in fragments if not any(
+            g != f and g.nodes <= f.nodes and g.edges <= f.edges for g, _ in fragments))
+        proofs = [graph for graph, _root in minimal]
         if len(proofs) > 1:
             proofs.sort(key=ProofGraph.canonical_key)
         entry = program._proof_table[a] = (minimal, tuple(proofs))
@@ -549,11 +534,11 @@ def _failed_proof(program: GroundProgram, i: Optional[int]) -> ProofGraph:
     nodes = {rule_id, NAF}
     edges = {(NAF, rule_id)}
     for b, positive in _satisfiable(program, i):
-        fragment = _proved(program, b)[0][0] if positive \
+        graph, root = _proved(program, b)[0][0] if positive \
             else _negative_support(program, b)
-        nodes |= fragment.nodes
-        edges |= fragment.edges
-        edges.add((fragment.root, rule_id))
+        nodes |= graph.nodes
+        edges |= graph.edges
+        edges.add((root, rule_id))
     return ProofGraph(frozenset(nodes), frozenset(edges))
 
 
@@ -579,8 +564,9 @@ def critical_sentences(t: Theory) -> list[set[str]]:
     """For each question of t, in order, the ids of the facts/rules whose
     individual removal flips its answer.
 
-    The theory is compiled once; each single-sentence ablation is derived
-    by filtering that program, and every question is answered against it.
+    The theory is compiled once, each sentence's ablation is derived from
+    that program (``GroundProgram.derive``), and every question is
+    answered against it.
     """
     if not t.questions:
         return []

@@ -37,10 +37,11 @@ def _entities(t: Theory) -> list[str]:
     return sorted(found)
 
 
-def _instances(t: Theory):
-    """(rule index, binding, antecedents, consequent) for every ground instance."""
+def _instances(t: Theory, entities=None):
+    """(rule index, binding, antecedents, consequent) for every ground
+    instance, binding variables over ``entities`` (default: t's own)."""
     out = []
-    entities = _entities(t)
+    entities = _entities(t) if entities is None else entities
     for index, r in enumerate(t.rules):
         if r.variable() is None:
             out.append((index, None, tuple(r.antecedents), r.consequent))
@@ -51,14 +52,15 @@ def _instances(t: Theory):
     return out
 
 
-def naive_closure(t: Theory) -> set:
+def naive_closure(t: Theory, entities=None) -> set:
     """Alternating fixpoint over naive full-program passes.
 
     An over-approximation and an under-approximation of the derivable
     atoms are refined against each other until they agree, which they do
-    for stratified programs.
+    for stratified programs. Variable rules are grounded over ``entities``
+    when given, else over t's own.
     """
-    instances = _instances(t)
+    instances = _instances(t, entities)
     base = {f.literal.atom() for f in t.facts if f.literal.positive}
 
     def fixpoint(negatives_fail_against: set) -> set:

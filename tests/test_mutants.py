@@ -141,6 +141,14 @@ NEGATION_CYCLE = theory_of_rules(
     "If someone is not green then they are red.", "If someone is red then they are green.")
 
 
+# Young holds through R1 from F1, so removing either one flips the answer.
+RULE_CRITICAL = theory_of_rules("If someone is blue then they are young.")
+
+
+def removed_rule_stops_firing(reasoner) -> bool:
+    return reasoner.critical_sentences(RULE_CRITICAL) == [{"F1", "R1"}]
+
+
 def negation_cycles_are_rejected(reasoner) -> bool:
     try:
         reasoner.closure(NEGATION_CYCLE)
@@ -327,6 +335,10 @@ MUTANTS = {
         "reasoner", "[strata[a] + 1 for a in neg if a in concluded]",
         "[strata[a] for a in neg if a in concluded]",
         negation_cycles_are_rejected),
+    "ablation_keeps_the_rule": (
+        "reasoner", "            removals.setdefault(rule_id, set()).add(i)\n",
+        "            removals.setdefault(rule_id, set())\n",
+        removed_rule_stops_firing),
     "derive_ignores_negative_antecedents": (
         "reasoner", "if i in skip or negatives[i] and any(derived[a] for a in negatives[i]):",
         "if i in skip:",
@@ -353,10 +365,9 @@ MUTANTS = {
         negation_flips_the_sign),
     "proved_keeps_non_minimal_fragments": (
         "reasoner",
-        "        minimal = tuple(f for f in fragments if not any(\n"
-        "            (g.nodes, g.edges) != (f.nodes, f.edges)"
-        " and g.nodes <= f.nodes and g.edges <= f.edges\n"
-        "            for g in fragments))\n",
+        "        minimal = tuple((f, root) for f, root in fragments if not any(\n"
+        "            g != f and g.nodes <= f.nodes and g.edges <= f.edges"
+        " for g, _ in fragments))\n",
         "        minimal = fragments\n",
         proofs_are_minimal),
     "closure_slot_never_refreshed": (

@@ -14,14 +14,13 @@ seeded with the thresholded edges takes the leftover pairs in order of
 flip cost (1 - 2*phi), ties toward the smallest ordered pair, and keeps
 each pair that joins two components. Extra edges can only help
 connectivity and never improve the separable objective, so the repaired
-assignment is provably optimal.
+assignment is optimal among the connected ones over the selected nodes.
 
-The global constraints that an integer program would enforce are thus
-met exactly without a solver. Connectivity is witnessed by an explicit
-feasible flow on an augmented graph with a source feeding |N| units into
-an anchor node and every node draining one unit to a sink; such a flow
-exists exactly when the graph is connected. ``flow_certificate`` builds
-one for a decoded proof and ``verify_flow`` checks it.
+Connectivity is witnessed by an explicit feasible flow on an augmented
+graph with a source feeding |N| units into an anchor node and every node
+draining one unit to a sink; such a flow exists exactly when the graph is
+connected. ``flow_certificate`` builds one for a decoded proof and
+``verify_flow`` checks it.
 """
 
 from __future__ import annotations
@@ -96,7 +95,8 @@ def _result(p: Potentials, phi: list[list[float]], selected: list[int],
 
 
 def decode_proof(p: Potentials, connectivity: bool = True) -> DecodeResult:
-    """Certified-optimal edge assignment over the selected nodes.
+    """The optimal edge assignment over the selected nodes: the pairs with
+    phi > 0.5, plus one Kruskal repair when connectivity is requested.
 
     Raises ConnectivityInfeasible when connectivity is requested but no
     unmasked pair can join some component; the caller may re-decode with

@@ -9,8 +9,8 @@ agrees with its text. ``make_fact``, ``make_rule`` and ``make_question``
 render a structure to build an item, and raise when the text reads as
 another structure: ``parse(render(x)) == x``, and rendering is
 byte-deterministic. The parser is a function of the text
-alone, so it keeps each sentence's and each clause's parse in bounded
-memos: a sentence parsed again in the same process costs a lookup.
+alone, so it keeps each clause's parse in bounded memos: a clause that
+recurs in another sentence costs a lookup.
 ``read_records`` is the one reader of the package's JSONL records
 (theories, potentials, predictions); its errors name the line. A theory
 is a function of its line too, so ``read_theories`` keeps the theories of
@@ -70,10 +70,6 @@ RESERVED_TOKENS = frozenset(
 
 Atom = tuple[str, str, Optional[str]]
 _OBJECT = frozenset({dict})  # the exact JSON type of an object
-
-
-def literal_sort_key(lit: "Literal") -> tuple[str, str, str, bool]:
-    return (lit.subject, lit.predicate, lit.obj or "", lit.positive)
 
 
 class TheoryParseError(ValueError):
@@ -319,11 +315,11 @@ def _parse_phrase(subject: str, words: list[str], plural: bool) -> Literal:
     raise TheoryParseError(f"cannot parse clause {' '.join([subject, *words])!r}")
 
 
-# Corpora reuse a few hundred clauses across thousands of sentences, and
-# a process may read one corpus many times, so the parser keeps each
-# clause's and each sentence's parse in memos of this many entries each;
-# the bound caps what one process keeps. A clause or sentence that raises
-# is not kept, so it raises on every call.
+# Corpora reuse a few hundred clauses across thousands of sentences, so a
+# first read meets most clauses again in other theories (a re-read hits
+# the line memo below); the parser keeps each clause's parse in memos of
+# this many entries each, the bound capping what one process keeps. A
+# clause that raises is not kept, so it raises on every call.
 _CLAUSE_CACHE_SIZE = 4096
 
 # Every stage of a pipeline reads its split again, so ``read_theories``
@@ -362,7 +358,6 @@ def _strip_period(text: str) -> str:
     return body
 
 
-@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
 def parse_rule_sentence(text: str) -> tuple[tuple[Literal, ...], Literal]:
     """Parse an "If ... then ...." sentence into antecedents and consequent.
     A variable rule's attribute antecedent may carry or drop its "is"
@@ -392,7 +387,6 @@ def parse_rule_sentence(text: str) -> tuple[tuple[Literal, ...], Literal]:
     return antecedents, consequent
 
 
-@lru_cache(maxsize=_CLAUSE_CACHE_SIZE)
 def parse_fact_sentence(text: str) -> Literal:
     """Parse a declarative sentence (fact or question) into its literal."""
     body = _strip_period(text)
@@ -435,12 +429,12 @@ def _read_violations(t: Theory) -> list[str]:
     _check_ids(t.rules, "R", violations)
     _check_ids(t.questions, "Q", violations)
     _check_duplicates(t.facts, lambda f: f.literal, violations)
-    # A rule duplicates one that states its antecedents, in any order, and
-    # its consequent. Most theories have no two rules with one consequent,
-    # and then no duplicate; the sorted body keys would cost a read about 7%.
+    # A rule duplicates one that states the same set of antecedents, in any
+    # order or with repeats, and its consequent. Most theories have no two
+    # rules with one consequent, and then no duplicate, so the set keys are
+    # built only when two consequents collide.
     if len({r.consequent for r in t.rules}) != len(t.rules):
-        _check_duplicates(t.rules, lambda r: (
-            tuple(sorted(r.antecedents, key=literal_sort_key)), r.consequent), violations)
+        _check_duplicates(t.rules, lambda r: (frozenset(r.antecedents), r.consequent), violations)
     if not violations:
         named: set[str] = set()
         for q in t.questions:

@@ -703,16 +703,20 @@ class TestExitCodes:
                 "T1", (make_fact("F1", Literal("alan", "blue")),
                        make_fact("F2", Literal("alan", "rough"))),
                 (make_rule("R1", [blue, rough], kind),
-                 make_rule("R2", [rough, blue] if reordered else [blue, rough], kind)),
+                 make_rule("R2", [rough, blue] if reordered else [blue, rough], kind),
+                 # a rule states a set of antecedents: one said twice adds nothing
+                 make_rule("R3", [blue, rough, blue], kind)),
                 (make_question("Q1", Literal("alan", "kind"), gold_answer=True),))])
         second = "If someone is rough and blue" if reordered else "If someone is blue and rough"
         assert second + " then they are kind." in theories.read_text()
+        assert "If someone is blue and rough and blue then they are kind." in theories.read_text()
         out = tmp_path / "out.jsonl"
         capsys.readouterr()
         code = run_command([command, str(theories), "-o", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert "bad theory record on line 1: theory 'T1': R2: duplicate of R1" in err
+        assert "R3: duplicate of R1" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -212,8 +212,7 @@ class TestParsing:
                 parse_rule_sentence("If someone is blue then they likes Bob.")
 
     def test_clause_cache_bound_is_the_constant(self):
-        for memo in (theory._entity_clause, theory._variable_clause,
-                     parse_fact_sentence, parse_rule_sentence):
+        for memo in (theory._entity_clause, theory._variable_clause):
             assert memo.cache_info().maxsize == theory._CLAUSE_CACHE_SIZE
 
     def test_theory_cache_bound_is_the_constant(self):

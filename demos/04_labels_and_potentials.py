@@ -11,7 +11,6 @@ from ruleproofs.datagen import GenConfig, generate_dataset
 from ruleproofs.potentials import (
     MASKED,
     LinearScorer,
-    ScorerConfig,
     build_edge_mask,
     fit_linear_scorer,
     lexical_edge_features,
@@ -41,7 +40,7 @@ print("\nLexical features F1 -> R1:", fv)
 
 train = make_edge_training_set(bundle.train)
 dev = make_edge_training_set(bundle.dev)
-scorer = fit_linear_scorer(train, ScorerConfig(learning_rate=0.5, epochs=300, seed=0))
+scorer = fit_linear_scorer(train)  # EPOCHS steps of LEARNING_RATE, both fixed
 
 
 def accuracy(model, pairs):

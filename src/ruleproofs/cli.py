@@ -266,7 +266,7 @@ def _cmd_train_baseline(args) -> int:
     theories = _load_theories(args.input)
     _require_gold(theories)
     train = potentials.make_edge_training_set(theories)
-    scorer = potentials.fit_linear_scorer(train, potentials.ScorerConfig(seed=args.seed))
+    scorer = potentials.fit_linear_scorer(train, args.seed)
     _write_rows(args.output, [scorer.to_dict()])
     return 0
 
@@ -323,6 +323,9 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.json_out and args.output not in (None, "-") \
+            and Path(args.json_out).resolve() == Path(args.output).resolve():
+        raise _UsageError("--json names the -o file; the text report would overwrite it")
     theories = _load_theories(args.theories)
     with _open(args.input, "r") as fp:
         predictions = evalharness.read_predictions(fp)
@@ -404,11 +407,10 @@ def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        return _COMMANDS[args.command](args)
     except BrokenPipeError:  # a closed downstream pipe ends the run quietly in main
         raise
     except _DATA_ERRORS as exc:

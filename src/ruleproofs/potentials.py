@@ -4,6 +4,9 @@ Three producers live here: training-label edge masks exported for
 external trainers (masked cells serialized as -100), noisy oracle
 potentials used to exercise the decoder, and a small lexical edge scorer
 trained by logistic regression on surface features of sentence pairs.
+Training is fixed: ``EPOCHS`` full-batch gradient steps of size
+``LEARNING_RATE`` from zero weights, which the scorer file records next to
+the weights and the seed it was given.
 
 Labels and potentials are the JSON lists they are written as: integer
 rows of labels, and float lists of node and edge probabilities that
@@ -23,7 +26,7 @@ potentials and the decoder all take their cells from it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -251,35 +254,28 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def logistic_loss_and_grad(weights: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Mean logistic loss and its gradient; the last weight is the bias."""
+def logistic_gradient(weights: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the mean logistic loss; the last weight is the bias."""
     import numpy as np
-    z = X @ weights[:-1] + weights[-1]
-    p = _sigmoid(z)
-    eps = 1e-12
-    loss = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
-    residual = (p - y) / len(y)
-    grad = np.concatenate([X.T @ residual, [residual.sum()]])
-    return loss, grad
+    residual = (_sigmoid(X @ weights[:-1] + weights[-1]) - y) / len(y)
+    return np.concatenate([X.T @ residual, [residual.sum()]])
 
 
 class ScorerError(ValueError):
     """A scorer file, or a training set, that cannot make a scorer."""
 
 
-@dataclass(frozen=True)
-class ScorerConfig:
-    learning_rate: float = 0.5
-    epochs: int = 300
-    seed: int = 0
+LEARNING_RATE = 0.5
+EPOCHS = 300
 
 
 @dataclass(frozen=True)
 class LinearScorer:
-    """Logistic model over FEATURE_NAMES plus a trailing bias weight."""
+    """Logistic model over FEATURE_NAMES plus a trailing bias weight, and
+    the seed its file records; training draws nothing."""
 
     weights: np.ndarray
-    config: ScorerConfig = field(default_factory=ScorerConfig)
+    seed: int = 0
 
     @classmethod
     def untrained(cls) -> "LinearScorer":
@@ -295,9 +291,9 @@ class LinearScorer:
         return {
             "features": list(FEATURE_NAMES),
             "weights": [float(w) for w in self.weights],
-            "learning_rate": self.config.learning_rate,
-            "epochs": self.config.epochs,
-            "seed": self.config.seed,
+            "learning_rate": LEARNING_RATE,
+            "epochs": EPOCHS,
+            "seed": self.seed,
         }
 
     @classmethod
@@ -312,14 +308,14 @@ class LinearScorer:
         if not (isinstance(weights, list) and len(weights) == len(FEATURE_NAMES) + 1
                 and all(_is_finite(w) for w in weights)):
             raise ScorerError(f"weights must be {len(FEATURE_NAMES) + 1} finite numbers")
-        if not (_is_finite(rate) and rate > 0):
-            raise ScorerError(f"learning_rate must be positive and finite, got {rate!r}")
-        if not (type(epochs) is int and epochs >= 1):
-            raise ScorerError(f"epochs must be an integer >= 1, got {epochs!r}")
+        if not (_is_finite(rate) and rate == LEARNING_RATE):
+            raise ScorerError(f"learning_rate must be {LEARNING_RATE}, got {rate!r}")
+        if not (type(epochs) is int and epochs == EPOCHS):
+            raise ScorerError(f"epochs must be the integer {EPOCHS}, got {epochs!r}")
         if type(seed) is not int:
             raise ScorerError(f"seed must be an integer, got {seed!r}")
         import numpy as np
-        return cls(np.asarray(weights, dtype=float), ScorerConfig(rate, epochs, seed))
+        return cls(np.asarray(weights, dtype=float), seed)
 
 
 def _is_finite(value) -> bool:
@@ -327,9 +323,9 @@ def _is_finite(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def fit_linear_scorer(train: list[tuple[FeatureVector, int]],
-                      config: ScorerConfig = ScorerConfig()) -> LinearScorer:
-    """Full-batch gradient descent on the logistic loss; deterministic."""
+def fit_linear_scorer(train: list[tuple[FeatureVector, int]], seed: int = 0) -> LinearScorer:
+    """Full-batch gradient descent on the logistic loss; deterministic, so
+    ``seed`` is only recorded."""
     if not train:
         raise ScorerError("empty training set")
     import numpy as np
@@ -338,10 +334,9 @@ def fit_linear_scorer(train: list[tuple[FeatureVector, int]],
     if not np.isfinite(X).all():
         raise ScorerError("non-finite feature value in training set")
     weights = np.zeros(X.shape[1] + 1)
-    for _ in range(config.epochs):
-        _, grad = logistic_loss_and_grad(weights, X, y)
-        weights = weights - config.learning_rate * grad
-    return LinearScorer(weights, config)
+    for _ in range(EPOCHS):
+        weights = weights - LEARNING_RATE * logistic_gradient(weights, X, y)
+    return LinearScorer(weights, seed)
 
 
 def edge_training_pairs(t: Theory, q: Question):

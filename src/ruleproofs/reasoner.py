@@ -8,19 +8,18 @@ answer.
 Each theory is compiled once, by ``closure``, into a ``GroundProgram``,
 the reasoner's only per-theory object. ``closure`` keeps the last program
 it compiled and returns it again for the same theory object, so
-``answer_question``, ``prove``, ``critical_sentences`` and
-``check_proof`` called in turn on one theory share one program; at most
-one program is kept. The compile runs on integer ids only: atoms are
-interned, each rule is grounded straight to atom ids over the theory's
-entities, and an instance is kept as its rule index and binding, its head
-id and its positive and negative antecedent ids. Atoms
-are partitioned into strata so that no atom depends negatively on its
-own stratum (a theory with a dependency cycle through negation is
-rejected). A negated atom that no instance concludes is set by the facts
-alone, so its value is final before any stratum runs and it does not
-raise its reader's stratum. The program derives its least fixpoint once;
-every entry point reads it instead of grounding again. A derivation runs
-stratum by stratum; inside a stratum each instance counts its missing
+``answer_question``, ``prove``, ``critical_sentences`` and ``check_proof``
+called in turn on one theory share one program; at most one program is
+kept. The compile runs on integer ids only: atoms are interned, each rule
+is grounded straight to atom ids over the theory's entities, and an
+instance is kept as its rule id, its head id and its positive and negative
+antecedent ids. Atoms are partitioned into strata so that no atom depends
+negatively on its own stratum (a theory with a dependency cycle through
+negation is rejected). A negated atom that no instance concludes is set by
+the facts alone, so its value is final before any stratum runs and it does
+not raise its reader's stratum. The program derives its least fixpoint
+once; every entry point reads it instead of grounding again. A derivation
+runs stratum by stratum; inside a stratum each instance counts its missing
 positive antecedents and fires when the count reaches zero (Dowling &
 Gallier 1984), so every atom is derived and propagated at most once. A
 negative antecedent holds when its atom is absent; by then the atom is
@@ -29,12 +28,12 @@ search, failure selection and proof checking read the same id rows; a
 ``Literal`` is looked up only where a caller passes one in. Critical
 sentences reuse the same program: a sentence's ablation is the program
 without it, over the theory's own grounding, so a removed fact leaves the
-base facts and a removed rule's instances are skipped. Its instances are
-a subset of the program's, so the program's stratification holds for it.
+base facts and a removed rule's instances are skipped. Its instances are a
+subset of the program's, so the program's stratification holds for it.
 Instances bound to an entity that only the removed sentence names stay.
-They are harmless: they read and conclude only atoms whose subject is
-that entity, which only instances bound to it read, and no question asks
-about them, since every question names its own entities.
+They are harmless: they read and conclude only atoms whose subject is that
+entity, which only instances bound to it read, and no question asks about
+them, since every question names its own entities.
 
 Proof conventions, applied in this order for a question literal q:
 
@@ -105,8 +104,8 @@ def ground_instances(t: Theory):
     rule, a variable rule once per entity of the theory in sorted order.
 
     Returns the atom ids (every fact's atom included) and four columns with
-    one entry per instance: its (rule index, binding), its head id, and its
-    positive and its negative antecedent ids. No literal is bound.
+    one entry per instance: its rule id, its head id, and its positive and
+    its negative antecedent ids. No literal is bound.
     """
     ids: dict[Atom, int] = {}
     for f in t.facts:
@@ -119,17 +118,17 @@ def ground_instances(t: Theory):
             return [ids.setdefault((e, lit.predicate, lit.obj), len(ids)) for e in bindings]
         return [ids.setdefault(lit.atom(), len(ids))] * len(bindings)
 
-    keys, heads, positives, negatives = [], [], [], []
-    for index, rule in enumerate(t.rules):
+    rule_ids, heads, positives, negatives = [], [], [], []
+    for rule in t.rules:
         bindings = [None] if rule.variable() is None else entities
         positive, negative = [], []
         for lit in rule.antecedents:
             (positive if lit.positive else negative).append(column(lit, bindings))
-        keys += [(index, b) for b in bindings]
+        rule_ids += [rule.id] * len(bindings)
         heads += column(rule.consequent, bindings)
         positives += zip(*positive) if positive else [()] * len(bindings)
         negatives += zip(*negative) if negative else [()] * len(bindings)
-    return ids, keys, heads, positives, negatives
+    return ids, rule_ids, heads, positives, negatives
 
 
 def _stratify(theory_id: str, atoms: list[Atom], heads: list[int],
@@ -170,21 +169,21 @@ class GroundProgram:
 
     The compile runs on integer ids only. ``atom_ids`` interns the atoms
     (``atoms`` lists them by id), and instance ``i`` is the row
-    ``keys[i]`` (rule index, binding), ``heads[i]``, ``positives[i]`` and
-    ``negatives[i]``. ``levels`` holds instance indices by the stratum of
-    their head; ``watchers[a]`` lists the instances of atom ``a``'s stratum
-    with ``a`` among their positive antecedents. ``flags`` is the least
-    fixpoint by atom id and ``fired`` lists the instances that fire in it.
+    ``rule_ids[i]``, ``heads[i]``, ``positives[i]`` and ``negatives[i]``:
+    its rule's id, its head id and its antecedent ids. ``levels`` holds
+    instance indices by the stratum of their head; ``watchers[a]`` lists
+    the instances of atom ``a``'s stratum with ``a`` among their positive
+    antecedents. ``flags`` is the least fixpoint by atom id and ``fired``
+    lists the instances that fire in it.
 
     The rest is built on first read and then kept. ``derived`` is the
     fixpoint as a set of atoms; ``derivation_index`` maps each derived
     head id to the instances that fire for it, in grounding order;
-    ``rule_ids`` names each instance's rule and ``rule_instances`` holds
-    each rule id's instances as (signed head, signed antecedent set);
-    ``stated_by`` maps a signed atom id (atom id, positive) to the facts
-    stating it; ``removals[r]`` holds rule ``r``'s instances, which
-    ``derive`` skips without it. Proofs and their checks read these rows;
-    no literal is bound.
+    ``rule_instances`` holds each rule id's instances as (signed head,
+    signed antecedent set); ``stated_by`` maps a signed atom id (atom id,
+    positive) to the facts stating it; ``removals[r]`` holds rule ``r``'s
+    instances, which ``derive`` skips without it. Proofs and their checks
+    read these rows; no literal is bound.
 
     Proof search fills two tables, one entry per first read, and they go
     with the program. ``_fragment_table`` maps (atom id, path ∩ cone) to
@@ -200,7 +199,7 @@ class GroundProgram:
 
     def __init__(self, t: Theory):
         self.theory = t
-        self.atom_ids, self.keys, self.heads, self.positives, self.negatives = \
+        self.atom_ids, self.rule_ids, self.heads, self.positives, self.negatives = \
             ground_instances(t)
         self.atoms = list(self.atom_ids)
         self.fact_atoms = [(f.id, self.atom_ids[f.literal.atom()])
@@ -238,11 +237,6 @@ class GroundProgram:
         for i in sorted(self.fired):
             index.setdefault(self.heads[i], []).append(i)
         return index
-
-    @cached_property
-    def rule_ids(self) -> list[str]:
-        rules = self.theory.rules
-        return [rules[index].id for index, _binding in self.keys]
 
     @cached_property
     def rule_instances(self) -> dict[str, list[tuple[tuple[int, bool],

@@ -7,9 +7,11 @@ edge inside a cycle, the failure-selection oracle recurses over paths that
 never revisit an atom, the proof oracle enumerates every path-restricted
 derivation from scratch for each literal, the decode oracle enumerates every edge assignment,
 the depth oracle enumerates every simple path, the layout oracle parses
-each sentence id, the feature oracle tokenizes both texts of a cell, and
-the proof-check oracle visits every node of a proof on each pass and
-tests each antecedent against each incoming edge's source.
+each sentence id, the feature oracle tokenizes both texts of a cell, the
+proof-check oracle visits every node of a proof on each pass and tests
+each antecedent against each incoming edge's source, and the loss oracle
+is the mean logistic loss in its log-sum-exp form, which the scorer's
+gradient is checked against.
 """
 
 from __future__ import annotations
@@ -431,3 +433,11 @@ def cell_features(t: Theory, src: str, dst: str) -> FeatureVector:
         rule_to_rule=src.startswith("R"),
         naf_to_rule=src == "NAF",
     )
+
+
+def logistic_loss(weights, X, y) -> float:
+    """Mean logistic loss of ``X @ weights[:-1] + weights[-1]`` against the
+    0/1 labels ``y``: the mean of log(1 + e^z) - y z."""
+    import numpy as np
+    z = X @ weights[:-1] + weights[-1]
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))

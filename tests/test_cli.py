@@ -36,6 +36,17 @@ def run_ok(argv):
 NESTED = '{"id": ' + "[" * 5000 + "]" * 5000 + "}"  # valid JSON, too deep to decode
 
 
+def gold_predictions(theories: Path, path: Path) -> Path:
+    """Write to ``path`` a prediction of each question's gold answer and
+    first gold proof in the theory file ``theories``."""
+    path.write_text("".join(
+        json.dumps({"theory_id": theory["id"], "question_id": q["id"],
+                    "answer": q["answer"], **q["proofs"][0]}) + "\n"
+        for theory in map(json.loads, theories.read_text().splitlines())
+        for q in theory["questions"]))
+    return path
+
+
 READERS = ["answer", "prove", "mask-export", "oracle-potentials", "train-baseline",
            "score-edges", "decode", "eval", "critical", "render-dot"]
 
@@ -211,12 +222,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("bad", ["json", "output"])
     def test_eval_path_it_cannot_open_leaves_neither_report(self, workspace, tmp_path, bad):
         test_file = workspace / "data" / "test.theories.jsonl"
-        preds = tmp_path / "preds.jsonl"
-        preds.write_text("".join(
-            json.dumps({"theory_id": theory["id"], "question_id": q["id"],
-                        "answer": q["answer"], **q["proofs"][0]}) + "\n"
-            for theory in map(json.loads, test_file.read_text().splitlines())
-            for q in theory["questions"]))
+        preds = gold_predictions(test_file, tmp_path / "preds.jsonl")
         out, report = tmp_path / "report.txt", tmp_path / "report.json"
         argv = ["eval", "--theories", str(test_file), str(preds),
                 "-o", str(out), "--json", str(report)]
@@ -226,6 +232,20 @@ class TestExitCodes:
         argv[argv.index(str(out if bad == "output" else report))] = str(tmp_path / "missing" / bad)
         assert run_command(argv) == 2
         assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_eval_json_naming_the_output_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                                         spelling):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        preds = gold_predictions(test_file, tmp_path / "preds.jsonl")
+        out = tmp_path / "report.txt"
+        json_out = out if spelling == "same" else tmp_path / "sub" / ".." / "report.txt"
+        (tmp_path / "sub").mkdir()
+        capsys.readouterr()
+        assert run_command(["eval", "--theories", str(test_file), str(preds),
+                            "-o", str(out), "--json", str(json_out)]) == 1
+        assert "usage error: --json names the -o file" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("nodes", [1]),
@@ -969,6 +989,17 @@ class TestPipelines:
         assert pots.read_bytes() == flagged.read_bytes()
         preds = tmp_path / "baseline_preds.jsonl"
         run_ok(["decode", "--theories", dev_file, pots, "-o", preds])
+
+    def test_train_baseline_seed_is_only_recorded(self, workspace, tmp_path):
+        # training draws nothing: the seed changes the file's "seed" and nothing else
+        train_file = workspace / "data" / "train.theories.jsonl"
+        scorers = []
+        for seed in ("0", "5"):
+            scorer = tmp_path / f"scorer{seed}.json"
+            run_ok(["train-baseline", train_file, "--seed", seed, "-o", scorer])
+            scorers.append(json.loads(scorer.read_text()))
+        assert [s.pop("seed") for s in scorers] == [0, 5]
+        assert scorers[0] == scorers[1]
 
     def test_rule_free_theory_scores_no_naf_and_no_edges(self, tmp_path):
         # naf_prior has no antecedent to count, and no candidate edge ends

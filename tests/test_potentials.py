@@ -5,17 +5,18 @@ import oracles
 from ruleproofs import decoder
 from ruleproofs.datagen import GenConfig, generate_theory
 from ruleproofs.potentials import (
+    EPOCHS,
+    LEARNING_RATE,
     MASKED,
     FeatureVector,
     LinearScorer,
-    ScorerConfig,
     ScorerError,
     allowed_pairs,
     build_edge_mask,
     edge_training_pairs,
     fit_linear_scorer,
     lexical_edge_features,
-    logistic_loss_and_grad,
+    logistic_gradient,
     make_edge_training_set,
     naf_prior,
     node_labels,
@@ -251,10 +252,10 @@ class TestLexicalFeatures:
 
 class TestLinearScorer:
     def test_zero_epochs_keeps_initialization(self):
-        train = [(FeatureVector(1, 1, 0, False, False, True, False, False), 1)]
-        scorer = fit_linear_scorer(train, ScorerConfig(epochs=0))
+        # the untrained scorer is where training starts: zero weights
+        scorer = LinearScorer.untrained()
         assert (scorer.weights == 0).all()
-        assert scorer.score(train[0][0]) == 0.5
+        assert scorer.score(FeatureVector(1, 1, 0, False, False, True, False, False)) == 0.5
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ScorerError, match="empty training set"):
@@ -266,12 +267,15 @@ class TestLinearScorer:
         train = [(pos, 1), (neg, 0)] * 10
         X = np.array([fv for fv, _ in train], dtype=float)
         y = np.array([label for _, label in train], dtype=float)
+        w = LinearScorer.untrained().weights
         losses = []
-        for epochs in (0, 5, 25, 125):
-            scorer = fit_linear_scorer(train, ScorerConfig(0.5, epochs, 0))
-            loss, _ = logistic_loss_and_grad(scorer.weights, X, y)
-            losses.append(loss)
+        for epoch in range(EPOCHS + 1):
+            if epoch in (0, 5, 25, 125, EPOCHS):
+                losses.append(oracles.logistic_loss(w, X, y))
+            if epoch < EPOCHS:
+                w = w - LEARNING_RATE * logistic_gradient(w, X, y)
         assert all(a > b for a, b in zip(losses, losses[1:]))
+        assert (fit_linear_scorer(train).weights == w).all()
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(0)
@@ -279,29 +283,38 @@ class TestLinearScorer:
         y = (rng.random(40) > 0.5).astype(float)
         for _ in range(5):
             w = rng.normal(size=9)
-            _, grad = logistic_loss_and_grad(w, X, y)
+            grad = logistic_gradient(w, X, y)
             h = 1e-6
             for j in range(9):
                 step = np.zeros(9)
                 step[j] = h
-                hi, _ = logistic_loss_and_grad(w + step, X, y)
-                lo, _ = logistic_loss_and_grad(w - step, X, y)
+                hi = oracles.logistic_loss(w + step, X, y)
+                lo = oracles.logistic_loss(w - step, X, y)
                 numeric = (hi - lo) / (2 * h)
                 assert abs(grad[j] - numeric) <= 1e-5 * max(1.0, abs(numeric))
 
     def test_round_trip_serialization(self):
         train = make_edge_training_set(
             [t for t, _ in generated_golds(4)][:4])
-        scorer = fit_linear_scorer(train, ScorerConfig(0.5, 20, 0))
+        scorer = fit_linear_scorer(train)
         again = LinearScorer.from_dict(scorer.to_dict())
         assert (again.weights == scorer.weights).all()
+
+    @pytest.mark.parametrize("key, value", [("epochs", 50), ("epochs", 300.0),
+                                            ("learning_rate", 0.25), ("learning_rate", True)])
+    def test_file_with_other_training_settings_is_rejected(self, key, value):
+        # training is fixed, so a file can only record the settings it ran with
+        record = LinearScorer.untrained().to_dict()
+        assert LinearScorer.from_dict(record).to_dict() == record
+        with pytest.raises(ScorerError, match=f"{key} must be"):
+            LinearScorer.from_dict({**record, key: value})
 
     def test_trained_beats_untrained_on_held_out(self):
         cfg = GenConfig(seed=11, num_theories=40, max_depth=3)
         theories = [generate_theory(cfg, i) for i in range(40)]
         train = make_edge_training_set(theories[:32])
         dev = make_edge_training_set(theories[32:])
-        trained = fit_linear_scorer(train, ScorerConfig(0.5, 300, 0))
+        trained = fit_linear_scorer(train)
         untrained = LinearScorer.untrained()
         acc_trained = np.mean([(trained.score(fv) >= 0.5) == label for fv, label in dev])
         acc_untrained = np.mean([(untrained.score(fv) >= 0.5) == label for fv, label in dev])

@@ -220,7 +220,7 @@ def test_program_matches_oracle_on_every_ablation(t):
     program = closure(t)
     assert derived_atoms(program) == oracles.naive_closure(t) == set(program.derived)
     instances = oracles._instances(t)
-    assert program.keys == [(index, binding) for index, binding, _ants, _head in instances]
+    assert program.rule_ids == [t.rules[index].id for index, _binding, _ants, _head in instances]
     # the id rows name the atoms of the oracle's instance at the same index
     for i, (_index, _binding, antecedents, consequent) in enumerate(instances):
         assert program.atoms[program.heads[i]] == consequent.atom()
@@ -288,10 +288,13 @@ def assert_failed_instances_match_path_oracle(t):
         i = select_failed_instance(program, atom)
         failing = [Literal(*program.atoms[b]) for b in program.positives[i] if not flags[b]] \
             + [Literal(*program.atoms[b], False) for b in program.negatives[i] if flags[b]]
-        index, binding, expected_failing = expected[atom]
-        # the id rows list positive antecedents before negative ones, each in rule order
-        assert (*program.keys[i], tuple(failing)) == (
-            index, binding, tuple(sorted(expected_failing, key=lambda a: not a.positive))), atom
+        index, _binding, expected_failing = expected[atom]
+        # the rule id and the head name the instance: a variable rule's
+        # binding is its head's subject; the id rows list positive
+        # antecedents before negative ones, each in rule order
+        assert (program.rule_ids[i], program.atoms[program.heads[i]], tuple(failing)) == (
+            t.rules[index].id, atom,
+            tuple(sorted(expected_failing, key=lambda a: not a.positive))), atom
 
 
 @settings(max_examples=300, deadline=None)

@@ -323,6 +323,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.json_out == "-":
+        raise _UsageError("--json takes a file path; standard output is for the text report")
     if args.json_out and args.output not in (None, "-") \
             and Path(args.json_out).resolve() == Path(args.output).resolve():
         raise _UsageError("--json names the -o file; the text report would overwrite it")

@@ -17,6 +17,13 @@ within the config's ranges, whose sum the config caps at the context
 limit. A draft is redrafted only when it has too few facts or rules or
 its questions cannot cover every depth at the answer balance. The
 finished theory is validated once, and a violation is an internal error.
+
+Draws follow numpy's ``default_rng`` stream, reproduced in pure Python by
+``_Rng``: PCG64 seeded through ``SeedSequence`` (O'Neill, "PCG: A family
+of simple fast space-efficient statistically good algorithms", 2014), with
+numpy's bounded integers (Lemire, "Fast random integer generation in an
+interval", 2019). So generating imports no numpy, and a seed gives the
+bytes numpy's generator gives.
 """
 
 from __future__ import annotations
@@ -172,6 +179,122 @@ class GenerationError(RuntimeError):
 
 
 _MAX_ATTEMPTS = 60
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hasher(hash_const: int, multiplier: int):
+    """``SeedSequence``'s hashmix, whose constant advances at each call."""
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * multiplier & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
+
+
+def _pcg64_seed(entropy) -> tuple[int, int]:
+    """PCG64's ``(state, inc)`` as numpy seeds them from a list of
+    non-negative ints: ``SeedSequence`` splits each int into 32-bit words,
+    low word first, hashes them into a pool of four words and expands the
+    pool into four 64-bit words, the first two the seed and the last two
+    the stream; PCG64's ``set_seed`` then steps around adding the seed."""
+    words = []
+    for value in entropy:
+        words.append(value & _M32)
+        while value > _M32:
+            value >>= 32
+            words.append(value & _M32)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    expand = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [expand(pool[i % 4]) for i in range(8)]
+    seed, stream = ((out[i] | out[i + 1] << 32) << 64 | out[i + 2] | out[i + 3] << 32
+                    for i in (0, 4))
+    inc = (stream << 1 | 1) & _M128
+    return ((inc + seed) * _PCG_MULT + inc) & _M128, inc
+
+
+class _Rng:
+    """The stream of ``numpy.random.default_rng(entropy)``, reproduced
+    without numpy for the calls the generator makes: PCG64 (XSL-RR 128/64)
+    draws, ``random`` from the top 53 bits of a draw, ``integers`` by
+    Lemire's bounded method on 32-bit halves, and ``shuffle`` and
+    ``permutation`` by Fisher–Yates from the top with masked rejection.
+    A 32-bit draw takes the low half of a fresh 64-bit draw and keeps the
+    high half for the next 32-bit draw; ``random`` leaves it kept."""
+
+    def __init__(self, entropy) -> None:
+        self._state, self._inc = _pcg64_seed(entropy)
+        self._half: Optional[int] = None
+
+    def _next64(self) -> int:
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        word, rot = (state >> 64) ^ (state & _M64), state >> 122
+        return (word >> rot | word << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._next64()
+            self._half = word >> 32
+            return word & _M32
+        self._half = None
+        return half
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def integers(self, low: int, high: Optional[int] = None) -> int:
+        """An int in ``[low, high)``, or in ``[0, low)`` given one bound."""
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if not 0 < span < 1 << 32:
+            raise ValueError(f"integers({low}, {high}): the range must hold 1 to 2**32 - 1 values")
+        if span == 1:
+            return low
+        threshold = (1 << 32) % span
+        while True:
+            scaled = self._next32() * span
+            if scaled & _M32 >= threshold:
+                return low + (scaled >> 32)
+
+    def shuffle(self, items: list) -> None:
+        half = self._half
+        for i in range(len(items) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                if half is None:
+                    word = self._next64()
+                    half, j = word >> 32, word & mask
+                else:
+                    half, j = None, half & mask
+                if j <= i:
+                    break
+            items[i], items[j] = items[j], items[i]
+        self._half = half
+
+    def permutation(self, n: int) -> list[int]:
+        order = list(range(n))
+        self.shuffle(order)
+        return order
 
 
 @dataclass
@@ -423,12 +546,11 @@ def generate_theory(cfg: GenConfig, index: int) -> Theory:
     a rejected draft changes no other attempt. When every attempt is
     rejected, the ``GenerationError`` counts the rejections by cause.
     """
-    import numpy as np
     profile = PROFILES[cfg.profile]
     too_small = no_questions = most_facts = most_rules = 0
     try:  # a sentence the grammar cannot state is a generator fault, not a data error
         for attempt in range(_MAX_ATTEMPTS):
-            rng = np.random.default_rng([cfg.seed, index, attempt])
+            rng = _Rng([cfg.seed, index, attempt])
             draft, context = _build_draft(rng, cfg, profile)
             most_facts = max(most_facts, len(draft.facts))
             most_rules = max(most_rules, len(draft.rules))
@@ -505,9 +627,8 @@ def _split_stats(theories: list[Theory]) -> dict:
 
 def generate_dataset(cfg: GenConfig) -> DatasetBundle:
     """All theories plus a deterministic 70/10/20 split by theory."""
-    import numpy as np
     theories = [generate_theory(cfg, i) for i in range(cfg.num_theories)]
-    order = np.random.default_rng([cfg.seed, 7, 1, 0]).permutation(cfg.num_theories)
+    order = _Rng([cfg.seed, 7, 1, 0]).permutation(cfg.num_theories)
     n_train = int(cfg.num_theories * 0.7)
     n_dev = int(cfg.num_theories * 0.1)
     train = [theories[i] for i in sorted(order[:n_train])]

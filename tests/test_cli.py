@@ -247,6 +247,19 @@ class TestExitCodes:
         assert "usage error: --json names the -o file" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_json_to_stdout_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                                  monkeypatch):
+        test_file = workspace / "data" / "test.theories.jsonl"
+        preds = gold_predictions(test_file, tmp_path / "preds.jsonl")
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run_command(["eval", "--theories", str(test_file), str(preds),
+                            "--json", "-"]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: --json takes a file path" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "-").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("nodes", [1]),
         ("nodes", "F1"),

@@ -4,6 +4,7 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -414,3 +415,59 @@ class TestGenerateDataset:
             for q_before, q_after in zip(t.questions, again.questions):
                 assert reasoner.prove(t, q_before) == reasoner.prove(again, q_after)
                 assert q_after.gold_proofs == q_before.gold_proofs
+
+
+# The generator draws from datagen._Rng, which must give numpy's
+# default_rng stream value for value, or the pinned bytes above change.
+ENTROPY_INTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64 + 5,
+                                2**100]) | st.integers(0, 2**70)
+CALLS = st.one_of(
+    st.just(("random",)),
+    st.tuples(st.just("integers"), st.integers(1, 60) | st.integers(1, 2**32 - 1)),
+    st.tuples(st.just("integers"), st.integers(-50, 50), st.integers(1, 60)).map(
+        lambda c: (c[0], c[1], c[1] + c[2])),
+    st.tuples(st.just("shuffle"), st.integers(0, 40)),
+    st.tuples(st.just("permutation"), st.integers(0, 40)),
+)
+
+
+def draws(rng, calls) -> list:
+    out = []
+    for name, *args in calls:
+        if name == "shuffle":
+            items = list(range(args[0]))
+            rng.shuffle(items)
+            out.append(items)
+        elif name == "permutation":
+            out.append([int(v) for v in rng.permutation(*args)])
+        elif name == "integers":
+            out.append(int(rng.integers(*args)))
+        else:
+            out.append(rng.random())
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTROPY_INTS, max_size=8), st.lists(CALLS, max_size=40))
+def test_draws_follow_numpy_default_rng(entropy, calls):
+    assert draws(datagen._Rng(entropy), calls) == draws(np.random.default_rng(entropy), calls)
+
+
+def test_one_value_range_draws_nothing():
+    rng = datagen._Rng([5])
+    assert [rng.integers(1), rng.integers(7, 8)] == [0, 7]
+    assert rng.random() == datagen._Rng([5]).random()
+    for low, high in ((0, 2**32), (3, 3)):
+        with pytest.raises(ValueError, match=re.escape("the range must hold 1 to 2**32 - 1")):
+            rng.integers(low, high)
+
+
+def test_kept_high_half_survives_random():
+    # integers(2**31) rejects nothing: it is a 32-bit draw shifted right by one
+    word = datagen._Rng([5])._next64()
+    rng = datagen._Rng([5])
+    first = rng.integers(2**31)
+    rng.random()
+    assert (first, rng.integers(2**31)) == ((word & 0xFFFFFFFF) >> 1, word >> 33)
+    calls = [("integers", 2**31), ("random",), ("integers", 2**31)]
+    assert draws(datagen._Rng([5]), calls) == draws(np.random.default_rng([5]), calls)

@@ -315,6 +315,14 @@ def one_id_in_two_files_reads_apart(theory) -> bool:
     return facts == ["Alan is blue.", "Alan is red."]
 
 
+def integers_keep_the_high_half(datagen) -> bool:
+    """Four draws below 1000 from ``default_rng([0, 1, 2])``, as numpy
+    gives them: the second and fourth are the high halves of the words
+    the first and third drew."""
+    rng = datagen._Rng([0, 1, 2])
+    return [rng.integers(1000) for _ in range(4)] == [555, 881, 293, 289]
+
+
 MUTANTS = {
     "validate_theory_ignores_depth": (
         "theory", "            if measured != q.gold_depth:\n", "            if False:\n",
@@ -392,6 +400,9 @@ MUTANTS = {
     "proof_depth_without_cycle_fallback": (
         "proofgraph", "    if len(ready) < len(is_rule):\n", "    if False:\n",
         depth_counts_rules_on_paths),
+    "integers_draw_a_fresh_word": (
+        "datagen", "scaled = self._next32() * span", "scaled = (self._next64() & _M32) * span",
+        integers_keep_the_high_half),
     "proof_depth_without_own_rule_flag": (
         "proofgraph", "ending_at[node] = ending_at[node] + is_rule[node]",
         "ending_at[node] = ending_at[node]",

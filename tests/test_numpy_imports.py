@@ -1,11 +1,13 @@
-"""numpy is imported only by the subcommands that draw random numbers or
-fit the lexical scorer: ``generate``, ``oracle-potentials`` at noise above
-0, ``train-baseline`` and ``score-edges``. Importing ``ruleproofs`` and
+"""numpy is imported only by three subcommands, which draw noise or fit
+the lexical scorer: ``oracle-potentials`` at noise above 0,
+``train-baseline`` and ``score-edges``. Importing ``ruleproofs`` and
 ``ruleproofs.cli`` leaves numpy out, every other subcommand runs without
-it, and with numpy blocked those subcommands write the bytes pinned in
+it (``generate`` draws from its own copy of numpy's stream), and with
+numpy blocked those subcommands write the bytes pinned in
 ``test_pipeline_bytes``."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -19,8 +21,8 @@ from test_pipeline_bytes import PIPELINE_SHA256, STAGES
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The outputs of STAGES whose subcommand draws or fits, and so imports numpy.
-DRAWING_OUTPUTS = {"data", "noisy.pots.jsonl", "scorer.json", "scorer.pots.jsonl"}
+# The outputs of STAGES whose subcommand draws noise or fits, and so imports numpy.
+DRAWING_OUTPUTS = {"noisy.pots.jsonl", "scorer.json", "scorer.pots.jsonl"}
 
 # Imports the package and the CLI, then runs the argv lists in sys.argv[1]
 # (JSON), each to exit 0; prints whether numpy was loaded after the imports
@@ -73,6 +75,8 @@ def test_subcommands_that_draw_nothing_never_import_numpy(split, tmp_path):
     pots, preds = str(tmp_path / "exact.pots.jsonl"), str(tmp_path / "preds.jsonl")
     null = ["-o", os.devnull]
     commands = {
+        "generate": ["generate", "--config", str(split / "config.json"), "--seed", "4",
+                     "-o", str(tmp_path / "data")],
         "answer": ["answer", test, *null],
         "prove": ["prove", test, *null],
         "critical": ["critical", test, *null],
@@ -94,13 +98,11 @@ def test_subcommands_that_draw_nothing_never_import_numpy(split, tmp_path):
     assert [name for name, was in zip(commands, loaded[1:]) if was] == []
 
 
-@pytest.mark.parametrize("command", ["generate", "oracle-potentials --noise 0.3",
-                                     "train-baseline", "score-edges"])
+@pytest.mark.parametrize("command", ["oracle-potentials --noise 0.3", "train-baseline",
+                                     "score-edges"])
 def test_subcommands_that_draw_import_numpy(split, tmp_path, command):
     test = str(split / "data" / "test.theories.jsonl")
     argv = {
-        "generate": ["generate", "--config", str(split / "config.json"), "--seed", "4",
-                     "-o", str(tmp_path / "data")],
         "oracle-potentials --noise 0.3": ["oracle-potentials", "--seed", "0",
                                           "--noise", "0.3", test, "-o", os.devnull],
         "train-baseline": ["train-baseline", str(split / "data" / "train.theories.jsonl"),
@@ -112,18 +114,23 @@ def test_subcommands_that_draw_import_numpy(split, tmp_path, command):
 
 
 def test_stages_that_draw_nothing_write_pinned_bytes_with_numpy_blocked(tmp_path):
-    """The drawing stages run here, with numpy; every other stage of the
-    pinned pipeline runs in a fresh interpreter that cannot import it."""
+    """The pinned pipeline in its order: the drawing stages run here, with
+    numpy; each run of other stages between them runs in a fresh
+    interpreter that cannot import it."""
     fill = {"out": str(tmp_path), "test": str(tmp_path / "data" / "test.theories.jsonl")}
-    drawing, drawless = [], []
+    argvs = []
     for output, argv in STAGES:
         argv = [arg.format(**fill) for arg in argv]
         if output != "data":
             argv += ["-o", str(tmp_path / output)]
-        (drawing if output in DRAWING_OUTPUTS else drawless).append(argv)
-    for argv in drawing:
-        assert run_command(argv) == 0, argv
-    run_fresh(drawless, block=True)
+        argvs.append((output in DRAWING_OUTPUTS, argv))
+    for drawing, run in itertools.groupby(argvs, key=lambda stage: stage[0]):
+        run = [argv for _, argv in run]
+        if drawing:
+            for argv in run:
+                assert run_command(argv) == 0, argv
+        else:
+            run_fresh(run, block=True)
     digests = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert digests == PIPELINE_SHA256
